@@ -34,6 +34,7 @@ from .errors import (
 
 __all__ = [
     "ENCODINGS",
+    "POPCOUNT",
     "BitSequence",
     "SampleSet",
     "Manifest",
@@ -44,12 +45,27 @@ __all__ = [
     "save_manifest",
     "load_sample_set",
     "concat_chronological",
+    "pack_rows",
+    "ones_before",
 ]
 
 ENCODINGS = ("ascii01", "packed-msb", "hex")
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-_HEX_ALPHABET = b"0123456789abcdefABCDEF"
+
+# Number of one bits in each byte value.
+POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
+# _LEADING_POPCOUNT[r, b]: one bits among the r most significant bits of b.
+_LEADING_POPCOUNT = np.stack([POPCOUNT[np.arange(256) >> (8 - r)] for r in range(8)])
+
+# Hex codec tables: character code -> nibble value (0xFF marks a character
+# outside the alphabet), and byte value -> its two lower-case hex digits.
+_HEX_VALUES = np.full(256, 0xFF, dtype=np.uint8)
+_HEX_VALUES[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+_HEX_DIGIT_PAIRS = np.frombuffer(
+    "".join(f"{b:02x}" for b in range(256)).encode("ascii"), dtype=np.uint8).reshape(256, 2)
 
 
 class BitSequence:
@@ -90,6 +106,8 @@ class BitSequence:
         self._init_packed(np.packbits(arr), int(arr.size), source_id, sample_index, timestamp)
 
     def _init_packed(self, packed, n, source_id, sample_index, timestamp):
+        # Invariant: ceil(n/8) bytes whose padding bits after bit n are zero;
+        # the popcount-based counters rely on it.
         if sample_index < 0:
             raise ValueError(f"sample_index must be nonnegative, got {sample_index}")
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
@@ -126,7 +144,7 @@ class BitSequence:
         return np.unpackbits(self._packed, count=self._n)
 
     def count_ones(self) -> int:
-        return int(self.asarray().sum())
+        return int(POPCOUNT[self._packed].sum(dtype=np.int64))
 
     def __len__(self) -> int:
         return self._n
@@ -163,15 +181,16 @@ def _decode(raw: bytes, encoding: str) -> np.ndarray:
     if encoding == "packed-msb":
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if encoding == "hex":
-        payload = raw.translate(None, _WHITESPACE)
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        bad = ~np.isin(arr, np.frombuffer(_HEX_ALPHABET, dtype=np.uint8))
+        arr = np.frombuffer(raw.translate(None, _WHITESPACE), dtype=np.uint8)
+        nibbles = _HEX_VALUES[arr]
+        bad = nibbles > 0xF
         if bad.any():
             ch = chr(int(arr[np.argmax(bad)]))
             raise InvalidCharacter(f"unexpected character {ch!r} in hex input")
-        nibbles = np.array([int(c, 16) for c in payload.decode("ascii")], dtype=np.uint8)
-        bits = np.unpackbits(nibbles[:, None], axis=1)[:, 4:]
-        return bits.reshape(-1)
+        if nibbles.size % 2:
+            nibbles = np.append(nibbles, np.uint8(0))
+        packed = (nibbles[0::2] << 4) | nibbles[1::2]
+        return np.unpackbits(packed, count=4 * arr.size)
     raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
 
@@ -241,12 +260,8 @@ def serialize_bits(seq: BitSequence, encoding: str) -> bytes:
     if encoding == "packed-msb":
         return seq.packed.tobytes()
     if encoding == "hex":
-        bits = seq.asarray()
-        n_nibbles = -(-bits.size // 4)
-        padded = np.zeros(n_nibbles * 4, dtype=np.uint8)
-        padded[:bits.size] = bits
-        nibbles = padded.reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
-        return "".join("0123456789abcdef"[v] for v in nibbles).encode("ascii")
+        n_nibbles = -(-seq.n // 4)
+        return _HEX_DIGIT_PAIRS[seq.packed].reshape(-1)[:n_nibbles].tobytes()
     raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
 
@@ -308,6 +323,31 @@ def concat_chronological(sample_set: SampleSet) -> BitSequence:
     bits = np.concatenate([s.asarray() for s in sample_set])
     return BitSequence._from_packed(np.packbits(bits), int(bits.size),
                                     source_id=sample_set.source_id)
+
+
+def pack_rows(samples) -> np.ndarray:
+    """Stack equal-length samples into one ``(rows, ceil(n/8))`` uint8 matrix.
+
+    Row i holds the packed bytes of ``samples[i]``; padding bits are zero.
+    """
+    return np.stack([s.packed for s in samples])
+
+
+def ones_before(packed: np.ndarray, positions) -> np.ndarray:
+    """Ones among the first t bits of each packed row, for every t in ``positions``.
+
+    ``packed`` is ``(rows, bytes)``; ``positions`` is a 1-D array of bit
+    offsets in ``[0, 8 * bytes]``.  The result is ``(rows, len(positions))``
+    int64: whole bytes come from a cumulative popcount, and the partial byte
+    at each position from a leading-bits popcount table.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    rows, width = packed.shape
+    whole = np.zeros((rows, width + 1), dtype=np.int64)
+    np.cumsum(POPCOUNT[packed], axis=1, dtype=np.int64, out=whole[:, 1:])
+    byte, bit = np.divmod(positions, 8)
+    partial = _LEADING_POPCOUNT[bit, packed[:, np.minimum(byte, width - 1)]]
+    return whole[:, byte] + partial
 
 
 @dataclass(frozen=True)

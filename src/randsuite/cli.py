@@ -43,13 +43,25 @@ EXIT_STATISTICAL_FAIL = 1
 EXIT_ERROR = 2
 
 
+def _new_file_mode() -> int:
+    """The mode open() gives a new file: 0o666 less the process umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The temp file is created private (0600); it gets the normal new-file
+    mode before the rename, so outputs match files written in place.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     os.close(fd)
     try:
         write_fn(tmp)
+        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,9 +89,10 @@ def _suite_config(args) -> SuiteConfig:
 
 
 def cmd_test(args) -> int:
+    config = _suite_config(args)
     manifest = load_manifest(args.manifest[0])
     sample_set = load_sample_set(manifest)
-    report = run_suite(sample_set, _suite_config(args))
+    report = run_suite(sample_set, config)
     out = Path(args.out)
     _atomic_write(out / "report.json", lambda p: write_report_json(report, p))
     _atomic_write(out / "results.csv", lambda p: write_results_csv(report, p))

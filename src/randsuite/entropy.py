@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitseq import BitSequence, SampleSet
+from .bitseq import POPCOUNT, BitSequence, SampleSet, ones_before, pack_rows
 from .errors import DomainError, EmptySequence, EmptySet
 from .special import erfc_inv
 
@@ -36,24 +36,30 @@ __all__ = [
 ]
 
 
+def _min_entropy(p1: float) -> float:
+    return -math.log2(max(p1, 1.0 - p1))
+
+
+def _shannon_entropy(p1: float) -> float:
+    h = 0.0
+    for p in (p1, 1.0 - p1):
+        if p > 0.0:
+            h -= p * math.log2(p)
+    return h
+
+
 def min_entropy(seq: BitSequence) -> float:
     """-log2(max(p1, p0)) of the empirical bit distribution, in [0, 1]."""
     if seq.n == 0:
         raise EmptySequence("min_entropy needs at least one bit")
-    p1 = seq.count_ones() / seq.n
-    return -math.log2(max(p1, 1.0 - p1))
+    return _min_entropy(seq.count_ones() / seq.n)
 
 
 def shannon_entropy(seq: BitSequence) -> float:
     """Empirical Shannon entropy in bits, with 0*log(0) := 0."""
     if seq.n == 0:
         raise EmptySequence("shannon_entropy needs at least one bit")
-    p1 = seq.count_ones() / seq.n
-    h = 0.0
-    for p in (p1, 1.0 - p1):
-        if p > 0.0:
-            h -= p * math.log2(p)
-    return h
+    return _shannon_entropy(seq.count_ones() / seq.n)
 
 
 @dataclass(frozen=True)
@@ -74,12 +80,17 @@ def entropy_series(sample_set: SampleSet) -> EntropySeries:
     """One (min-entropy, Shannon-entropy) point per sample, in order."""
     if len(sample_set) == 0:
         raise EmptySet("cannot compute an entropy series for an empty sample set")
+    n = sample_set.declared_length
+    if n == 0:
+        raise EmptySequence("entropy needs at least one bit per sample")
+    ones = POPCOUNT[pack_rows(sample_set)].sum(axis=1, dtype=np.int64).tolist()
+    p1 = [k / n for k in ones]
     return EntropySeries(
         source_id=sample_set.source_id,
         sample_indices=tuple(s.sample_index for s in sample_set),
         timestamps=tuple(s.timestamp for s in sample_set),
-        min_entropies=tuple(min_entropy(s) for s in sample_set),
-        shannon_entropies=tuple(shannon_entropy(s) for s in sample_set),
+        min_entropies=tuple(map(_min_entropy, p1)),
+        shannon_entropies=tuple(map(_shannon_entropy, p1)),
     )
 
 
@@ -124,8 +135,8 @@ def deviation_series(seq: BitSequence, stride: int = 8192) -> DeviationSeries:
     idx = np.arange(stride, seq.n + 1, stride, dtype=np.int64)
     if idx.size == 0 or idx[-1] != seq.n:
         idx = np.concatenate([idx, [seq.n]])
-    ones = np.cumsum(seq.asarray(), dtype=np.int64)
-    dev = ones[idx - 1].astype(np.float64) - idx / 2.0
+    ones = ones_before(seq.packed[None, :], idx)[0]
+    dev = ones.astype(np.float64) - idx / 2.0
     return DeviationSeries(source_id=seq.source_id, bit_indices=idx, deviations=dev)
 
 

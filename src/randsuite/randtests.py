@@ -1,8 +1,12 @@
 """The eight bit-sequence statistical tests.
 
-Each test is a pure function from a :class:`~randsuite.bitseq.BitSequence`
-(plus parameters) to a :class:`TestOutcome` holding the observed statistic,
-the p-value, and the pass/fail verdict at significance ``alpha``.
+Each test has one kernel over a stack of samples: a ``(rows, ceil(n/8))``
+uint8 matrix of packed samples in, one statistic and one p-value per row
+out.  :func:`run_batch` runs the selected kernels over a whole sample set;
+the single-sequence functions (:func:`frequency_test` and the rest) are its
+one-row case, returning a :class:`TestOutcome` with the observed statistic,
+the p-value, the pass/fail verdict at significance ``alpha`` and a params
+record of the values behind them.
 
 Conventions that remedy known defects in circulating descriptions of these
 tests (both are recorded in every outcome's params so reports are
@@ -20,14 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from functools import cached_property, partial
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
 
-from .bitseq import BitSequence
+from .bitseq import POPCOUNT, BitSequence, ones_before, pack_rows
 from .errors import (
     BlockTooLarge,
+    DomainError,
     EmptySequence,
     PatternTooLong,
     SampleTooShort,
@@ -39,6 +45,7 @@ __all__ = [
     "CusumMode",
     "TestParams",
     "TestOutcome",
+    "Batch",
     "MIN_LENGTH",
     "ALL_TESTS",
     "frequency_test",
@@ -50,6 +57,7 @@ __all__ = [
     "approx_entropy_test",
     "cusum_test",
     "run_test",
+    "run_batch",
 ]
 
 
@@ -107,11 +115,11 @@ class TestParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.block_size_m < 2:
-            raise ValueError(f"block_size_m must be >= 2, got {self.block_size_m}")
+            raise DomainError(f"block_size_m must be >= 2, got {self.block_size_m}")
         if self.pattern_len_m < 1:
-            raise ValueError(f"pattern_len_m must be >= 1, got {self.pattern_len_m}")
+            raise DomainError(f"pattern_len_m must be >= 1, got {self.pattern_len_m}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +135,60 @@ class TestOutcome:
     params: Mapping[str, object]
 
 
-def _finish(test_id: TestId, statistic: float, p: float, alpha: float,
-            record: dict) -> TestOutcome:
-    p = as_probability(p, what=f"{test_id.value} p-value")
-    record["alpha"] = alpha
-    return TestOutcome(test_id=test_id, statistic=float(statistic), p_value=p,
-                       passed=p >= alpha, params=record)
+class Batch(NamedTuple):
+    """One test over a stack of samples, one entry per row.
+
+    ``record`` holds the values behind the statistics: per-row arrays
+    (``n_obs``, ``phi_m``, ``class_counts``, ...) and constants (``n``,
+    conventions).  The single-sequence functions turn it into
+    :attr:`TestOutcome.params`.
+    """
+
+    statistics: np.ndarray
+    p_values: np.ndarray
+    passed: np.ndarray
+    record: dict
+
+
+# Bits of stacked samples per kernel chunk.  Rows are processed this many
+# bits at a time so that the kernels' temporaries (the spectral test holds
+# about 16 bytes per bit at once) stay at a few MB; a longer sample is a
+# chunk of its own.
+_CHUNK_BITS = 1 << 18
+
+
+class _Rows:
+    """One chunk of packed samples, with values shared between kernels."""
+
+    def __init__(self, packed: np.ndarray, n: int):
+        self.packed = packed
+        self.n = n
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """``(rows, n)`` uint8 matrix of 0/1 values, unpacked once."""
+        return np.unpackbits(self.packed, axis=1, count=self.n)
+
+    @cached_property
+    def ones(self) -> np.ndarray:
+        return POPCOUNT[self.packed].sum(axis=1, dtype=np.int64)
+
+    @cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S_n, min S, max S) of each row's +/-1 partial sums, S_0 = 0 included."""
+        steps = self.bits.view(np.int8) * np.int8(2) - np.int8(1)
+        sums = np.cumsum(steps, axis=1, dtype=_accumulator(self.n))
+        return (sums[:, -1].astype(np.int64),
+                np.minimum(sums.min(axis=1), 0).astype(np.int64),
+                np.maximum(sums.max(axis=1), 0).astype(np.int64))
+
+
+def _accumulator(n: int):
+    """Narrowest signed integer type that holds every partial sum of n steps."""
+    for dtype in (np.int16, np.int32):
+        if n <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _check_length(test_id: TestId, n: int, params: TestParams) -> None:
@@ -145,88 +201,127 @@ def _check_length(test_id: TestId, n: int, params: TestParams) -> None:
         raise EmptySequence(f"{test_id.value} needs a non-empty sequence")
 
 
-def frequency_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Overall balance of ones and zeros.
+def _check(test_id: TestId, n: int, params: TestParams) -> None:
+    """Raise the error a test gives for n-bit samples under ``params``, if any."""
+    if test_id is TestId.LONGEST_RUN:
+        # No block size is defined below 128 bits, so this minimum holds
+        # regardless of enforce_min_length.
+        if n < 128:
+            raise SampleTooShort(
+                f"longest_run needs at least 128 bits (no block size is defined "
+                f"below that), got {n}", min_length=128, actual=n)
+        return
+    _check_length(test_id, n, params)
+    if test_id is TestId.BLOCK_FREQUENCY and params.block_size_m > n:
+        raise BlockTooLarge(f"block size {params.block_size_m} exceeds sequence length {n}")
+    if test_id is TestId.APPROX_ENTROPY:
+        m = params.pattern_len_m
+        if m + 1 > n or m > 24:
+            raise PatternTooLong(f"pattern length {m} is not usable at n={n}")
+        if params.enforce_min_length and m >= int(math.log2(n)) - 1:
+            raise PatternTooLong(
+                f"pattern length {m} is too long for meaningful results at n={n} "
+                f"(need m < floor(log2(n)) - 1)")
 
-    The bits are mapped to +/-1 and summed; the normalized absolute sum is
-    referred to the half-normal distribution.
-    """
-    n = seq.n
-    _check_length(TestId.FREQUENCY, n, params)
-    s_n = 2 * seq.count_ones() - n
-    s_obs = abs(s_n) / math.sqrt(n)
-    p = erfc(s_obs / math.sqrt(2))
-    return _finish(TestId.FREQUENCY, s_obs, p, params.alpha,
-                   {"n": n, "partial_sum": int(s_n)})
+
+# Each test is a pair of functions.  ``count`` maps one chunk of rows to
+# per-row values (mostly integer counts); ``finish`` maps those values for
+# all rows to (statistic, p-value, record) arrays, so the special functions
+# run once per sample set.  The test's public function documents it.
+
+def _frequency_count(rows: _Rows, params: TestParams) -> dict:
+    return {"ones": rows.ones}
 
 
-def block_frequency_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Balance of ones within fixed-size non-overlapping blocks.
+def _frequency_finish(values: dict, n: int, params: TestParams):
+    s_n = 2 * values["ones"] - n
+    s_obs = np.abs(s_n) / math.sqrt(n)
+    return s_obs, erfc(s_obs / math.sqrt(2)), {"n": n, "partial_sum": s_n}
 
-    Uses ``block_size_m`` bits per block; trailing bits that do not fill a
-    block are discarded (and reported in the outcome's params).
-    """
-    n = seq.n
-    _check_length(TestId.BLOCK_FREQUENCY, n, params)
+
+def _block_frequency_count(rows: _Rows, params: TestParams) -> dict:
     m = params.block_size_m
-    if m > n:
-        raise BlockTooLarge(f"block size {m} exceeds sequence length {n}")
+    edges = m * np.arange(rows.n // m + 1)
+    ones = np.diff(ones_before(rows.packed, edges), axis=1)
+    # Terms are multiples of 1/4, so the sum is exact in any order.
+    return {"squares": ((ones - m / 2.0) ** 2).sum(axis=1)}
+
+
+def _block_frequency_finish(values: dict, n: int, params: TestParams):
+    m = params.block_size_m
     num_blocks = n // m
-    bits = seq.asarray()[:num_blocks * m]
-    ones = bits.reshape(num_blocks, m).sum(axis=1, dtype=np.int64)
     # 4M * sum((pi_i - 1/2)^2) computed on integer one-counts so that the
     # worked examples come out exact.
-    chi2 = 4.0 * float(((ones - m / 2.0) ** 2).sum()) / m
-    p = upper_igamc(num_blocks / 2.0, chi2 / 2.0)
-    return _finish(TestId.BLOCK_FREQUENCY, chi2, p, params.alpha,
-                   {"n": n, "block_size_m": m, "num_blocks": num_blocks,
-                    "discarded_bits": n - num_blocks * m})
+    chi2 = 4.0 * values["squares"] / m
+    return chi2, upper_igamc(num_blocks / 2.0, chi2 / 2.0), {
+        "n": n, "block_size_m": m, "num_blocks": num_blocks,
+        "discarded_bits": n - num_blocks * m}
 
 
-def runs_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Number of maximal runs of identical bits.
+def _runs_count(rows: _Rows, params: TestParams) -> dict:
+    # Bit i of (row XOR row shifted left by one) is 1 where bits i and i+1
+    # differ; only the first n - 1 positions compare two real bits.
+    packed = rows.packed
+    shifted = packed << 1
+    shifted[:, :-1] |= packed[:, 1:] >> 7
+    changes = packed ^ shifted
+    valid = rows.n - 1 - 8 * (packed.shape[1] - 1)
+    changes[:, -1] &= (0xFF << (8 - valid)) & 0xFF
+    return {"ones": rows.ones,
+            "transitions": POPCOUNT[changes].sum(axis=1, dtype=np.int64)}
 
-    Applicable only when the overall proportion of ones is roughly fair
-    (|pi - 1/2| < 2/sqrt(n)); otherwise the p-value is 0 by definition.
-    """
-    n = seq.n
-    _check_length(TestId.RUNS, n, params)
-    bits = seq.asarray()
-    pi = float(bits.sum()) / n
-    v_obs = int(np.count_nonzero(bits[1:] != bits[:-1])) + 1
-    record = {"n": n, "proportion_of_ones": pi}
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
-        record["prerequisite_ok"] = False
-        return _finish(TestId.RUNS, v_obs, 0.0, params.alpha, record)
-    record["prerequisite_ok"] = True
-    p = erfc(abs(v_obs - 2.0 * n * pi * (1 - pi))
-             / (2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)))
-    return _finish(TestId.RUNS, v_obs, p, params.alpha, record)
+
+def _runs_finish(values: dict, n: int, params: TestParams):
+    v_obs = values["transitions"] + 1
+    pi = values["ones"] / n
+    ok = (np.abs(pi - 0.5) < 2.0 / math.sqrt(n)) & (pi != 0.0) & (pi != 1.0)
+    p = np.zeros(pi.shape)
+    q = pi[ok]
+    p[ok] = erfc(np.abs(v_obs[ok] - 2.0 * n * q * (1 - q))
+                 / (2.0 * math.sqrt(2.0 * n) * q * (1 - q)))
+    return v_obs, p, {"n": n, "proportion_of_ones": pi, "prerequisite_ok": ok}
+
+
+def _byte_table(fn) -> np.ndarray:
+    return np.array([fn(format(b, "08b")) for b in range(256)], dtype=np.int64)
+
+
+# Ones at the start, at the end, and in the longest run of each byte value
+# (most significant bit first).
+_LEADING_ONES = _byte_table(lambda s: len(s) - len(s.lstrip("1")))
+_TRAILING_ONES = _byte_table(lambda s: len(s) - len(s.rstrip("1")))
+_LONGEST_ONES = _byte_table(lambda s: max(map(len, s.split("0"))))
+
+
+def _longest_runs(blocks: np.ndarray) -> np.ndarray:
+    """Longest run of ones in each row of a 2-D array of packed bytes."""
+    count, width = blocks.shape
+    within = _LONGEST_ONES[blocks].max(axis=1)
+    # A run that crosses a byte boundary ends in the leading ones of a byte
+    # j (j = width stands for the end of the row) and starts in the
+    # trailing ones of the last byte before j that is not 0xFF; every byte
+    # between them is 0xFF.
+    col = np.arange(width + 1)
+    last_partial = np.maximum.accumulate(np.where(blocks == 0xFF, -1, col[:-1]), axis=1)
+    start = np.concatenate([np.full((count, 1), -1), last_partial], axis=1)
+    trailing = np.concatenate([np.zeros((count, 1), np.int64), _TRAILING_ONES[blocks]], axis=1)
+    leading = np.concatenate([_LEADING_ONES[blocks], np.zeros((count, 1), np.int64)], axis=1)
+    crossing = (np.take_along_axis(trailing, start + 1, axis=1)
+                + 8 * (col - 1 - start) + leading)
+    return np.maximum(within, crossing.max(axis=1))
 
 
 def longest_run_of_ones(block: BitSequence) -> int:
     """Length of the longest maximal run of ones; 0 for all-zero or empty."""
     if block.n == 0:
         return 0
-    return int(_longest_runs(block.asarray()[None, :])[0])
-
-
-def _longest_runs(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 2-D 0/1 array."""
-    num_blocks, m = blocks.shape
-    padded = np.zeros((num_blocks, m + 1), dtype=np.int8)
-    padded[:, :m] = blocks
-    flat = padded.reshape(-1)
-    edges = np.diff(flat, prepend=0)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    out = np.zeros(num_blocks, dtype=np.int64)
-    np.maximum.at(out, starts // (m + 1), ends - starts)
-    return out
+    # The padding bits are zero, so they never extend a run of ones.
+    return int(_longest_runs(block.packed[None, :])[0])
 
 
 # Block size selection and reference class probabilities for the
-# longest-run test, keyed by minimum sequence length.
+# longest-run test, keyed by minimum sequence length.  Every block size is
+# a whole number of bytes.
 _LONGEST_RUN_CONFIG = (
     # (min_n, M, K, N, run-length upper edge of lowest class, pi table)
     (750000, 10000, 6, 75, 10,
@@ -238,119 +333,130 @@ _LONGEST_RUN_CONFIG = (
 )
 
 
-def longest_run_statistic(class_counts, block_size: int) -> float:
+def _longest_run_config(n: int):
+    return next(c for c in _LONGEST_RUN_CONFIG if n >= c[0])
+
+
+def longest_run_statistic(class_counts, block_size: int):
     """Chi-squared statistic from longest-run class counts.
 
     ``class_counts`` must hold K+1 counts summing to the reference block
     count N for ``block_size``; exposed separately so the classification and
-    the statistic can be validated independently.
+    the statistic can be validated independently.  One set of counts gives
+    a float; a 2-D stack of them (one set per row) gives an array.
     """
     for _, m, k, n_blocks, _, pis in _LONGEST_RUN_CONFIG:
         if m == block_size:
             counts = np.asarray(class_counts, dtype=np.float64)
-            if counts.size != k + 1:
+            if counts.shape[-1] != k + 1:
                 raise ValueError(f"expected {k + 1} class counts for M={m}, "
-                                 f"got {counts.size}")
+                                 f"got {counts.shape[-1]}")
             expected = n_blocks * np.asarray(pis)
-            return float((((counts - expected) ** 2) / expected).sum())
+            chi2 = (((counts - expected) ** 2) / expected).sum(axis=-1)
+            return float(chi2) if chi2.ndim == 0 else chi2
     raise ValueError(f"unsupported block size {block_size}; use 8, 128 or 10000")
 
 
-def longest_run_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Distribution of the longest run of ones within fixed blocks.
-
-    The block size is selected from the sequence length (8 / 128 / 10000);
-    exactly N reference blocks are used and the remaining bits discarded.
-    A sequence shorter than 128 bits has no defined block size, so the
-    minimum length is enforced regardless of ``enforce_min_length``.
-    """
-    n = seq.n
-    if n < 128:
-        raise SampleTooShort(
-            f"longest_run needs at least 128 bits (no block size is defined "
-            f"below that), got {n}", min_length=128, actual=n)
-    for min_n, m, k, num_blocks, v0_edge, pis in _LONGEST_RUN_CONFIG:
-        if n >= min_n:
-            break
-    runs = _longest_runs(seq.asarray()[:num_blocks * m].reshape(num_blocks, m))
+def _longest_run_count(rows: _Rows, params: TestParams) -> dict:
+    _, m, k, num_blocks, v0_edge, _ = _longest_run_config(rows.n)
+    blocks = rows.packed[:, :num_blocks * m // 8].reshape(-1, m // 8)
+    runs = _longest_runs(blocks).reshape(-1, num_blocks)
     classes = np.clip(runs - v0_edge, 0, k)
-    counts = np.bincount(classes, minlength=k + 1)
+    return {"class_counts": (classes[:, :, None] == np.arange(k + 1)).sum(axis=1)}
+
+
+def _longest_run_finish(values: dict, n: int, params: TestParams):
+    _, m, k, num_blocks, _, _ = _longest_run_config(n)
+    counts = values["class_counts"]
     chi2 = longest_run_statistic(counts, m)
-    p = upper_igamc(k / 2.0, chi2 / 2.0)
-    return _finish(TestId.LONGEST_RUN, chi2, p, params.alpha,
-                   {"n": n, "block_size_m": m, "num_classes_k": k,
-                    "num_blocks": num_blocks,
-                    "class_counts": [int(c) for c in counts],
-                    "discarded_bits": n - num_blocks * m})
+    return chi2, upper_igamc(k / 2.0, chi2 / 2.0), {
+        "n": n, "block_size_m": m, "num_classes_k": k, "num_blocks": num_blocks,
+        "class_counts": counts, "discarded_bits": n - num_blocks * m}
 
 
 _DFT_THRESHOLD_FORMULA = "sqrt(n*ln(1/0.05))"
 
 
-def dft_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Spectral test for periodic patterns.
+def _dft_threshold(n: int) -> float:
+    return math.sqrt(n * math.log(1.0 / 0.05))
 
-    The +/-1 sequence is Fourier transformed; the number of modulus values
-    (first floor(n/2) frequencies) under the 95 % peak-height threshold is
-    compared with its expectation.
-    """
-    n = seq.n
-    _check_length(TestId.DFT, n, params)
-    x = seq.asarray().astype(np.float64) * 2.0 - 1.0
-    moduli = np.abs(np.fft.rfft(x)[:n // 2])
-    threshold = math.sqrt(n * math.log(1.0 / 0.05))
+
+def _dft_count(rows: _Rows, params: TestParams) -> dict:
+    x = rows.bits.astype(np.float64)
+    x *= 2.0
+    x -= 1.0
+    spectrum = np.fft.rfft(x, axis=1)
+    del x
+    moduli = np.abs(spectrum[:, :rows.n // 2])
+    return {"n_obs": np.count_nonzero(moduli < _dft_threshold(rows.n), axis=1)}
+
+
+def _dft_finish(values: dict, n: int, params: TestParams):
+    n_obs = values["n_obs"]
     n_ideal = 0.95 * n / 2.0
-    n_obs = int(np.count_nonzero(moduli < threshold))
     d = (n_ideal - n_obs) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    p = erfc(abs(d) / math.sqrt(2))
-    return _finish(TestId.DFT, d, p, params.alpha,
-                   {"n": n, "threshold": threshold,
-                    "threshold_formula": _DFT_THRESHOLD_FORMULA,
-                    "n_ideal": n_ideal, "n_obs": n_obs})
+    return d, erfc(np.abs(d) / math.sqrt(2)), {
+        "n": n, "threshold": _dft_threshold(n),
+        "threshold_formula": _DFT_THRESHOLD_FORMULA, "n_ideal": n_ideal, "n_obs": n_obs}
 
 
-def _phi(bits: np.ndarray, block_len: int) -> float:
-    """Sum of (count/n) * ln(count/n) over observed overlapping patterns."""
-    n = bits.size
-    ext = np.concatenate([bits, bits[:block_len - 1]])
-    codes = np.zeros(n, dtype=np.int64)
-    for j in range(block_len):
-        codes = (codes << 1) | ext[j:j + n]
-    counts = np.bincount(codes, minlength=2 ** block_len)
-    freq = counts[counts > 0] / n
-    return float((freq * np.log(freq)).sum())
+def _phi(counts: np.ndarray, n: int) -> np.ndarray:
+    """Sum of (count/n) * ln(count/n) over the observed patterns of each row.
+
+    Rows are grouped by which patterns they observed, so that each row's
+    sum runs over the same contiguous terms, in the same order, as a
+    one-row call: the float result does not depend on the other rows.
+    """
+    phi = np.empty(len(counts))
+    observed = counts > 0
+    # One key per row: its observed-pattern mask, packed into bytes.
+    keys = np.packbits(observed, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    for i, row in enumerate(first):
+        members = group.ravel() == i
+        freq = np.ascontiguousarray(counts[members][:, observed[row]]) / n
+        phi[members] = (freq * np.log(freq)).sum(axis=1)
+    return phi
+
+
+def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:
+    # Patterns wrap cyclically (the first m bits are appended), so each
+    # pattern length yields exactly n overlapping windows.  The m-bit
+    # counts are the (m+1)-bit counts summed over the last bit.
+    m, n, bits = params.pattern_len_m, rows.n, rows.bits
+    size = 2 ** (m + 1)
+    ext = np.concatenate([bits, bits[:, :m]], axis=1)
+    codes = np.zeros(bits.shape, dtype=np.min_scalar_type(size - 1))
+    for j in range(m + 1):
+        codes <<= 1
+        codes |= ext[:, j:j + n]
+    del ext
+    offsets = size * np.arange(len(codes), dtype=np.intp)[:, None]
+    counts = np.bincount((codes + offsets).ravel(), minlength=size * len(codes))
+    counts = counts.reshape(len(codes), size)
+    return {"phi_m": _phi(counts.reshape(len(codes), size // 2, 2).sum(axis=2), n),
+            "phi_m1": _phi(counts, n)}
 
 
 _APEN_STATISTIC_FORMULA = "2*n*(ln(2) - (phi_m - phi_{m+1}))"
 
 
-def approx_entropy_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Relative frequency of overlapping m-bit vs (m+1)-bit patterns.
-
-    Patterns wrap cyclically (the first block_len-1 bits are appended), so
-    each block length yields exactly n overlapping windows.
-    """
-    n = seq.n
-    _check_length(TestId.APPROX_ENTROPY, n, params)
+def _approx_entropy_finish(values: dict, n: int, params: TestParams):
     m = params.pattern_len_m
-    if m + 1 > n or m > 24:
-        raise PatternTooLong(f"pattern length {m} is not usable at n={n}")
-    if params.enforce_min_length and m >= int(math.log2(n)) - 1:
-        raise PatternTooLong(
-            f"pattern length {m} is too long for meaningful results at n={n} "
-            f"(need m < floor(log2(n)) - 1)")
-    bits = seq.asarray().astype(np.int64)
-    phi_m = _phi(bits, m)
-    phi_m1 = _phi(bits, m + 1)
+    phi_m, phi_m1 = values["phi_m"], values["phi_m1"]
     obs = 2.0 * n * (math.log(2.0) - (phi_m - phi_m1))
-    p = upper_igamc(2.0 ** (m - 1), obs / 2.0)
-    return _finish(TestId.APPROX_ENTROPY, obs, p, params.alpha,
-                   {"n": n, "pattern_len_m": m, "phi_m": phi_m, "phi_m1": phi_m1,
-                    "statistic_formula": _APEN_STATISTIC_FORMULA})
+    return obs, upper_igamc(2.0 ** (m - 1), obs / 2.0), {
+        "n": n, "pattern_len_m": m, "phi_m": phi_m, "phi_m1": phi_m1,
+        "statistic_formula": _APEN_STATISTIC_FORMULA}
 
 
 def _cusum_pvalue(n: int, z: int) -> float:
     """Tail probability of the maximum absolute partial sum."""
+    if z == 1:
+        # |S_1| = 1, so z >= 1 is certain.  The truncated series below
+        # overshoots 1 there (by up to 0.046 for n = 3..48).
+        return 1.0
     sqrt_n = math.sqrt(n)
     hi = math.floor((n / z - 1) / 4)
     lo1 = math.floor((-n / z + 1) / 4)
@@ -364,6 +470,149 @@ def _cusum_pvalue(n: int, z: int) -> float:
     return 1.0 - float(term1) + float(term2)
 
 
+def _cusum_forward_count(rows: _Rows, params: TestParams) -> dict:
+    _, low, high = rows.walk
+    return {"z": np.maximum(high, -low)}
+
+
+def _cusum_backward_count(rows: _Rows, params: TestParams) -> dict:
+    # The sums of the last k steps are S_n - S_(n-k), k = 1..n.
+    end, low, high = rows.walk
+    return {"z": np.maximum(end - low, high - end)}
+
+
+def _cusum_finish(values: dict, n: int, params: TestParams, *, mode: CusumMode):
+    # One tail-sum evaluation per distinct z keeps each p-value's arithmetic
+    # that of a single sample.
+    z = values["z"]
+    distinct, where = np.unique(z, return_inverse=True)
+    p = np.array([_cusum_pvalue(n, v) for v in distinct.tolist()])[where.ravel()]
+    return z, p, {"n": n, "mode": mode.value}
+
+
+_KERNELS = {
+    TestId.FREQUENCY: (_frequency_count, _frequency_finish),
+    TestId.BLOCK_FREQUENCY: (_block_frequency_count, _block_frequency_finish),
+    TestId.RUNS: (_runs_count, _runs_finish),
+    TestId.LONGEST_RUN: (_longest_run_count, _longest_run_finish),
+    TestId.DFT: (_dft_count, _dft_finish),
+    TestId.APPROX_ENTROPY: (_approx_entropy_count, _approx_entropy_finish),
+    TestId.CUSUM_FORWARD: (_cusum_forward_count,
+                           partial(_cusum_finish, mode=CusumMode.FORWARD)),
+    TestId.CUSUM_BACKWARD: (_cusum_backward_count,
+                            partial(_cusum_finish, mode=CusumMode.BACKWARD)),
+}
+
+
+def run_batch(samples, tests=ALL_TESTS,
+              params: TestParams = TestParams()) -> dict[TestId, Batch]:
+    """Run the selected tests over a non-empty sequence of equal-length samples.
+
+    The samples are stacked into packed ``(rows, ceil(n/8))`` matrices of
+    about ``_CHUNK_BITS`` bits each; every chunk is unpacked once for all
+    the kernels, and the p-values are computed once over all rows.  Entry
+    i of each result belongs to ``samples[i]``.
+
+    Raises
+    ------
+    SampleTooShort, EmptySequence, BlockTooLarge, PatternTooLong
+        For the first test, in selection order, that cannot run on n-bit
+        samples; raised before any test runs.
+    """
+    tests = tuple(TestId(t) for t in tests)
+    n = samples[0].n
+    for test_id in tests:
+        _check(test_id, n, params)
+    # The widest per-row temporary: the bits themselves, or the
+    # (m+1)-pattern counts of approximate entropy.
+    width = n
+    if TestId.APPROX_ENTROPY in tests:
+        width = max(n, 2 ** (params.pattern_len_m + 1))
+    step = max(1, _CHUNK_BITS // width)
+    parts = {test_id: [] for test_id in tests}
+    for start in range(0, len(samples), step):
+        rows = _Rows(pack_rows(samples[start:start + step]), n)
+        for test_id in tests:
+            parts[test_id].append(_KERNELS[test_id][0](rows, params))
+    results = {}
+    for test_id in tests:
+        values = {key: np.concatenate([part[key] for part in parts[test_id]])
+                  for key in parts[test_id][0]}
+        statistics, p, record = _KERNELS[test_id][1](values, n, params)
+        p = as_probability(p, what=f"{test_id.value} p-value")
+        results[test_id] = Batch(statistics=np.asarray(statistics, dtype=np.float64),
+                                 p_values=p, passed=p >= params.alpha, record=record)
+    return results
+
+
+def _one_row(test_id: TestId, seq: BitSequence, params: TestParams) -> TestOutcome:
+    """A test on one sample: the one-row case of :func:`run_batch`."""
+    batch = run_batch([seq], (test_id,), params)[test_id]
+    record = {key: value[0].tolist() if isinstance(value, np.ndarray) else value
+              for key, value in batch.record.items()}
+    record["alpha"] = params.alpha
+    return TestOutcome(test_id=test_id, statistic=float(batch.statistics[0]),
+                       p_value=float(batch.p_values[0]), passed=bool(batch.passed[0]),
+                       params=record)
+
+
+def frequency_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
+    """Overall balance of ones and zeros.
+
+    The bits are mapped to +/-1 and summed; the normalized absolute sum is
+    referred to the half-normal distribution.
+    """
+    return _one_row(TestId.FREQUENCY, seq, params)
+
+
+def block_frequency_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
+    """Balance of ones within fixed-size non-overlapping blocks.
+
+    Uses ``block_size_m`` bits per block; trailing bits that do not fill a
+    block are discarded (and reported in the outcome's params).
+    """
+    return _one_row(TestId.BLOCK_FREQUENCY, seq, params)
+
+
+def runs_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
+    """Number of maximal runs of identical bits.
+
+    Applicable only when the overall proportion of ones is roughly fair
+    (|pi - 1/2| < 2/sqrt(n)); otherwise the p-value is 0 by definition.
+    """
+    return _one_row(TestId.RUNS, seq, params)
+
+
+def longest_run_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
+    """Distribution of the longest run of ones within fixed blocks.
+
+    The block size is selected from the sequence length (8 / 128 / 10000);
+    exactly N reference blocks are used and the remaining bits discarded.
+    A sequence shorter than 128 bits has no defined block size, so the
+    minimum length is enforced regardless of ``enforce_min_length``.
+    """
+    return _one_row(TestId.LONGEST_RUN, seq, params)
+
+
+def dft_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
+    """Spectral test for periodic patterns.
+
+    The +/-1 sequence is Fourier transformed; the number of modulus values
+    (first floor(n/2) frequencies) under the 95 % peak-height threshold is
+    compared with its expectation.
+    """
+    return _one_row(TestId.DFT, seq, params)
+
+
+def approx_entropy_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
+    """Relative frequency of overlapping m-bit vs (m+1)-bit patterns.
+
+    Patterns wrap cyclically (the first block_len-1 bits are appended), so
+    each block length yields exactly n overlapping windows.
+    """
+    return _one_row(TestId.APPROX_ENTROPY, seq, params)
+
+
 def cusum_test(seq: BitSequence, mode: CusumMode | str = CusumMode.FORWARD,
                params: TestParams = TestParams()) -> TestOutcome:
     """Random-walk excursion test on cumulative +/-1 sums.
@@ -375,30 +624,10 @@ def cusum_test(seq: BitSequence, mode: CusumMode | str = CusumMode.FORWARD,
     mode = CusumMode(mode)
     test_id = (TestId.CUSUM_FORWARD if mode is CusumMode.FORWARD
                else TestId.CUSUM_BACKWARD)
-    n = seq.n
-    _check_length(test_id, n, params)
-    x = seq.asarray().astype(np.int64) * 2 - 1
-    if mode is CusumMode.BACKWARD:
-        x = x[::-1]
-    z = int(np.abs(np.cumsum(x)).max())
-    p = _cusum_pvalue(n, z)
-    return _finish(test_id, z, p, params.alpha, {"n": n, "mode": mode.value})
+    return _one_row(test_id, seq, params)
 
 
 def run_test(test_id: TestId, seq: BitSequence,
              params: TestParams = TestParams()) -> TestOutcome:
     """Dispatch a test by id."""
-    test_id = TestId(test_id)
-    if test_id is TestId.CUSUM_FORWARD:
-        return cusum_test(seq, CusumMode.FORWARD, params)
-    if test_id is TestId.CUSUM_BACKWARD:
-        return cusum_test(seq, CusumMode.BACKWARD, params)
-    fn = {
-        TestId.FREQUENCY: frequency_test,
-        TestId.BLOCK_FREQUENCY: block_frequency_test,
-        TestId.RUNS: runs_test,
-        TestId.LONGEST_RUN: longest_run_test,
-        TestId.DFT: dft_test,
-        TestId.APPROX_ENTROPY: approx_entropy_test,
-    }[test_id]
-    return fn(seq, params)
+    return _one_row(TestId(test_id), seq, params)

@@ -31,7 +31,7 @@ from .bitseq import (
     save_manifest,
     serialize_bits,
 )
-from .errors import IndexOutOfRange, ManifestError
+from .errors import DomainError, IndexOutOfRange, ManifestError
 
 __all__ = [
     "Epoch",
@@ -61,7 +61,7 @@ _MAX_SEED = 2 ** 64
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+        raise DomainError(f"{name} must be in [0, 1], got {value}")
     return value
 
 
@@ -81,7 +81,7 @@ class Epoch:
 
     def __post_init__(self):
         if self.start_sample < 0:
-            raise ValueError(f"start_sample must be >= 0, got {self.start_sample}")
+            raise DomainError(f"start_sample must be >= 0, got {self.start_sample}")
         _check_prob("p1_state", self.p1_state)
         _check_prob("eps01", self.eps01)
         _check_prob("eps10", self.eps10)
@@ -101,7 +101,7 @@ class Anomaly:
 
     def __post_init__(self):
         if not 0 <= self.start_sample < self.stop_sample:
-            raise ValueError(
+            raise DomainError(
                 f"anomaly range [{self.start_sample}, {self.stop_sample}) is empty or negative")
         _check_prob("p1_override", self.p1_override)
 
@@ -120,14 +120,14 @@ class QubitNoiseModel:
     def __post_init__(self):
         object.__setattr__(self, "epochs", tuple(self.epochs))
         if not 0 <= self.qubit_id <= 19:
-            raise ValueError(f"qubit_id must be in 0..19, got {self.qubit_id}")
+            raise DomainError(f"qubit_id must be in 0..19, got {self.qubit_id}")
         if not self.epochs:
-            raise ValueError("a noise model needs at least one epoch")
+            raise DomainError("a noise model needs at least one epoch")
         if self.epochs[0].start_sample != 0:
-            raise ValueError("epochs must cover sample indices from 0")
+            raise DomainError("epochs must cover sample indices from 0")
         starts = [e.start_sample for e in self.epochs]
         if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("epoch start_sample values must be strictly increasing")
+            raise DomainError("epoch start_sample values must be strictly increasing")
 
     @property
     def source_id(self) -> str:
@@ -162,9 +162,9 @@ def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
     sequence bit-for-bit.
     """
     if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+        raise DomainError(f"shots must be >= 1, got {shots}")
     if not 0 <= master_seed < _MAX_SEED:
-        raise ValueError(f"master_seed must be a 64-bit value, got {master_seed}")
+        raise DomainError(f"master_seed must be a 64-bit value, got {master_seed}")
     p_eff = effective_bias(model, sample_index)
     rng = _rng_for(master_seed, model.qubit_id, sample_index)
     bits = rng.random(shots) < p_eff
@@ -188,16 +188,16 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "qubit_models", tuple(self.qubit_models))
         if not self.qubit_models:
-            raise ValueError("a plan needs at least one qubit model")
+            raise DomainError("a plan needs at least one qubit model")
         if self.samples_per_qubit < 1:
-            raise ValueError(f"samples_per_qubit must be >= 1, got {self.samples_per_qubit}")
+            raise DomainError(f"samples_per_qubit must be >= 1, got {self.samples_per_qubit}")
         if self.shots_per_sample < 1:
-            raise ValueError(f"shots_per_sample must be >= 1, got {self.shots_per_sample}")
+            raise DomainError(f"shots_per_sample must be >= 1, got {self.shots_per_sample}")
         if not 0 <= self.master_seed < _MAX_SEED:
-            raise ValueError(f"master_seed must be a 64-bit value, got {self.master_seed}")
+            raise DomainError(f"master_seed must be a 64-bit value, got {self.master_seed}")
         ids = [m.qubit_id for m in self.qubit_models]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate qubit_id in plan")
+            raise DomainError("duplicate qubit_id in plan")
 
 
 def generate_experiment(plan: ExperimentPlan) -> list[SampleSet]:
@@ -312,7 +312,7 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
                         if start else DEFAULT_START_TIME),
             sample_interval_s=float(doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"plan document is malformed: {exc}") from exc
 
 

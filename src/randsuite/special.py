@@ -5,10 +5,16 @@ Thin, strictly-checked wrappers around SciPy's vetted implementations
 in the tail).  All p-value producers in this package go through
 :func:`as_probability`, which rejects out-of-range values instead of
 clamping them.
+
+:func:`erfc`, :func:`upper_igamc`, :func:`lower_igamc` and
+:func:`as_probability` take a float or an array: a float comes back as a
+float, an array as an array of the broadcast shape, with the same checks
+applied to every element.
 """
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, NonFiniteInput
@@ -27,12 +33,23 @@ __all__ = [
 _P_SLACK = 1e-12
 
 
-def erfc(z: float) -> float:
+def _first(values: np.ndarray, where: np.ndarray) -> float:
+    """The first element of ``values`` flagged by ``where``, as a float."""
+    return float(np.broadcast_to(values, where.shape)[where].flat[0])
+
+
+def _result(values: np.ndarray):
+    """A 0-d result as a float, anything else unchanged."""
+    return float(values) if values.ndim == 0 else values
+
+
+def erfc(z):
     """Complementary error function (2/sqrt(pi)) * integral of exp(-u^2) from z."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise NonFiniteInput(f"erfc requires a finite argument, got {z!r}")
-    return float(_sp.erfc(z))
+    z = np.asarray(z, dtype=np.float64)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise NonFiniteInput(f"erfc requires a finite argument, got {_first(z, ~finite)!r}")
+    return _result(_sp.erfc(z))
 
 
 def erfc_inv(p: float) -> float:
@@ -45,33 +62,32 @@ def erfc_inv(p: float) -> float:
     return float(_sp.erfcinv(p))
 
 
-def lower_igamc(a: float, x: float) -> float:
+def _igamc_args(name: str, a, x):
+    a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    bad = np.isnan(a) | np.isnan(x) | np.isinf(a)
+    if bad.any():
+        raise DomainError(f"{name} requires finite a and non-NaN x, got "
+                          f"a={_first(a, bad)!r}, x={_first(x, bad)!r}")
+    if (a <= 0.0).any():
+        raise DomainError(f"{name} requires a > 0, got a={_first(a, a <= 0.0)!r}")
+    if (x < 0.0).any():
+        raise DomainError(f"{name} requires x >= 0, got x={_first(x, x < 0.0)!r}")
+    return a, x
+
+
+def lower_igamc(a, x):
     """Regularized lower incomplete gamma P(a, x) in [0, 1].
 
     Increasing in x with P(a, 0) = 0.  The upper companion
     :func:`upper_igamc` should be preferred when the interesting mass sits
     in the tail, to avoid cancellation in ``1 - P``.
     """
-    a, x = float(a), float(x)
-    if math.isnan(a) or math.isnan(x) or math.isinf(a):
-        raise DomainError(f"lower_igamc requires finite a and non-NaN x, got a={a!r}, x={x!r}")
-    if a <= 0.0:
-        raise DomainError(f"lower_igamc requires a > 0, got a={a!r}")
-    if x < 0.0:
-        raise DomainError(f"lower_igamc requires x >= 0, got x={x!r}")
-    return float(_sp.gammainc(a, x))
+    return _result(_sp.gammainc(*_igamc_args("lower_igamc", a, x)))
 
 
-def upper_igamc(a: float, x: float) -> float:
+def upper_igamc(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    a, x = float(a), float(x)
-    if math.isnan(a) or math.isnan(x) or math.isinf(a):
-        raise DomainError(f"upper_igamc requires finite a and non-NaN x, got a={a!r}, x={x!r}")
-    if a <= 0.0:
-        raise DomainError(f"upper_igamc requires a > 0, got a={a!r}")
-    if x < 0.0:
-        raise DomainError(f"upper_igamc requires x >= 0, got x={x!r}")
-    return float(_sp.gammaincc(a, x))
+    return _result(_sp.gammaincc(*_igamc_args("upper_igamc", a, x)))
 
 
 def normal_cdf(x: float) -> float:
@@ -82,22 +98,19 @@ def normal_cdf(x: float) -> float:
     return float(_sp.ndtr(x))
 
 
-def as_probability(value: float, *, what: str = "p-value") -> float:
-    """Validate that ``value`` is a probability in [0, 1] and return it.
+def as_probability(value, *, what: str = "p-value"):
+    """Validate that ``value`` holds probabilities in [0, 1] and return it.
 
     Values within float-roundoff slack of the interval are snapped onto it;
     anything farther outside raises, because a p-value outside [0, 1] means
     a formula was implemented wrong, and clamping would hide that.
     """
-    value = float(value)
-    if math.isnan(value):
+    value = np.asarray(value, dtype=np.float64)
+    if np.isnan(value).any():
         raise DomainError(f"{what} is NaN")
-    if value < 0.0:
-        if value >= -_P_SLACK:
-            return 0.0
-        raise DomainError(f"{what} out of range: {value!r} < 0")
-    if value > 1.0:
-        if value <= 1.0 + _P_SLACK:
-            return 1.0
-        raise DomainError(f"{what} out of range: {value!r} > 1")
-    return value
+    if (value < -_P_SLACK).any():
+        raise DomainError(f"{what} out of range: {_first(value, value < -_P_SLACK)!r} < 0")
+    if (value > 1.0 + _P_SLACK).any():
+        raise DomainError(
+            f"{what} out of range: {_first(value, value > 1.0 + _P_SLACK)!r} > 1")
+    return _result(np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value)))

@@ -1,9 +1,10 @@
 """The three-step batch testing protocol over a sample set.
 
-Step 1 applies every selected test to every sample.  Step 2 compares each
-test's pass proportion against an acceptance band around 1 - alpha.  Step 3
-checks that each test's p-values are uniform on [0, 1) via a ten-bin
-chi-squared test (needs at least 55 samples).
+Step 1 applies every selected test to every sample, one kernel per test
+over the stacked samples.  Step 2 compares each test's pass proportion
+against an acceptance band around 1 - alpha.  Step 3 checks that each
+test's p-values are uniform on [0, 1) via a ten-bin chi-squared test (needs
+at least 55 samples).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .randtests import (
     ALL_TESTS,
     MIN_LENGTH,
     TestId,
-    TestOutcome,
     TestParams,
-    run_test,
+    run_batch,
 )
 from .randtests import _APEN_STATISTIC_FORMULA, _DFT_THRESHOLD_FORMULA
 from .special import as_probability, upper_igamc
@@ -102,14 +102,13 @@ def uniformity_check(p_values, *, significance: float = 0.0001):
     (chi2, p, ok) : tuple of (float, float, bool)
         ``ok`` is ``p >= significance``.
     """
-    p_values = np.asarray(list(p_values), dtype=np.float64)
+    p_values = np.fromiter(p_values, dtype=np.float64)
     m = p_values.size
     if m < UNIFORMITY_MIN_SAMPLES:
         raise TooFewSamples(
             f"uniformity check needs at least {UNIFORMITY_MIN_SAMPLES} samples, got {m}",
             min_count=UNIFORMITY_MIN_SAMPLES, actual=m)
-    for p in p_values:
-        as_probability(p, what="uniformity input")
+    p_values = as_probability(p_values, what="uniformity input")
     bins = np.minimum((p_values * 10).astype(np.int64), 9)
     counts = np.bincount(bins, minlength=10)
     expected = m / 10.0
@@ -130,21 +129,29 @@ class SuiteConfig:
     def __post_init__(self):
         tests = tuple(TestId(t) for t in self.tests)
         if not tests:
-            raise ValueError("at least one test must be selected")
+            raise DomainError("at least one test must be selected")
         if len(set(tests)) != len(tests):
-            raise ValueError("duplicate test ids in selection")
+            raise DomainError("duplicate test ids in selection")
         object.__setattr__(self, "tests", tests)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestAggregate:
-    """Per-test aggregation over all samples, ordered by sample_index."""
+    """Per-test aggregation over all samples, ordered by sample_index.
+
+    ``statistics``, ``p_values`` and ``passed`` are read-only arrays with
+    one entry per sample, aligned with ``sample_indices``.  Per-sample
+    params records exist only on the single-sequence path
+    (:func:`~randsuite.randtests.run_test` and friends).
+    """
 
     __test__ = False
 
     test_id: TestId
     sample_indices: tuple[int, ...]
-    outcomes: tuple[TestOutcome, ...]
+    statistics: np.ndarray
+    p_values: np.ndarray
+    passed: np.ndarray
     pass_proportion: float
     band: ProportionBand
     proportion_ok: bool
@@ -152,9 +159,9 @@ class TestAggregate:
     uniformity_p: float | None = None
     uniformity_ok: bool | None = None
 
-    @property
-    def p_values(self) -> tuple[float, ...]:
-        return tuple(o.p_value for o in self.outcomes)
+    def __post_init__(self):
+        for name in ("statistics", "p_values", "passed"):
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -176,31 +183,32 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
         raise EmptySet("cannot run the suite on an empty sample set")
     m = len(sample_set)
     samples = sorted(sample_set, key=lambda s: s.sample_index)
+    indices = tuple(s.sample_index for s in samples)
+    try:
+        batches = run_batch(samples, config.tests, config.params)
+    except SampleTooShort as exc:
+        # Every sample has the same length, so the first one fails first.
+        raise SampleTooShort(
+            f"sample {indices[0]}: {exc}", min_length=exc.min_length,
+            actual=exc.actual, sample_index=indices[0]) from exc
 
     per_test: dict[TestId, TestAggregate] = {}
     overall = True
     for test_id in config.tests:
-        outcomes = []
-        for s in samples:
-            try:
-                outcomes.append(run_test(test_id, s, config.params))
-            except SampleTooShort as exc:
-                raise SampleTooShort(
-                    f"sample {s.sample_index}: {exc}",
-                    min_length=exc.min_length, actual=exc.actual,
-                    sample_index=s.sample_index) from exc
-        passes = sum(1 for o in outcomes if o.passed)
-        proportion = passes / m
+        batch = batches[test_id]
+        proportion = int(batch.passed.sum()) / m
         band = proportion_band(config.params.alpha, m, config.band_coefficient)
         proportion_ok = band.contains(proportion)
         chi2 = p_uni = uni_ok = None
         if m >= UNIFORMITY_MIN_SAMPLES:
             chi2, p_uni, uni_ok = uniformity_check(
-                [o.p_value for o in outcomes], significance=config.uniformity_alpha)
+                batch.p_values, significance=config.uniformity_alpha)
         agg = TestAggregate(
             test_id=test_id,
-            sample_indices=tuple(s.sample_index for s in samples),
-            outcomes=tuple(outcomes),
+            sample_indices=indices,
+            statistics=batch.statistics,
+            p_values=batch.p_values,
+            passed=batch.passed,
             pass_proportion=proportion,
             band=band,
             proportion_ok=proportion_ok,
@@ -243,7 +251,7 @@ def report_to_dict(report: SuiteReport) -> dict:
                 "sample_count": agg.band.sample_count,
             },
             "sample_indices": list(agg.sample_indices),
-            "p_values": list(agg.p_values),
+            "p_values": agg.p_values.tolist(),
         }
         if agg.uniformity_ok is not None:
             entry["uniformity"] = {
@@ -279,6 +287,7 @@ def write_results_csv(report: SuiteReport, path) -> None:
         writer.writerow(CSV_COLUMNS)
         for test_id in report.config.tests:
             agg = report.per_test[test_id]
-            for idx, outcome in zip(agg.sample_indices, agg.outcomes):
-                writer.writerow([test_id.value, idx, repr(outcome.statistic),
-                                 repr(outcome.p_value), outcome.passed])
+            for idx, statistic, p_value, passed in zip(
+                    agg.sample_indices, agg.statistics.tolist(),
+                    agg.p_values.tolist(), agg.passed.tolist()):
+                writer.writerow([test_id.value, idx, repr(statistic), repr(p_value), passed])

@@ -53,6 +53,14 @@ class TestParseBits:
         with pytest.raises(InvalidCharacter):
             parse_bits(raw, encoding)
 
+    def test_invalid_hex_character_is_named(self):
+        with pytest.raises(InvalidCharacter, match="'g'"):
+            parse_bits("aB3 gZ", "hex")
+
+    def test_hex_encoding_is_lower_case_zero_padded(self):
+        seq = BitSequence([1, 0, 1, 0, 0, 1, 0, 1, 1, 1])
+        assert serialize_bits(seq, "hex") == b"a5c"
+
     @pytest.mark.parametrize("raw,encoding", [("", "ascii01"), (b"", "packed-msb"),
                                               ("  \n ", "ascii01"), ("", "hex")])
     def test_empty_input(self, raw, encoding):

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -166,3 +168,55 @@ class TestSimulatePipeline:
     def test_missing_plan_exit_two(self, tmp_path):
         assert main(["simulate", "--plan", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+class TestUsageErrors:
+    """Bad arguments and plans exit 2 with a message, never a traceback."""
+
+    def _assert_usage_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_alpha_out_of_range(self, tmp_path, capsys):
+        manifest = write_single_sequence_manifest(tmp_path, "f", "01" * 64)
+        code = main(["test", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--alpha", "2"])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_test_selection(self, tmp_path, capsys):
+        manifest = write_single_sequence_manifest(tmp_path, "f", "01" * 64)
+        code = main(["test", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--tests", ""])
+        self._assert_usage_error(code, capsys)
+
+    def test_simulate_qubit_id_out_of_range(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
+                                      shots_per_sample=64), plan_path)
+        doc = json.loads(plan_path.read_text())
+        doc["qubits"][0]["qubit_id"] = 25
+        plan_path.write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
+        self._assert_usage_error(code, capsys)
+
+
+def test_outputs_get_normal_file_mode(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=4,
+                                shots_per_sample=1024, master_seed=3)
+        manifest = rs.write_experiment(plan, tmp_path / "data")[0]
+        out = tmp_path / "out"
+        main(["test", "--manifest", str(manifest), "--out", str(out)])
+        main(["entropy", "--manifest", str(manifest), "--out", str(out)])
+        main(["stability", "--manifest", str(manifest), "--out", str(out)])
+    finally:
+        os.umask(old_umask)
+    sample_mode = stat.S_IMODE((manifest.parent / "sample_00000.bin").stat().st_mode)
+    assert sample_mode == 0o644
+    for name in ("report.json", "results.csv", "entropy_qubit-00.csv",
+                 "deviation_qubit-00.csv", "band.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == sample_mode, name

@@ -129,6 +129,10 @@ class TestLongestRun:
         assert longest_run_of_ones(bits("10110111")) == 3
         assert longest_run_of_ones(bits("1")) == 1
         assert longest_run_of_ones(bits("0111111111")) == 9
+        # runs that cross byte boundaries
+        assert longest_run_of_ones(bits("0" * 5 + "1" * 20 + "0" * 7)) == 20
+        assert longest_run_of_ones(bits("1" * 17)) == 17
+        assert longest_run_of_ones(bits("0000000111111110")) == 8
 
     def test_worked_example_statistic(self):
         chi2 = longest_run_statistic((6, 10, 10, 7, 7, 9), 128)
@@ -295,6 +299,14 @@ class TestCusum:
             total += mp.ncdf((4 * k + 3) * z / mp.sqrt(n)) - mp.ncdf((4 * k + 1) * z / mp.sqrt(n))
         assert out.p_value == pytest.approx(float(total), rel=1e-6)
 
+    def test_walk_that_never_leaves_one(self, bits):
+        # z = 1: the series alone exceeds 1 for n = 3..48
+        for seq in (bits("0110100101101001"), bits("01" * 8), bits("10" * 500)):
+            for mode in CusumMode:
+                out = cusum_test(seq, mode, RELAXED)
+                assert (out.statistic, out.p_value) == (1.0, 1.0)
+        assert all(_cusum_pvalue(n, 1) == 1.0 for n in range(1, 64))
+
     @given(data=st.binary(min_size=2, max_size=64))
     @settings(max_examples=60, deadline=None)
     def test_forward_equals_backward_of_reversed(self, data):
@@ -378,3 +390,92 @@ class TestUniformSourceLaw:
             assert band.lower < agg.pass_proportion <= band.upper, test_id
             if test_id is not TestId.DFT:
                 assert agg.uniformity_ok, (test_id, agg.uniformity_p)
+
+
+def reference_longest_runs(blocks):
+    """Longest run of ones in each row of a 2-D 0/1 array, from run edges."""
+    num_blocks, m = blocks.shape
+    padded = np.zeros((num_blocks, m + 1), dtype=np.int8)
+    padded[:, :m] = blocks
+    edges = np.diff(padded.reshape(-1), prepend=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    out = np.zeros(num_blocks, dtype=np.int64)
+    np.maximum.at(out, starts // (m + 1), ends - starts)
+    return out
+
+
+def equivalence_set(n):
+    """Enough samples to fill one kernel chunk and spill into the next.
+
+    Degenerate rows sit at the start (all zeros), on both sides of the
+    chunk boundary (all ones last in the first chunk, then alternating,
+    then a 20 % ones row that fails the runs prerequisite) and at the end
+    (alternating from 1).  Returns the set and the rows per chunk.
+    """
+    per_chunk = max(1, rs.randtests._CHUNK_BITS // n)
+    count = per_chunk + 5
+    rng = np.random.Generator(np.random.PCG64(n))
+    rows = (rng.random((count, n)) < 0.5).astype(np.uint8)
+    alternating = np.arange(n, dtype=np.uint8) % 2
+    specials = [np.zeros(n, np.uint8), np.ones(n, np.uint8), alternating,
+                (rng.random(n) < 0.2).astype(np.uint8), 1 - alternating]
+    for pos, row in zip([0, per_chunk - 1, per_chunk, per_chunk + 1, count - 1], specials):
+        rows[pos] = row
+    return rs.SampleSet([BitSequence(r, sample_index=i) for i, r in enumerate(rows)]), per_chunk
+
+
+def assert_batch_matches_single(sample_set, params, tests=tuple(TestId)):
+    report = rs.run_suite(sample_set, rs.SuiteConfig(params=params, tests=tests))
+    for test_id, agg in report.per_test.items():
+        for seq, statistic, p, passed in zip(sample_set, agg.statistics.tolist(),
+                                             agg.p_values.tolist(), agg.passed.tolist()):
+            single = run_test(test_id, seq, params)
+            assert (single.statistic, single.p_value, single.passed) == \
+                (statistic, p, passed), (test_id, seq.sample_index)
+    return report
+
+
+class TestBatchKernels:
+    """The suite's batch rows equal the single-sequence results exactly."""
+
+    @pytest.mark.parametrize("n", [128, 1000, 1001, 8191, 8192, 40000])
+    def test_batch_rows_equal_single_sequence(self, n):
+        sample_set, per_chunk = equivalence_set(n)
+        report = assert_batch_matches_single(sample_set, RELAXED)
+        bits = np.stack([s.asarray() for s in sample_set]).astype(np.int64)
+        steps = 2 * bits - 1
+        # Independent references for the integer statistics.
+        forward = np.abs(np.cumsum(steps, axis=1)).max(axis=1)
+        backward = np.abs(np.cumsum(steps[:, ::-1], axis=1)).max(axis=1)
+        runs = np.count_nonzero(np.diff(bits, axis=1), axis=1) + 1
+        stats = {t: report.per_test[t].statistics for t in TestId}
+        assert np.array_equal(stats[TestId.CUSUM_FORWARD], forward)
+        assert np.array_equal(stats[TestId.CUSUM_BACKWARD], backward)
+        assert np.array_equal(stats[TestId.RUNS], runs)
+        # The all-ones row walks to S_n = n: past int16 when n = 40000.
+        ones = per_chunk - 1
+        assert stats[TestId.CUSUM_FORWARD][ones] == stats[TestId.CUSUM_BACKWARD][ones] == n
+        assert report.per_test[TestId.RUNS].p_values[per_chunk + 1] == 0.0
+
+    @pytest.mark.parametrize("n", [128, 8192, 40000])
+    def test_longest_run_classes_match_reference(self, n):
+        sample_set, per_chunk = equivalence_set(n)
+        for seq in list(sample_set)[:4] + list(sample_set)[per_chunk - 2:]:
+            out = longest_run_test(seq, RELAXED)
+            m, k = out.params["block_size_m"], out.params["num_classes_k"]
+            blocks = seq.asarray()[:out.params["num_blocks"] * m].reshape(-1, m)
+            edge = {8: 1, 128: 4, 10000: 10}[m]
+            classes = np.clip(reference_longest_runs(blocks) - edge, 0, k)
+            assert out.params["class_counts"] == np.bincount(classes, minlength=k + 1).tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+    def test_approx_entropy_pattern_lengths(self, m):
+        sample_set, _ = equivalence_set(1001)
+        params = TestParams(enforce_min_length=False, pattern_len_m=m)
+        assert_batch_matches_single(sample_set, params, tests=(TestId.APPROX_ENTROPY,))
+        seq = sample_set[2]
+        vals = list(seq.asarray())
+        out = approx_entropy_test(seq, params)
+        assert out.params["phi_m"] == pytest.approx(apen_phi_oracle(vals, m), rel=1e-12)
+        assert out.params["phi_m1"] == pytest.approx(apen_phi_oracle(vals, m + 1), rel=1e-12)

@@ -147,7 +147,7 @@ class TestRunSuite:
         sample_set = small_experiment()
         report = run_suite(sample_set)
         for agg in report.per_test.values():
-            passes = sum(1 for o in agg.outcomes if o.passed)
+            passes = sum(1 for passed in agg.passed if passed)
             assert agg.pass_proportion == passes / 60
 
     def test_overall_pass_is_conjunction(self, bits):
@@ -164,7 +164,8 @@ class TestRunSuite:
             run_suite(SampleSet([], declared_length=128))
 
     def test_sample_too_short_reports_index(self, bits):
-        sample_set = SampleSet([bits("10" * 20, sample_index=7)])
+        # the lowest sample index is reported, whatever the input order
+        sample_set = SampleSet([bits("10" * 20, sample_index=i) for i in (9, 7, 12)])
         with pytest.raises(SampleTooShort) as err:
             run_suite(sample_set, SuiteConfig(tests=(TestId.FREQUENCY,)))
         assert err.value.sample_index == 7
