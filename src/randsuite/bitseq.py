@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
 
 __all__ = [
     "ENCODINGS",
-    "POPCOUNT",
     "BitSequence",
     "SampleSet",
     "Manifest",
@@ -53,11 +52,8 @@ ENCODINGS = ("ascii01", "packed-msb", "hex")
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-# Number of one bits in each byte value.
-POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8)
 # _LEADING_POPCOUNT[r, b]: one bits among the r most significant bits of b.
-_LEADING_POPCOUNT = np.stack([POPCOUNT[np.arange(256) >> (8 - r)] for r in range(8)])
+_LEADING_POPCOUNT = np.stack([np.bitwise_count(np.arange(256) >> (8 - r)) for r in range(9)])
 
 # Hex codec tables: character code -> nibble value (0xFF marks a character
 # outside the alphabet), and byte value -> its two lower-case hex digits.
@@ -144,7 +140,7 @@ class BitSequence:
         return np.unpackbits(self._packed, count=self._n)
 
     def count_ones(self) -> int:
-        return int(POPCOUNT[self._packed].sum(dtype=np.int64))
+        return int(np.bitwise_count(self._packed).sum(dtype=np.int64))
 
     def __len__(self) -> int:
         return self._n
@@ -169,7 +165,8 @@ class BitSequence:
                 f"source_id={self.source_id!r}, sample_index={self.sample_index})")
 
 
-def _decode(raw: bytes, encoding: str) -> np.ndarray:
+def _decode(raw: bytes, encoding: str) -> tuple[np.ndarray, int]:
+    """Packed MSB-first bytes of a stream, zero-padded to a whole byte, and its bit count."""
     if encoding == "ascii01":
         payload = raw.translate(None, _WHITESPACE)
         arr = np.frombuffer(payload, dtype=np.uint8)
@@ -177,9 +174,10 @@ def _decode(raw: bytes, encoding: str) -> np.ndarray:
         if bad.any():
             ch = chr(int(arr[np.argmax(bad)]))
             raise InvalidCharacter(f"unexpected character {ch!r} in ascii01 input")
-        return arr - ord("0")
+        return np.packbits(arr - ord("0")), arr.size
     if encoding == "packed-msb":
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        packed = np.frombuffer(raw, dtype=np.uint8)
+        return packed, 8 * packed.size
     if encoding == "hex":
         arr = np.frombuffer(raw.translate(None, _WHITESPACE), dtype=np.uint8)
         nibbles = _HEX_VALUES[arr]
@@ -189,8 +187,7 @@ def _decode(raw: bytes, encoding: str) -> np.ndarray:
             raise InvalidCharacter(f"unexpected character {ch!r} in hex input")
         if nibbles.size % 2:
             nibbles = np.append(nibbles, np.uint8(0))
-        packed = (nibbles[0::2] << 4) | nibbles[1::2]
-        return np.unpackbits(packed, count=4 * arr.size)
+        return (nibbles[0::2] << 4) | nibbles[1::2], 4 * arr.size
     raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
 
@@ -228,24 +225,26 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
             raw = raw.encode("ascii")
         except UnicodeEncodeError as exc:
             raise InvalidCharacter(f"non-ASCII character in {encoding} input") from exc
-    bits = _decode(raw, encoding)
-    if bits.size == 0:
+    else:
+        raw = bytes(raw)  # immutable: a packed-msb sample keeps a view of it
+    packed, n = _decode(raw, encoding)
+    if n == 0:
         raise EmptyInput(f"no bits decoded from {encoding} input")
     if length is not None:
-        slack = _padding_per_unit(encoding)
-        pad = bits.size - length
-        if pad < 0 or pad > slack:
+        pad = n - length
+        if pad < 0 or pad > _padding_per_unit(encoding):
             raise LengthMismatch(
-                f"decoded {bits.size} bits but {length} were declared",
-                declared=length, actual=int(bits.size))
-        if pad and bits[length:].any():
+                f"decoded {n} bits but {length} were declared",
+                declared=length, actual=n)
+        # Padding of at most 7 bits leaves ceil(length/8) bytes; every bit
+        # of the last byte after the declared length must be zero.
+        if packed[-1] & ((1 << (8 * packed.size - length)) - 1):
             raise LengthMismatch(
                 f"nonzero padding bits after declared length {length}",
-                declared=length, actual=int(bits.size))
-        bits = bits[:length]
-    return BitSequence._from_packed(np.packbits(bits), int(bits.size),
-                                    source_id=source_id, sample_index=sample_index,
-                                    timestamp=timestamp)
+                declared=length, actual=n)
+        n = length
+    return BitSequence._from_packed(packed, n, source_id=source_id,
+                                    sample_index=sample_index, timestamp=timestamp)
 
 
 def serialize_bits(seq: BitSequence, encoding: str) -> bytes:
@@ -336,18 +335,25 @@ def pack_rows(samples) -> np.ndarray:
 def ones_before(packed: np.ndarray, positions) -> np.ndarray:
     """Ones among the first t bits of each packed row, for every t in ``positions``.
 
-    ``packed`` is ``(rows, bytes)``; ``positions`` is a 1-D array of bit
-    offsets in ``[0, 8 * bytes]``.  The result is ``(rows, len(positions))``
-    int64: whole bytes come from a cumulative popcount, and the partial byte
-    at each position from a leading-bits popcount table.
+    ``packed`` is ``(rows, bytes)``; ``positions`` is a non-decreasing 1-D
+    array of bit offsets in ``[0, 8 * bytes]``.  The result is
+    ``(rows, len(positions))`` int64: the whole bytes between consecutive
+    positions are popcounted segment by segment and the segment sums
+    accumulated, and the bits of the byte a position falls in come from a
+    leading-bits popcount table (a position at the very end counts all 8
+    bits of the last byte).
     """
     positions = np.asarray(positions, dtype=np.int64)
-    rows, width = packed.shape
-    whole = np.zeros((rows, width + 1), dtype=np.int64)
-    np.cumsum(POPCOUNT[packed], axis=1, dtype=np.int64, out=whole[:, 1:])
-    byte, bit = np.divmod(positions, 8)
-    partial = _LEADING_POPCOUNT[bit, packed[:, np.minimum(byte, width - 1)]]
-    return whole[:, byte] + partial
+    width = packed.shape[1]
+    byte = np.minimum(positions // 8, width - 1)
+    bit = positions - 8 * byte
+    starts = np.concatenate([[0], byte])
+    # reduceat sums starts[i]:starts[i+1]; for an empty segment it returns
+    # the element at starts[i] instead, so those are zeroed.
+    segments = np.add.reduceat(np.bitwise_count(packed), starts, axis=1,
+                               dtype=np.int64)[:, :-1]
+    segments[:, starts[1:] == starts[:-1]] = 0
+    return np.cumsum(segments, axis=1) + _LEADING_POPCOUNT[bit, packed[:, byte]]
 
 
 @dataclass(frozen=True)
@@ -362,8 +368,10 @@ class ManifestEntry:
 class Manifest:
     """Declares the files making up one source's sample set.
 
-    ``base_dir`` anchors relative entry paths; :func:`load_manifest` sets it
-    to the manifest file's directory.
+    ``base_dir`` anchors the entry paths; :func:`load_manifest` sets it to
+    the manifest file's directory.  An entry path must stay below it: an
+    absolute path or a ``..`` component raises
+    :class:`~randsuite.errors.ManifestError`.
     """
 
     declared_length: int
@@ -381,6 +389,11 @@ class Manifest:
         for e in self.entries:
             if e.encoding not in ENCODINGS:
                 raise ManifestError(f"unknown encoding {e.encoding!r} for {e.path!r}")
+            parts = PurePath(e.path)
+            if parts.anchor or ".." in parts.parts:
+                raise ManifestError(
+                    f"entry path {e.path!r} leaves the manifest directory; use a "
+                    f"relative path without '..'")
             if e.path in paths:
                 raise ManifestError(f"duplicate path {e.path!r} in manifest")
             paths.add(e.path)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitseq import POPCOUNT, BitSequence, SampleSet, ones_before, pack_rows
+from .bitseq import BitSequence, SampleSet, ones_before, pack_rows
 from .errors import DomainError, EmptySequence, EmptySet
 from .special import erfc_inv
 
@@ -83,7 +83,7 @@ def entropy_series(sample_set: SampleSet) -> EntropySeries:
     n = sample_set.declared_length
     if n == 0:
         raise EmptySequence("entropy needs at least one bit per sample")
-    ones = POPCOUNT[pack_rows(sample_set)].sum(axis=1, dtype=np.int64).tolist()
+    ones = np.bitwise_count(pack_rows(sample_set)).sum(axis=1, dtype=np.int64).tolist()
     p1 = [k / n for k in ones]
     return EntropySeries(
         source_id=sample_set.source_id,

@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
 
-from .bitseq import POPCOUNT, BitSequence, ones_before, pack_rows
+from .bitseq import BitSequence, ones_before, pack_rows
 from .errors import (
     BlockTooLarge,
     DomainError,
@@ -151,18 +151,47 @@ class Batch(NamedTuple):
 
 
 # Bits of stacked samples per kernel chunk.  Rows are processed this many
-# bits at a time so that the kernels' temporaries (the spectral test holds
-# about 16 bytes per bit at once) stay at a few MB; a longer sample is a
-# chunk of its own.
+# bits at a time so that the workspace below stays at a few MB; a longer
+# sample is a chunk of its own.
 _CHUNK_BITS = 1 << 18
+
+
+def _as_buffer(buffer: np.ndarray, dtype, shape) -> np.ndarray:
+    """The start of a contiguous buffer, viewed as a ``dtype`` array of ``shape``."""
+    return buffer.reshape(-1).view(dtype)[:math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """Buffers that every chunk of one :func:`run_batch` call reuses.
+
+    ``scratch`` holds 8 bytes per bit of the largest chunk and serves, in
+    turn, as the spectral test's float64 input and moduli and as
+    approximate entropy's intp pattern keys; ``spectrum`` holds the chunk's
+    real FFT.  Fresh multi-MB temporaries per chunk would be
+    faulted in page by page every time.  Each buffer is allocated when a
+    kernel first asks for it; a kernel is done with it when it returns.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.rows = rows
+        self.n = n
+
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        return np.empty(self.rows * self.n, dtype=np.float64)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.empty((self.rows, self.n // 2 + 1), dtype=np.complex128)
 
 
 class _Rows:
     """One chunk of packed samples, with values shared between kernels."""
 
-    def __init__(self, packed: np.ndarray, n: int):
+    def __init__(self, packed: np.ndarray, n: int, work: _Workspace):
         self.packed = packed
         self.n = n
+        self.work = work
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -171,16 +200,49 @@ class _Rows:
 
     @cached_property
     def ones(self) -> np.ndarray:
-        return POPCOUNT[self.packed].sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
 
     @cached_property
     def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S_n, min S, max S) of each row's +/-1 partial sums, S_0 = 0 included."""
-        steps = self.bits.view(np.int8) * np.int8(2) - np.int8(1)
-        sums = np.cumsum(steps, axis=1, dtype=_accumulator(self.n))
+        """(S_n, min S, max S) of each row's +/-1 partial sums, S_0 = 0 included.
+
+        Walked a byte at a time: ``sums`` holds S at the end of each byte,
+        and the lowest and highest S inside a byte are that byte's end
+        value plus a table entry.
+        """
+        packed = self.packed
+        valid = self.n - 8 * (packed.shape[1] - 1)
+        net, low, high = (_by_valid_bits(table, packed, valid) for table in _WALK_TABLES)
+        sums = np.cumsum(net, axis=1, dtype=_accumulator(self.n))
         return (sums[:, -1].astype(np.int64),
-                np.minimum(sums.min(axis=1), 0).astype(np.int64),
-                np.maximum(sums.max(axis=1), 0).astype(np.int64))
+                np.minimum((sums + low).min(axis=1), 0).astype(np.int64),
+                np.maximum((sums + high).max(axis=1), 0).astype(np.int64))
+
+
+def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Byte tables of the +/-1 walk, one row per count v of leading bits walked.
+
+    Entry ``[v, b]`` is, over the first v bits of byte value b (most
+    significant first): the net step, and the lowest and the highest
+    partial sum minus that net step.  Row 0 is unused.
+    """
+    steps = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8) - 1
+    prefix = np.cumsum(steps, axis=1, dtype=np.int8)
+    tables = np.zeros((3, 9, 256), dtype=np.int8)
+    for v in range(1, 9):
+        net = prefix[:, v - 1]
+        tables[:, v] = net, prefix[:, :v].min(axis=1) - net, prefix[:, :v].max(axis=1) - net
+    return tables[0], tables[1], tables[2]
+
+
+_WALK_TABLES = _walk_tables()
+
+
+def _by_valid_bits(table: np.ndarray, packed: np.ndarray, valid: int) -> np.ndarray:
+    """``table`` looked up per byte: all 8 bits of each byte, ``valid`` of the last."""
+    out = np.take(table[8], packed)
+    out[:, -1] = np.take(table[valid], packed[:, -1])
+    return out
 
 
 def _accumulator(n: int):
@@ -268,7 +330,7 @@ def _runs_count(rows: _Rows, params: TestParams) -> dict:
     valid = rows.n - 1 - 8 * (packed.shape[1] - 1)
     changes[:, -1] &= (0xFF << (8 - valid)) & 0xFF
     return {"ones": rows.ones,
-            "transitions": POPCOUNT[changes].sum(axis=1, dtype=np.int64)}
+            "transitions": np.bitwise_count(changes).sum(axis=1, dtype=np.int64)}
 
 
 def _runs_finish(values: dict, n: int, params: TestParams):
@@ -359,9 +421,24 @@ def longest_run_statistic(class_counts, block_size: int):
 
 def _longest_run_count(rows: _Rows, params: TestParams) -> dict:
     _, m, k, num_blocks, v0_edge, _ = _longest_run_config(rows.n)
-    blocks = rows.packed[:, :num_blocks * m // 8].reshape(-1, m // 8)
-    runs = _longest_runs(blocks).reshape(-1, num_blocks)
-    classes = np.clip(runs - v0_edge, 0, k)
+    # After the step for `length`, bit i of a block is set iff bits
+    # i..i+length-1 of the block are all ones, so a block has a run of
+    # `length` ones iff it is still nonzero.  A block's class is the number
+    # of class edges v0_edge+1..v0_edge+k that its longest run reaches.
+    width = m // 8
+    blocks = rows.packed[:, :num_blocks * width].reshape(-1, width).copy()
+    x = blocks.reshape(-1)
+    shifted, carry = np.empty_like(x), np.empty_like(x)
+    classes = np.zeros(len(blocks), dtype=np.intp)
+    for length in range(2, v0_edge + k + 1):
+        np.left_shift(x, 1, out=shifted)
+        np.right_shift(x[1:], 7, out=carry[:-1])
+        carry[width - 1::width] = 0  # nothing carries across a block's end
+        shifted |= carry
+        x &= shifted
+        if length > v0_edge:
+            classes += blocks.any(axis=1)
+    classes = classes.reshape(-1, num_blocks)
     return {"class_counts": (classes[:, :, None] == np.arange(k + 1)).sum(axis=1)}
 
 
@@ -382,13 +459,19 @@ def _dft_threshold(n: int) -> float:
 
 
 def _dft_count(rows: _Rows, params: TestParams) -> dict:
-    x = rows.bits.astype(np.float64)
-    x *= 2.0
-    x -= 1.0
-    spectrum = np.fft.rfft(x, axis=1)
-    del x
-    moduli = np.abs(spectrum[:, :rows.n // 2])
-    return {"n_obs": np.count_nonzero(moduli < _dft_threshold(rows.n), axis=1)}
+    # The bits are mapped to +/-1/2 rather than +/-1.  Halving is exact in
+    # binary floating point, so every modulus is exactly half of its +/-1
+    # value and is compared with exactly half the threshold.
+    r, n, half = len(rows.packed), rows.n, rows.n // 2
+    x = _as_buffer(rows.work.scratch, np.float64, (r, n))
+    np.subtract(rows.bits, 0.5, out=x)
+    spectrum = np.fft.rfft(x, axis=1, out=rows.work.spectrum[:r])
+    moduli = _as_buffer(rows.work.scratch, np.float64, (r, half))
+    np.abs(spectrum[:, :half], out=moduli)
+    # The spectrum is spent; its memory takes the comparison.
+    below = _as_buffer(rows.work.spectrum, np.bool_, (r, half))
+    np.less(moduli, 0.5 * _dft_threshold(n), out=below)
+    return {"n_obs": np.count_nonzero(below, axis=1)}
 
 
 def _dft_finish(values: dict, n: int, params: TestParams):
@@ -422,20 +505,21 @@ def _phi(counts: np.ndarray, n: int) -> np.ndarray:
 
 def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:
     # Patterns wrap cyclically (the first m bits are appended), so each
-    # pattern length yields exactly n overlapping windows.  The m-bit
+    # pattern length yields exactly n overlapping windows.  The codes are
+    # built in the narrowest type that holds them, then offset by size * row
+    # into the scratch so that one bincount counts every row; the m-bit
     # counts are the (m+1)-bit counts summed over the last bit.
     m, n, bits = params.pattern_len_m, rows.n, rows.bits
-    size = 2 ** (m + 1)
-    ext = np.concatenate([bits, bits[:, :m]], axis=1)
-    codes = np.zeros(bits.shape, dtype=np.min_scalar_type(size - 1))
-    for j in range(m + 1):
+    r, size = len(bits), 2 ** (m + 1)
+    codes = bits.astype(np.min_scalar_type(size - 1))
+    for j in range(1, m + 1):
         codes <<= 1
-        codes |= ext[:, j:j + n]
-    del ext
-    offsets = size * np.arange(len(codes), dtype=np.intp)[:, None]
-    counts = np.bincount((codes + offsets).ravel(), minlength=size * len(codes))
-    counts = counts.reshape(len(codes), size)
-    return {"phi_m": _phi(counts.reshape(len(codes), size // 2, 2).sum(axis=2), n),
+        codes[:, :n - j] |= bits[:, j:]
+        codes[:, n - j:] |= bits[:, :j]
+    keys = _as_buffer(rows.work.scratch, np.intp, (r, n))
+    np.add(codes, size * np.arange(r, dtype=np.intp)[:, None], out=keys)
+    counts = np.bincount(keys.reshape(-1), minlength=size * r).reshape(r, size)
+    return {"phi_m": _phi(counts.reshape(r, size // 2, 2).sum(axis=2), n),
             "phi_m1": _phi(counts, n)}
 
 
@@ -451,6 +535,12 @@ def _approx_entropy_finish(values: dict, n: int, params: TestParams):
         "statistic_formula": _APEN_STATISTIC_FORMULA}
 
 
+# Distinct (n, z) pairs remembered by _cusum_pvalue.  One 20-source run at
+# n = 8192 asks about 10,000 times for about 700 pairs.
+_CUSUM_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CUSUM_CACHE_SIZE)
 def _cusum_pvalue(n: int, z: int) -> float:
     """Tail probability of the maximum absolute partial sum."""
     if z == 1:
@@ -510,8 +600,9 @@ def run_batch(samples, tests=ALL_TESTS,
 
     The samples are stacked into packed ``(rows, ceil(n/8))`` matrices of
     about ``_CHUNK_BITS`` bits each; every chunk is unpacked once for all
-    the kernels, and the p-values are computed once over all rows.  Entry
-    i of each result belongs to ``samples[i]``.
+    the kernels, the chunks share one workspace, and the p-values are
+    computed once over all rows.  Entry i of each result belongs to
+    ``samples[i]``.
 
     Raises
     ------
@@ -529,9 +620,10 @@ def run_batch(samples, tests=ALL_TESTS,
     if TestId.APPROX_ENTROPY in tests:
         width = max(n, 2 ** (params.pattern_len_m + 1))
     step = max(1, _CHUNK_BITS // width)
+    work = _Workspace(min(step, len(samples)), n)
     parts = {test_id: [] for test_id in tests}
     for start in range(0, len(samples), step):
-        rows = _Rows(pack_rows(samples[start:start + step]), n)
+        rows = _Rows(pack_rows(samples[start:start + step]), n, work)
         for test_id in tests:
             parts[test_id].append(_KERNELS[test_id][0](rows, params))
     results = {}

@@ -16,6 +16,7 @@ separation, not by shared-stream discipline.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -146,12 +147,12 @@ def effective_bias(model: QubitNoiseModel, sample_index: int) -> float:
     return p1 * (1.0 - epoch.eps10) + (1.0 - p1) * epoch.eps01
 
 
-def _rng_for(master_seed: int, qubit_id: int, sample_index: int) -> np.random.Generator:
+def _raw_draws(master_seed: int, qubit_id: int, sample_index: int, shots: int) -> np.ndarray:
     # Key separation: the Philox key is derived from the identifying triple,
     # and the counter advances with the shots, so regeneration never depends
     # on what else has been generated.
     ss = np.random.SeedSequence(entropy=(master_seed, qubit_id, sample_index))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Philox(seed=ss).random_raw(shots)
 
 
 def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
@@ -159,16 +160,20 @@ def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
     """Generate one sample: ``shots`` Bernoulli(p_eff) draws in shot order.
 
     Identical (master_seed, qubit_id, sample_index, shots) reproduce the
-    sequence bit-for-bit.
+    sequence bit-for-bit.  Shot i reads 1 iff the i-th uniform double u_i
+    of the keyed Philox stream is below p_eff.  That double is
+    ``(raw_i >> 11) * 2**-53`` for the stream's i-th 64-bit output raw_i,
+    and ``p_eff * 2**53`` is exact, so the comparison is made on the raw
+    integers: ``raw_i < ceil(p_eff * 2**53) * 2**11``.
     """
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
     if not 0 <= master_seed < _MAX_SEED:
         raise DomainError(f"master_seed must be a 64-bit value, got {master_seed}")
-    p_eff = effective_bias(model, sample_index)
-    rng = _rng_for(master_seed, model.qubit_id, sample_index)
-    bits = rng.random(shots) < p_eff
-    return BitSequence._from_packed(np.packbits(bits), shots,
+    # 2**64 when p_eff = 1, which every uint64 is below.
+    limit = math.ceil(math.ldexp(effective_bias(model, sample_index), 53)) << 11
+    draws = _raw_draws(master_seed, model.qubit_id, sample_index, shots)
+    return BitSequence._from_packed(np.packbits(draws < limit), shots,
                                     source_id=model.source_id,
                                     sample_index=sample_index,
                                     timestamp=timestamp)

@@ -9,7 +9,6 @@ at least 55 samples).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -281,13 +280,18 @@ def write_report_json(report: SuiteReport, path) -> None:
 
 
 def write_results_csv(report: SuiteReport, path) -> None:
-    """Flat per-(test, sample) rows; column order is fixed."""
+    """Flat per-(test, sample) rows; column order is fixed.
+
+    The lines are what ``csv.writer`` would write: no field needs quoting,
+    and rows end in ``\\r\\n``.
+    """
+    lines = [",".join(CSV_COLUMNS) + "\r\n"]
+    for test_id in report.config.tests:
+        agg = report.per_test[test_id]
+        name = test_id.value
+        lines += [f"{name},{idx},{statistic!r},{p_value!r},{passed}\r\n"
+                  for idx, statistic, p_value, passed in zip(
+                      agg.sample_indices, agg.statistics.tolist(),
+                      agg.p_values.tolist(), agg.passed.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for test_id in report.config.tests:
-            agg = report.per_test[test_id]
-            for idx, statistic, p_value, passed in zip(
-                    agg.sample_indices, agg.statistics.tolist(),
-                    agg.p_values.tolist(), agg.passed.tolist()):
-                writer.writerow([test_id.value, idx, repr(statistic), repr(p_value), passed])
+        fh.write("".join(lines))

@@ -19,6 +19,7 @@ from randsuite import (
     save_manifest,
     serialize_bits,
 )
+from randsuite.bitseq import ones_before
 from randsuite.errors import (
     DuplicateIndex,
     EmptyInput,
@@ -74,6 +75,24 @@ class TestParseBits:
     def test_declared_length_rejects_nonzero_padding(self):
         with pytest.raises(LengthMismatch):
             parse_bits(bytes([0b10111000]), "packed-msb", length=4)
+
+    @pytest.mark.parametrize("raw,encoding,length,error", [
+        # a5c is 1010 0101 1100: bit 9 is set, bits 10 and 11 are not
+        ("a5c", "hex", 12, None), ("a5c", "hex", 10, None),
+        ("a5c", "hex", 9, "nonzero padding bits after declared length 9"),
+        ("a5c", "hex", 8, "decoded 12 bits but 8 were declared"),
+        (bytes([0xA5, 0xC0]), "packed-msb", 10, None),
+        (bytes([0xA5, 0xC0]), "packed-msb", 9, "nonzero padding bits after declared length 9"),
+        (bytes([0xA5, 0xC0]), "packed-msb", 8, "decoded 16 bits but 8 were declared"),
+    ])
+    def test_declared_length_checks_each_padding_bit(self, raw, encoding, length, error):
+        if error is None:
+            seq = parse_bits(raw, encoding, length=length)
+            assert seq.n == length
+            assert "".join(map(str, seq.asarray())) == "101001011100"[:length]
+        else:
+            with pytest.raises(LengthMismatch, match=error):
+                parse_bits(raw, encoding, length=length)
 
     def test_declared_length_rejects_size_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -245,6 +264,24 @@ class TestManifest:
         assert loaded.entries[1].timestamp is None
         assert loaded.base_dir == tmp_path
 
+    @pytest.mark.parametrize("entry_path", ["/etc/passwd", "../outside.txt",
+                                            "sub/../../outside.txt"])
+    def test_entry_paths_cannot_leave_the_manifest_directory(self, tmp_path, entry_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "declared_length": 8, "source_id": "src",
+            "entries": [{"path": entry_path, "encoding": "ascii01", "sample_index": 0}]}))
+        with pytest.raises(ManifestError, match="leaves the manifest directory"):
+            load_manifest(path)
+
+    def test_entry_paths_may_name_subdirectories(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "a.txt").write_bytes(b"10101010")
+        path = tmp_path / "manifest.json"
+        save_manifest(Manifest(declared_length=8, source_id="src",
+                               entries=(ManifestEntry("sub/a.txt", "ascii01", 0),)), path)
+        assert len(load_sample_set(load_manifest(path))) == 1
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{not json")
@@ -253,3 +290,23 @@ class TestManifest:
         path.write_text(json.dumps({"source_id": "x"}))
         with pytest.raises(ManifestError):
             load_manifest(path)
+
+
+class TestOnesBefore:
+    """Segment popcounts against a cumulative sum over the unpacked bits."""
+
+    @pytest.mark.parametrize("n", [8, 13, 1001, 8192])
+    @pytest.mark.parametrize("block", [2, 3, 10, 128])
+    def test_matches_cumsum_reference(self, n, block):
+        rng = np.random.Generator(np.random.PCG64(n * block))
+        bits = rng.integers(0, 2, size=(3, n), dtype=np.uint8)
+        bits[1] = 1  # every segment full
+        bits[2, : n // 2] = 0  # leading empty segments
+        packed = np.packbits(bits, axis=1)
+        reference = np.concatenate(
+            [np.zeros((3, 1), np.int64), np.cumsum(bits, axis=1, dtype=np.int64)], axis=1)
+        positions = np.arange(0, n + 1, block)
+        assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+        # repeated positions, the very start and the very end
+        positions = np.array([0, 0, 1, n // 2, n // 2, n, n])
+        assert np.array_equal(ones_before(packed, positions), reference[:, positions])

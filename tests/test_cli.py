@@ -192,6 +192,19 @@ class TestUsageErrors:
                      "--tests", ""])
         self._assert_usage_error(code, capsys)
 
+    def test_manifest_entry_outside_its_directory(self, tmp_path, capsys):
+        (tmp_path / "outside.txt").write_text("01" * 64)
+        d = tmp_path / "source"
+        d.mkdir()
+        (d / "manifest.json").write_text(json.dumps({
+            "declared_length": 128, "source_id": "s",
+            "entries": [{"path": "../outside.txt", "encoding": "ascii01",
+                         "sample_index": 0}]}))
+        code = main(["test", "--manifest", str(d / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--no-min-length-enforcement"])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_qubit_id_out_of_range(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,

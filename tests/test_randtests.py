@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randsuite as rs
+from randsuite import randtests as R
 from randsuite import (
     BitSequence,
     CusumMode,
@@ -23,6 +24,7 @@ from randsuite import (
     run_test,
     runs_test,
 )
+from randsuite.bitseq import pack_rows
 from randsuite.errors import (
     BlockTooLarge,
     PatternTooLong,
@@ -479,3 +481,84 @@ class TestBatchKernels:
         out = approx_entropy_test(seq, params)
         assert out.params["phi_m"] == pytest.approx(apen_phi_oracle(vals, m), rel=1e-12)
         assert out.params["phi_m1"] == pytest.approx(apen_phi_oracle(vals, m + 1), rel=1e-12)
+
+
+def chunk_rows(sample_set, n):
+    """One kernel chunk of every sample in ``sample_set``."""
+    return R._Rows(pack_rows(sample_set), n, R._Workspace(len(sample_set), n))
+
+
+class TestPackedDomainKernels:
+    """The byte-at-a-time kernels against references over unpacked bits."""
+
+    @pytest.mark.parametrize("n", [100, 1001, 8191, 8192, 40000])
+    def test_packed_walk_equals_unpacked_cumsum(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        rows = (rng.random((6, n)) < 0.5).astype(np.uint8)
+        rows[1] = 1  # S_n = n: past int16 when n = 40000
+        rows[2] = 0
+        rows[3, -1] = 1  # the last bit: in a partly filled byte unless 8 divides n
+        rows[4] = (rng.random(n) < 0.55)
+        rows[5] = (rng.random(n) < 0.45)
+        sums = np.concatenate([np.zeros((6, 1), np.int64),
+                               np.cumsum(2 * rows.astype(np.int64) - 1, axis=1)], axis=1)
+        samples = [BitSequence(r) for r in rows]
+        end, low, high = chunk_rows(samples, n).walk
+        assert np.array_equal(end, sums[:, -1])
+        assert np.array_equal(low, sums.min(axis=1))
+        assert np.array_equal(high, sums.max(axis=1))
+
+    @pytest.mark.parametrize("n,block", [(1000, 8), (8192, 128), (750000, 10000)])
+    def test_and_shift_classes_equal_per_block_longest_runs(self, n, block):
+        rng = np.random.Generator(np.random.PCG64(block))
+        rows = (rng.random((3, n)) < 0.5).astype(np.uint8)
+        # Runs of 2..20 ones that start mid-byte, some across a block end.
+        for start in rng.integers(0, n - 20, size=n // 50):
+            rows[0, start:start + rng.integers(2, 21)] = 1
+        for end in range(block, n - 8, block):
+            rows[1, end - 3:end + 3] = 1
+        rows[2] = 1
+        samples = [BitSequence(r) for r in rows]
+        _, m, k, num_blocks, edge, _ = R._longest_run_config(n)
+        assert m == block
+        counts = R._longest_run_count(chunk_rows(samples, n), RELAXED)["class_counts"]
+        for row, seq in zip(counts, samples):
+            blocks = seq.asarray()[:num_blocks * m].reshape(-1, m)
+            runs = np.array([longest_run_of_ones(BitSequence(b)) for b in blocks])
+            classes = np.clip(runs - edge, 0, k)
+            assert row.tolist() == np.bincount(classes, minlength=k + 1).tolist()
+
+    @pytest.mark.parametrize("n", [100, 1001, 8192])
+    def test_memoised_cusum_pvalue_equals_direct(self, n):
+        for z in range(2, n + 1):
+            assert _cusum_pvalue(n, z) == _cusum_pvalue.__wrapped__(n, z), z
+
+    @pytest.mark.parametrize("n", [1001, 8192])
+    def test_chunked_batch_equals_one_row_calls(self, n):
+        # Two full chunks and a short third; the workspace is reused by all.
+        per_chunk = max(1, R._CHUNK_BITS // n)
+        rng = np.random.Generator(np.random.PCG64(n + 1))
+        rows = (rng.random((2 * per_chunk + 3, n)) < 0.5).astype(np.uint8)
+        samples = [BitSequence(r) for r in rows]
+        batches = R.run_batch(samples, params=RELAXED)
+        for test_id, batch in batches.items():
+            for i in (0, per_chunk - 1, per_chunk, 2 * per_chunk - 1, 2 * per_chunk,
+                      len(samples) - 1):
+                single = run_test(test_id, samples[i], RELAXED)
+                assert (single.statistic, single.p_value, single.passed) == (
+                    batch.statistics[i], batch.p_values[i], batch.passed[i]), (test_id, i)
+                for key, value in batch.record.items():
+                    if isinstance(value, np.ndarray):
+                        assert single.params[key] == value[i].tolist(), (test_id, key, i)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 8192])
+    def test_half_scale_spectrum_counts_equal_unit_scale(self, n):
+        rng = np.random.Generator(np.random.PCG64(n + 2))
+        rows = (rng.random((8, n)) < rng.uniform(0.3, 0.7, (8, 1))).astype(np.uint8)
+        rows[0] = np.arange(n) % 2
+        rows[1] = (np.arange(n) // 3) % 2
+        rows[2] = 0
+        moduli = np.abs(np.fft.rfft(2.0 * rows - 1.0, axis=1)[:, :n // 2])
+        expected = np.count_nonzero(moduli < math.sqrt(n * math.log(20.0)), axis=1)
+        samples = [BitSequence(r) for r in rows]
+        assert np.array_equal(R._dft_count(chunk_rows(samples, n), RELAXED)["n_obs"], expected)

@@ -1,5 +1,6 @@
 """Noise model semantics and determinism of the sample generator."""
 
+import hashlib
 import math
 from datetime import timedelta
 
@@ -102,6 +103,34 @@ class TestGenerateSample:
         p_hat = seq.count_ones() / seq.n
         sigma = math.sqrt(0.45 * 0.55 / 10 ** 6)
         assert abs(p_hat - 0.45) < 3 * sigma
+
+    @pytest.mark.parametrize("shots,digest", [
+        (1001, "cc3c62de82f0dc7b1371b94d5a92ee71b297b87042744e03a6543d66e1661264"),
+        (8192, "7b1e67eadf990c19f39c89d21ff6a8c00de0006171cae42f1111684c3327aa94"),
+    ])
+    def test_stream_is_pinned(self, shots, digest):
+        # Recorded when shots were drawn as Generator(Philox).random(shots) < p_eff.
+        # Samples 2..5 are in the anomaly window, 6 and 7 have p_eff = 0 and
+        # 8..11 have p_eff = 1.
+        model = QubitNoiseModel(
+            qubit_id=3, epochs=(Epoch(0, 0.5, 0.01, 0.02), Epoch(4, 0.0), Epoch(8, 1.0),
+                                Epoch(12, 0.3, 0.05, 0.1)),
+            anomaly=Anomaly(2, 6, 0.9))
+        packed = b"".join(generate_sample(model, i, shots, 104729).packed.tobytes()
+                          for i in range(16))
+        assert hashlib.sha256(packed).hexdigest() == digest
+
+    def test_threshold_matches_float_draws_at_the_boundary(self):
+        # A shot reads 1 iff its uniform double u is below p_eff.  Setting
+        # p_eff to one of the doubles, or to a neighbour of it, puts that
+        # shot exactly on the boundary.
+        reference = np.random.Generator(np.random.Philox(
+            seed=np.random.SeedSequence(entropy=(5, 1, 0)))).random(64)
+        for u in reference[:8]:
+            for p in (u, np.nextafter(u, 1.0), np.nextafter(u, 0.0)):
+                model = QubitNoiseModel(qubit_id=1, epochs=(Epoch(0, float(p)),))
+                seq = generate_sample(model, 0, 64, master_seed=5)
+                assert np.array_equal(seq.asarray(), reference < p), p
 
     def test_metadata(self):
         seq = generate_sample(fair_model(qubit_id=7), 11, 64, master_seed=1)

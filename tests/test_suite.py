@@ -1,5 +1,8 @@
 """Three-step protocol: proportion banding, p-value uniformity, aggregation."""
 
+import csv
+import io
+
 import pytest
 
 import randsuite as rs
@@ -210,3 +213,19 @@ class TestReportSerialization:
         assert first[0] == "frequency"
         assert first[1] == "0"
         assert first[4] in ("True", "False")
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        # The rows as csv.writer writes them, with its default \r\n line ends.
+        report = run_suite(small_experiment(num_samples=12))
+        path = tmp_path / "results.csv"
+        rs.write_results_csv(report, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("test_id", "sample_index", "statistic", "p_value", "passed"))
+        for test_id in report.config.tests:
+            agg = report.per_test[test_id]
+            for idx, statistic, p_value, passed in zip(
+                    agg.sample_indices, agg.statistics.tolist(),
+                    agg.p_values.tolist(), agg.passed.tolist()):
+                writer.writerow([test_id.value, idx, repr(statistic), repr(p_value), passed])
+        assert path.read_bytes() == expected.getvalue().encode()
