@@ -17,6 +17,8 @@ Three file encodings are supported:
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePath
@@ -46,6 +48,7 @@ __all__ = [
     "concat_chronological",
     "pack_rows",
     "ones_before",
+    "atomic_write",
 ]
 
 ENCODINGS = ("ascii01", "packed-msb", "hex")
@@ -434,6 +437,32 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"manifest {path} is malformed: {exc}") from exc
 
 
+def _new_file_mode() -> int:
+    """The mode open() gives a new file: 0o666 less the process umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def atomic_write(path: Path, write_fn) -> None:
+    """Call ``write_fn`` on a temp file in the same directory, then rename it to ``path``.
+
+    The temp file is created private (0600); it gets the normal new-file
+    mode before the rename, so outputs match files written in place.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
+    try:
+        write_fn(tmp)
+        os.chmod(tmp, _new_file_mode())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_manifest(manifest: Manifest, path) -> None:
     """Write a manifest as JSON (paths are stored as given, not resolved)."""
     doc = {
@@ -445,7 +474,8 @@ def save_manifest(manifest: Manifest, path) -> None:
             for e in manifest.entries
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    atomic_write(Path(path), lambda p: Path(p).write_text(text))
 
 
 def load_sample_set(manifest: Manifest) -> SampleSet:

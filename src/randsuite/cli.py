@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
-from .bitseq import concat_chronological, load_manifest, load_sample_set
+from .bitseq import atomic_write, concat_chronological, load_manifest, load_sample_set
 from .entropy import (
     deviation_series,
     entropy_series,
@@ -41,32 +39,6 @@ __all__ = ["main"]
 EXIT_PASS = 0
 EXIT_STATISTICAL_FAIL = 1
 EXIT_ERROR = 2
-
-
-def _new_file_mode() -> int:
-    """The mode open() gives a new file: 0o666 less the process umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
-def _atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file in the same directory, then rename.
-
-    The temp file is created private (0600); it gets the normal new-file
-    mode before the rename, so outputs match files written in place.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.chmod(tmp, _new_file_mode())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _parse_tests(selection: str) -> tuple[TestId, ...]:
@@ -94,8 +66,8 @@ def cmd_test(args) -> int:
     sample_set = load_sample_set(manifest)
     report = run_suite(sample_set, config)
     out = Path(args.out)
-    _atomic_write(out / "report.json", lambda p: write_report_json(report, p))
-    _atomic_write(out / "results.csv", lambda p: write_results_csv(report, p))
+    atomic_write(out / "report.json", lambda p: write_report_json(report, p))
+    atomic_write(out / "results.csv", lambda p: write_results_csv(report, p))
     for test_id in report.config.tests:
         agg = report.per_test[test_id]
         uni = ("uniformity_p=%.6f %s" % (agg.uniformity_p,
@@ -115,7 +87,7 @@ def cmd_entropy(args) -> int:
         manifest = load_manifest(manifest_path)
         series = entropy_series(load_sample_set(manifest))
         target = out / f"entropy_{series.source_id}.csv"
-        _atomic_write(target, lambda p, s=series: write_entropy_csv(s, p))
+        atomic_write(target, lambda p, s=series: write_entropy_csv(s, p))
         print(f"{series.source_id}: {len(series)} points -> {target}")
     return EXIT_PASS
 
@@ -135,7 +107,7 @@ def cmd_stability(args) -> int:
         joined = concat_chronological(sample_set)
         series = deviation_series(joined, stride=args.stride)
         target = out / f"deviation_{series.source_id}.csv"
-        _atomic_write(target, lambda p, s=series: write_deviation_csv(s, p))
+        atomic_write(target, lambda p, s=series: write_deviation_csv(s, p))
         lower, upper = proportion_band_for_length(joined.n, args.alpha)
         proportion = joined.count_ones() / joined.n
         inside = lower < proportion < upper
@@ -150,7 +122,7 @@ def cmd_stability(args) -> int:
         print(f"{series.source_id}: proportion={proportion:.6f} "
               f"band=({lower:.6f}, {upper:.6f}) "
               f"{'ok' if inside else 'OUT OF BAND'} -> {target}")
-    _atomic_write(out / "band.json",
+    atomic_write(out / "band.json",
                   lambda p: Path(p).write_text(
                       json.dumps(band_summary, indent=2, sort_keys=True) + "\n"))
     return EXIT_PASS if all_inside else EXIT_STATISTICAL_FAIL

@@ -12,7 +12,6 @@ histogram cannot see.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,19 +140,23 @@ def deviation_series(seq: BitSequence, stride: int = 8192) -> DeviationSeries:
 
 
 def write_entropy_csv(series: EntropySeries, path) -> None:
-    """Columns: sample_index, timestamp (ISO 8601 or empty), min_entropy, shannon_entropy."""
+    """Columns: sample_index, timestamp (ISO 8601 or empty), min_entropy, shannon_entropy.
+
+    The lines are what ``csv.writer`` would write: no field needs quoting,
+    and rows end in ``\\r\\n``.
+    """
+    lines = ["sample_index,timestamp,min_entropy,shannon_entropy\r\n"]
+    lines += [f"{i},{ts.isoformat() if ts else ''},{h_min!r},{h_sh!r}\r\n"
+              for i, ts, h_min, h_sh in zip(series.sample_indices, series.timestamps,
+                                            series.min_entropies, series.shannon_entropies)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "timestamp", "min_entropy", "shannon_entropy"])
-        for i, ts, h_min, h_sh in zip(series.sample_indices, series.timestamps,
-                                      series.min_entropies, series.shannon_entropies):
-            writer.writerow([i, ts.isoformat() if ts else "", repr(h_min), repr(h_sh)])
+        fh.write("".join(lines))
 
 
 def write_deviation_csv(series: DeviationSeries, path) -> None:
-    """Columns: bit_index, deviation."""
+    """Columns: bit_index, deviation (written as ``csv.writer`` would)."""
+    lines = ["bit_index,deviation\r\n"]
+    lines += [f"{i},{d!r}\r\n" for i, d in zip(series.bit_indices.tolist(),
+                                                series.deviations.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bit_index", "deviation"])
-        for i, d in zip(series.bit_indices, series.deviations):
-            writer.writerow([int(i), repr(float(d))])
+        fh.write("".join(lines))

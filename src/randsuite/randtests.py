@@ -28,7 +28,6 @@ from functools import cached_property, lru_cache, partial
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy import special as _sp
 
 from .bitseq import BitSequence, ones_before, pack_rows
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     PatternTooLong,
     SampleTooShort,
 )
-from .special import as_probability, erfc, upper_igamc
+from .special import as_probability, erfc, normal_cdf, upper_igamc
 
 __all__ = [
     "TestId",
@@ -553,10 +552,10 @@ def _cusum_pvalue(n: int, z: int) -> float:
     lo2 = math.floor((-n / z - 3) / 4)
     k1 = np.arange(lo1, hi + 1, dtype=np.float64)
     k2 = np.arange(lo2, hi + 1, dtype=np.float64)
-    term1 = (_sp.ndtr((4 * k1 + 1) * z / sqrt_n)
-             - _sp.ndtr((4 * k1 - 1) * z / sqrt_n)).sum() if k1.size else 0.0
-    term2 = (_sp.ndtr((4 * k2 + 3) * z / sqrt_n)
-             - _sp.ndtr((4 * k2 + 1) * z / sqrt_n)).sum() if k2.size else 0.0
+    term1 = (normal_cdf((4 * k1 + 1) * z / sqrt_n)
+             - normal_cdf((4 * k1 - 1) * z / sqrt_n)).sum() if k1.size else 0.0
+    term2 = (normal_cdf((4 * k2 + 3) * z / sqrt_n)
+             - normal_cdf((4 * k2 + 1) * z / sqrt_n)).sum() if k2.size else 0.0
     return 1.0 - float(term1) + float(term2)
 
 

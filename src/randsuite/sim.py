@@ -348,6 +348,12 @@ def write_experiment(plan: ExperimentPlan, out_dir,
 
     Each qubit directory holds one file per sample plus a ``manifest.json``
     declaring them.  Returns the manifest paths.
+
+    The manifest is the commit point: a qubit's old manifest is removed
+    before any of its sample files is rewritten, and the new one is written
+    last, through temp-and-rename.  A run that stops part-way leaves that
+    qubit without a manifest, never with one that declares missing or
+    partly written files.
     """
     if encoding not in _EXTENSIONS:
         raise ManifestError(f"unknown encoding {encoding!r}")
@@ -356,7 +362,9 @@ def write_experiment(plan: ExperimentPlan, out_dir,
     manifest_paths = []
     for sample_set in generate_experiment(plan):
         qubit_dir = out_dir / sample_set.source_id
+        manifest_path = qubit_dir / "manifest.json"
         qubit_dir.mkdir(parents=True, exist_ok=True)
+        manifest_path.unlink(missing_ok=True)
         entries = []
         for seq in sample_set:
             name = f"sample_{seq.sample_index:05d}.{ext}"
@@ -367,7 +375,6 @@ def write_experiment(plan: ExperimentPlan, out_dir,
         manifest = Manifest(declared_length=plan.shots_per_sample,
                             source_id=sample_set.source_id,
                             entries=tuple(entries), base_dir=qubit_dir)
-        manifest_path = qubit_dir / "manifest.json"
         save_manifest(manifest, manifest_path)
         manifest_paths.append(manifest_path)
     return manifest_paths

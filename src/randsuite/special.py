@@ -6,16 +6,23 @@ in the tail).  All p-value producers in this package go through
 :func:`as_probability`, which rejects out-of-range values instead of
 clamping them.
 
-:func:`erfc`, :func:`upper_igamc`, :func:`lower_igamc` and
-:func:`as_probability` take a float or an array: a float comes back as a
-float, an array as an array of the broadcast shape, with the same checks
+:func:`erfc`, :func:`upper_igamc`, :func:`lower_igamc`, :func:`normal_cdf`
+and :func:`as_probability` take a float or an array: a float comes back as
+a float, an array as an array of the broadcast shape, with the same checks
 applied to every element.
+
+This is the only module of the package that uses SciPy, and it imports
+``scipy.special`` on the first special-function call, not at import time.
+Loading it takes about 0.4 s, most of it SciPy's array-API layer pulling in
+``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``; commands that compute
+no p-value (``simulate``, ``entropy``) never pay for it.  A missing SciPy
+therefore surfaces as an ``ImportError`` at the first such call.
 """
 
 import math
+from functools import cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, NonFiniteInput
 
@@ -31,6 +38,13 @@ __all__ = [
 # Accumulated float roundoff in sums of CDF terms; anything farther outside
 # [0, 1] than this is treated as a bug, not noise.
 _P_SLACK = 1e-12
+
+
+@cache
+def _scipy_special():
+    """``scipy.special``, imported on first use."""
+    from scipy import special
+    return special
 
 
 def _first(values: np.ndarray, where: np.ndarray) -> float:
@@ -49,7 +63,7 @@ def erfc(z):
     finite = np.isfinite(z)
     if not finite.all():
         raise NonFiniteInput(f"erfc requires a finite argument, got {_first(z, ~finite)!r}")
-    return _result(_sp.erfc(z))
+    return _result(_scipy_special().erfc(z))
 
 
 def erfc_inv(p: float) -> float:
@@ -59,7 +73,7 @@ def erfc_inv(p: float) -> float:
         raise NonFiniteInput(f"erfc_inv requires a finite argument, got {p!r}")
     if not 0.0 < p < 2.0:
         raise DomainError(f"erfc_inv is defined on (0, 2), got {p!r}")
-    return float(_sp.erfcinv(p))
+    return float(_scipy_special().erfcinv(p))
 
 
 def _igamc_args(name: str, a, x):
@@ -82,20 +96,22 @@ def lower_igamc(a, x):
     :func:`upper_igamc` should be preferred when the interesting mass sits
     in the tail, to avoid cancellation in ``1 - P``.
     """
-    return _result(_sp.gammainc(*_igamc_args("lower_igamc", a, x)))
+    return _result(_scipy_special().gammainc(*_igamc_args("lower_igamc", a, x)))
 
 
 def upper_igamc(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    return _result(_sp.gammaincc(*_igamc_args("upper_igamc", a, x)))
+    return _result(_scipy_special().gammaincc(*_igamc_args("upper_igamc", a, x)))
 
 
-def normal_cdf(x: float) -> float:
+def normal_cdf(x):
     """Standard normal CDF, accurate in both tails."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"normal_cdf requires a finite argument, got {x!r}")
-    return float(_sp.ndtr(x))
+    x = np.asarray(x, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteInput(
+            f"normal_cdf requires a finite argument, got {_first(x, ~finite)!r}")
+    return _result(_scipy_special().ndtr(x))
 
 
 def as_probability(value, *, what: str = "p-value"):

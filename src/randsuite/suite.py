@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -274,9 +275,37 @@ def report_to_dict(report: SuiteReport) -> dict:
     }
 
 
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def _render_list(values: list) -> str:
+    """A list of numbers as ``json.dumps(..., indent=2)`` writes it at depth 3.
+
+    Each test's per-sample lists sit at that depth of report.json: items
+    indented by 8 spaces, the closing bracket by 6.
+    """
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
+
+
 def write_report_json(report: SuiteReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` plus a newline.
+
+    The encoder's indenting path is pure Python, so the per-sample lists,
+    nearly all of the file, are rendered with one join each and spliced in
+    where ``json.dumps`` wrote a placeholder string for them.  A float's
+    ``repr`` is what ``json.dumps`` writes for it.
+    """
+    doc = report_to_dict(report)
+    rendered = []
+    for entry in doc["tests"].values():
+        for key in ("p_values", "sample_indices"):
+            entry[key], values = f"\0{len(rendered)}", entry[key]
+            rendered.append(_render_list(values))
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _PLACEHOLDER.sub(lambda match: rendered[int(match.group(1))], text)
+    Path(path).write_text(text + "\n")
 
 
 def write_results_csv(report: SuiteReport, path) -> None:

@@ -4,6 +4,9 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +236,48 @@ def test_outputs_get_normal_file_mode(tmp_path):
     for name in ("report.json", "results.csv", "entropy_qubit-00.csv",
                  "deviation_qubit-00.csv", "band.json"):
         assert stat.S_IMODE((out / name).stat().st_mode) == sample_mode, name
+
+
+# Runs CLI commands in one fresh interpreter and prints, as its last line,
+# whether scipy was loaded after "import randsuite", after
+# "import randsuite.cli" and after each command.
+_SCIPY_PROBE = """
+import json, sys
+import randsuite
+loaded = ["scipy" in sys.modules]
+import randsuite.cli
+loaded.append("scipy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    assert randsuite.cli.main(argv) in (0, 1), argv
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyLoading:
+    """SciPy is imported by the first p-value, not by the package import."""
+
+    PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json"
+
+    @staticmethod
+    def probe(*commands):
+        env = dict(os.environ)
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_which_commands_load_scipy(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        manifests = [str(data / f"qubit-{q:02d}" / "manifest.json") for q in (0, 3)]
+        assert self.probe(
+            ["simulate", "--plan", str(self.PLAN), "--out", str(data)],
+            ["entropy", "--manifest", *manifests, "--out", str(out)],
+        ) == [False, False, False, False]
+        assert self.probe(
+            ["test", "--manifest", manifests[0], "--out", str(out)],
+        ) == [False, False, True]
+        assert self.probe(
+            ["stability", "--manifest", *manifests, "--out", str(out)],
+        ) == [False, False, True]

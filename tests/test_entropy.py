@@ -1,6 +1,9 @@
 """Entropy measures, entropy series, proportion band, deviation series."""
 
+import csv
+import io
 import math
+from datetime import datetime, timezone
 
 import mpmath as mp
 import numpy as np
@@ -236,3 +239,38 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bit_index,deviation"
         assert len(lines) == 5
+
+    def test_entropy_csv_bytes_equal_csv_writer(self, tmp_path):
+        # Simulated timestamps on rows 0-1, one with microseconds on row 2,
+        # None on the rest.
+        plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=6,
+                                shots_per_sample=100, master_seed=4)
+        samples = list(rs.generate_experiment(plan)[0])
+        samples[3:] = [BitSequence(s.asarray(), sample_index=s.sample_index)
+                       for s in samples[3:]]
+        samples[2] = BitSequence(samples[2].asarray(), sample_index=2,
+                                 timestamp=datetime(2020, 2, 29, 23, 59, 58, 123456,
+                                                    tzinfo=timezone.utc))
+        series = entropy_series(SampleSet(samples, source_id="s"))
+        assert series.timestamps[0] is not None and series.timestamps[-1] is None
+        path = tmp_path / "entropy.csv"
+        rs.write_entropy_csv(series, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["sample_index", "timestamp", "min_entropy", "shannon_entropy"])
+        for i, ts, h_min, h_sh in zip(series.sample_indices, series.timestamps,
+                                      series.min_entropies, series.shannon_entropies):
+            writer.writerow([i, ts.isoformat() if ts else "", repr(h_min), repr(h_sh)])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("n, stride", [(64, 16), (1001, 100), (8192 * 3 + 5, 8192)])
+    def test_deviation_csv_bytes_equal_csv_writer(self, tmp_path, random_bits, n, stride):
+        series = deviation_series(random_bits(n, seed=n, p1=0.55), stride=stride)
+        path = tmp_path / "dev.csv"
+        rs.write_deviation_csv(series, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["bit_index", "deviation"])
+        for i, d in zip(series.bit_indices, series.deviations):
+            writer.writerow([int(i), repr(float(d))])
+        assert path.read_bytes() == expected.getvalue().encode()

@@ -533,6 +533,26 @@ class TestPackedDomainKernels:
         for z in range(2, n + 1):
             assert _cusum_pvalue(n, z) == _cusum_pvalue.__wrapped__(n, z), z
 
+    @pytest.mark.parametrize("n", [100, 1001, 8192])
+    def test_cusum_pvalue_equals_scipy_ndtr_expression(self, n):
+        # The tail sums written against scipy.special.ndtr directly: pins the
+        # route through special.normal_cdf, which __wrapped__ shares.
+        from scipy.special import ndtr
+
+        def direct(n, z):
+            sqrt_n = math.sqrt(n)
+            hi = math.floor((n / z - 1) / 4)
+            k1 = np.arange(math.floor((-n / z + 1) / 4), hi + 1, dtype=np.float64)
+            k2 = np.arange(math.floor((-n / z - 3) / 4), hi + 1, dtype=np.float64)
+            term1 = (ndtr((4 * k1 + 1) * z / sqrt_n)
+                     - ndtr((4 * k1 - 1) * z / sqrt_n)).sum() if k1.size else 0.0
+            term2 = (ndtr((4 * k2 + 3) * z / sqrt_n)
+                     - ndtr((4 * k2 + 1) * z / sqrt_n)).sum() if k2.size else 0.0
+            return 1.0 - float(term1) + float(term2)
+
+        for z in sorted({2, 3, 7, n // 40, n // 10, n // 4, n // 3 + 1, n // 2, n - 1, n}):
+            assert _cusum_pvalue(n, z) == direct(n, z), z
+
     @pytest.mark.parametrize("n", [1001, 8192])
     def test_chunked_batch_equals_one_row_calls(self, n):
         # Two full chunks and a short third; the workspace is reused by all.

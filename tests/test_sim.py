@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import stat
 from datetime import timedelta
 
 import numpy as np
@@ -254,3 +256,38 @@ class TestPlans:
         regenerated = generate_experiment(plan)[0]
         assert all(a == b for a, b in zip(loaded, regenerated))
         assert loaded[0].timestamp == regenerated[0].timestamp
+
+    def test_write_experiment_commits_with_the_manifest(self, tmp_path, monkeypatch):
+        plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=3,
+                                shots_per_sample=64, master_seed=6)
+        clean = rs.write_experiment(plan, tmp_path / "clean")
+        out = tmp_path / "out"
+        manifest = rs.write_experiment(rs.with_seed(plan, 7), out)[0]
+        assert manifest.is_file()
+
+        calls = []
+
+        def fail_on_second(seq, encoding):
+            calls.append(seq.sample_index)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return rs.bitseq.serialize_bits(seq, encoding)
+
+        monkeypatch.setattr(rs.sim, "serialize_bits", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            rs.write_experiment(plan, out)
+        # The old manifest is gone, so it cannot declare the half-written set.
+        assert not manifest.exists()
+        assert not list(manifest.parent.glob("manifest.json*"))
+        monkeypatch.undo()
+
+        umask = os.umask(0o027)
+        try:
+            rerun = rs.write_experiment(plan, out)
+        finally:
+            os.umask(umask)
+        for clean_path, rerun_path in zip(clean, rerun):
+            for name in sorted(p.name for p in clean_path.parent.iterdir()):
+                assert ((rerun_path.parent / name).read_bytes()
+                        == (clean_path.parent / name).read_bytes()), name
+            assert stat.S_IMODE(rerun_path.stat().st_mode) == 0o666 & ~0o027

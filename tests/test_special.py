@@ -138,6 +138,14 @@ class TestNormalCdf:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
             normal_cdf(math.nan)
+        with pytest.raises(NonFiniteInput, match="inf"):
+            normal_cdf(np.array([0.0, -math.inf]))
+
+    def test_array_matches_scalar_calls(self):
+        xs = np.linspace(-9.0, 9.0, 36).reshape(4, -1)
+        out = normal_cdf(xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert out.ravel().tolist() == [normal_cdf(x) for x in xs.ravel().tolist()]
 
 
 class TestAsProbability:

@@ -2,11 +2,13 @@
 
 import csv
 import io
+import json
 
 import pytest
 
 import randsuite as rs
 from randsuite import (
+    ALL_TESTS,
     SampleSet,
     SuiteConfig,
     TestId,
@@ -213,6 +215,19 @@ class TestReportSerialization:
         assert first[0] == "frequency"
         assert first[1] == "0"
         assert first[4] in ("True", "False")
+
+    @pytest.mark.parametrize("num_samples, tests", [
+        (60, ALL_TESTS),                                       # uniformity blocks
+        (12, ALL_TESTS),                                       # m < 55: none
+        (57, (TestId.RUNS, TestId.FREQUENCY, TestId.CUSUM_BACKWARD)),
+    ])
+    def test_report_json_bytes_equal_json_dumps(self, tmp_path, num_samples, tests):
+        report = run_suite(small_experiment(num_samples=num_samples),
+                           SuiteConfig(tests=tests))
+        path = tmp_path / "report.json"
+        rs.write_report_json(report, path)
+        expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
 
     def test_csv_bytes_equal_csv_writer(self, tmp_path):
         # The rows as csv.writer writes them, with its default \r\n line ends.
