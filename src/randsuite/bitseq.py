@@ -400,6 +400,9 @@ class Manifest:
             if e.path in paths:
                 raise ManifestError(f"duplicate path {e.path!r} in manifest")
             paths.add(e.path)
+            if e.sample_index < 0:
+                raise ManifestError(f"sample_index must be >= 0, got {e.sample_index} "
+                                    f"for {e.path!r}")
             if e.sample_index in indices:
                 raise DuplicateIndex(f"duplicate sample_index {e.sample_index} in manifest")
             indices.add(e.sample_index)

@@ -166,7 +166,7 @@ class _Workspace:
     ``scratch`` holds 8 bytes per bit of the largest chunk and serves, in
     turn, as the spectral test's float64 input and moduli and as
     approximate entropy's intp pattern keys; ``spectrum`` holds the chunk's
-    real FFT.  Fresh multi-MB temporaries per chunk would be
+    Fourier coefficients.  Fresh multi-MB temporaries per chunk would be
     faulted in page by page every time.  Each buffer is allocated when a
     kernel first asks for it; a kernel is done with it when it returns.
     """
@@ -181,7 +181,7 @@ class _Workspace:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return np.empty((self.rows, self.n // 2 + 1), dtype=np.complex128)
+        return np.empty(self.rows * _spectrum_width(self.n), dtype=np.complex128)
 
 
 class _Rows:
@@ -457,20 +457,127 @@ def _dft_threshold(n: int) -> float:
     return math.sqrt(n * math.log(1.0 / 0.05))
 
 
+# Samples of at least this many bits take the four-step transform (Bailey,
+# "FFTs in external or hierarchical memory", 1990): one transform of n
+# points becomes about 1.5 sqrt(n) transforms of about sqrt(n) points, whose
+# data stay in cache.  Below it the single real FFT is as fast or faster.
+_FOUR_STEP_MIN_N = 1 << 17
+
+# Relative distance from the threshold within which a four-step modulus
+# might fall on the other side of it than the single transform's modulus
+# of the same bin.  The two differ by about 1e-12 at n = 2^20, where the
+# half threshold is about 443.
+_FOUR_STEP_GUARD = 1e-9
+
+
+def _four_step_split(n: int) -> int | None:
+    """n2 of the four-step split n = n1 * n2, or None for the single transform.
+
+    n2 is the even divisor of n nearest sqrt(n) for which n1 and n2 are
+    both at least 64.
+    """
+    if n < _FOUR_STEP_MIN_N:
+        return None
+    small = np.arange(1, math.isqrt(n) + 1)
+    small = small[n % small == 0]
+    divisors = np.concatenate([small, n // small])
+    usable = divisors[(divisors % 2 == 0) & (np.minimum(divisors, n // divisors) >= 64)]
+    return min(usable.tolist(), key=lambda d: (abs(d - math.sqrt(n)), d), default=None)
+
+
+def _spectrum_width(n: int) -> int:
+    """Complex values per row that the spectral test's transform writes."""
+    n2 = _four_step_split(n)
+    return n // 2 + 1 if n2 is None else (n2 // 2 + 1) * (n // n2)
+
+
+@lru_cache(maxsize=2)
+def _twiddles(n: int, n1: int) -> np.ndarray:
+    """Read-only W_n^(c*b) = exp(-2 pi i c b / n) for c = 0..n2/2, b = 0..n1-1."""
+    table = np.empty((n // n1 // 2 + 1, n1), dtype=np.complex128)
+    angle = table.real
+    # Each c * b < n is an exact float64.
+    np.multiply.outer(np.arange(len(table), dtype=np.float64),
+                      np.arange(n1, dtype=np.float64), out=angle)
+    angle *= -2.0 * math.pi / n
+    np.sin(angle, out=table.imag)
+    np.cos(angle, out=angle)
+    table.flags.writeable = False
+    return table
+
+
+def _dft_direct(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
+    """Each row's moduli below ``limit`` in bins 0..floor(n/2)-1, from one real FFT."""
+    r, n = bits.shape
+    half = n // 2
+    x = _as_buffer(work.scratch, np.float64, (r, n))
+    np.subtract(bits, 0.5, out=x)
+    spectrum = np.fft.rfft(x, axis=1,
+                           out=_as_buffer(work.spectrum, np.complex128, (r, half + 1)))
+    moduli = _as_buffer(work.scratch, np.float64, (r, half))
+    np.abs(spectrum[:, :half], out=moduli)
+    # The spectrum is spent; its memory takes the comparison.
+    below = _as_buffer(work.spectrum, np.bool_, (r, half))
+    np.less(moduli, limit, out=below)
+    return np.count_nonzero(below, axis=1)
+
+
+def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
+                   n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_dft_direct`'s counts by the four-step transform, and the rows
+    with a modulus too close to ``limit`` for the count to be trusted.
+
+    With j = b + n1 * a and k = c + n2 * d, the row viewed as an (n2, n1)
+    array is transformed along a (rows c = 0..n2/2 of a real input),
+    multiplied by W_n^(c*b) and transformed along b in place: row c then
+    holds X[c + n2 * d].  Rows n2/2+1..n2-1 hold the conjugates of rows
+    n2/2-1..1, so those count twice and rows 0 and n2/2 once: ``full``
+    counts all n bins.  X_0 and X_{n/2} are their own conjugates and every
+    other bin pairs with one in 1..n/2-1, so full is [X_0] + [X_{n/2}] plus
+    twice the count over 1..n/2-1, and (full + [X_0]) // 2 is the count
+    over 0..n/2-1.
+    """
+    r, n = bits.shape
+    n1 = n // n2
+    x = _as_buffer(work.scratch, np.float64, (r, n))
+    np.subtract(bits, 0.5, out=x)
+    spectrum = _as_buffer(work.spectrum, np.complex128, (r, n2 // 2 + 1, n1))
+    np.fft.rfft(x.reshape(r, n2, n1), axis=1, out=spectrum)
+    spectrum *= _twiddles(n, n1)
+    np.fft.fft(spectrum, axis=2, out=spectrum)
+    moduli = _as_buffer(work.scratch, np.float64, spectrum.shape)
+    np.abs(spectrum, out=moduli)
+    below = _as_buffer(work.spectrum, np.bool_, spectrum.shape)
+    # Count below the lower edge of the guard band; the count below its
+    # upper edge differs only where a modulus lies inside it.
+    low, high = (1.0 - _FOUR_STEP_GUARD) * limit, (1.0 + _FOUR_STEP_GUARD) * limit
+    np.less(moduli, high, out=below)
+    upper = np.count_nonzero(below, axis=(1, 2))
+    np.less(moduli, low, out=below)
+    lower = np.count_nonzero(below, axis=(1, 2))
+    full = (2 * lower - np.count_nonzero(below[:, 0], axis=1)
+            - np.count_nonzero(below[:, -1], axis=1))
+    return (full + (moduli[:, 0, 0] < low)) // 2, upper != lower
+
+
+def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
+    """:func:`_dft_direct`'s counts, by the four-step transform where n allows."""
+    n2 = _four_step_split(bits.shape[1])
+    if n2 is None:
+        return _dft_direct(bits, work, limit)
+    n_obs, unsure = _dft_four_step(bits, work, limit, n2)
+    if unsure.any():
+        # The single transform rebuilds these rows' input, which the
+        # four-step moduli overwrote.
+        n_obs[unsure] = _dft_direct(bits[unsure], work, limit)
+    return n_obs
+
+
 def _dft_count(rows: _Rows, params: TestParams) -> dict:
     # The bits are mapped to +/-1/2 rather than +/-1.  Halving is exact in
     # binary floating point, so every modulus is exactly half of its +/-1
     # value and is compared with exactly half the threshold.
-    r, n, half = len(rows.packed), rows.n, rows.n // 2
-    x = _as_buffer(rows.work.scratch, np.float64, (r, n))
-    np.subtract(rows.bits, 0.5, out=x)
-    spectrum = np.fft.rfft(x, axis=1, out=rows.work.spectrum[:r])
-    moduli = _as_buffer(rows.work.scratch, np.float64, (r, half))
-    np.abs(spectrum[:, :half], out=moduli)
-    # The spectrum is spent; its memory takes the comparison.
-    below = _as_buffer(rows.work.spectrum, np.bool_, (r, half))
-    np.less(moduli, 0.5 * _dft_threshold(n), out=below)
-    return {"n_obs": np.count_nonzero(below, axis=1)}
+    return {"n_obs": _dft_n_obs(rows.bits, rows.work, 0.5 * _dft_threshold(rows.n))}
 
 
 def _dft_finish(values: dict, n: int, params: TestParams):

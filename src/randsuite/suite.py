@@ -75,6 +75,11 @@ class ProportionBand:
         return self.lower < proportion <= self.upper
 
 
+def _check_band_coefficient(coefficient: float) -> None:
+    if not (math.isfinite(coefficient) and coefficient > 0.0):
+        raise DomainError(f"band coefficient must be finite and > 0, got {coefficient}")
+
+
 def proportion_band(alpha: float, m: int, coefficient: float = 3.0) -> ProportionBand:
     """Acceptance band for the proportion of passed samples.
 
@@ -85,8 +90,7 @@ def proportion_band(alpha: float, m: int, coefficient: float = 3.0) -> Proportio
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     if m < 1:
         raise DomainError(f"sample count must be >= 1, got {m}")
-    if coefficient <= 0.0:
-        raise DomainError(f"band coefficient must be > 0, got {coefficient}")
+    _check_band_coefficient(coefficient)
     halfwidth = coefficient * math.sqrt(alpha * (1.0 - alpha) / m)
     return ProportionBand(center=1.0 - alpha, halfwidth=halfwidth,
                           coefficient=coefficient, sample_count=m)
@@ -132,6 +136,9 @@ class SuiteConfig:
             raise DomainError("at least one test must be selected")
         if len(set(tests)) != len(tests):
             raise DomainError("duplicate test ids in selection")
+        _check_band_coefficient(self.band_coefficient)
+        if not 0.0 < self.uniformity_alpha < 1.0:
+            raise DomainError(f"uniformity_alpha must be in (0, 1), got {self.uniformity_alpha}")
         object.__setattr__(self, "tests", tests)
 
 

@@ -238,6 +238,11 @@ class TestManifest:
                      entries=(ManifestEntry("a.txt", "ascii01", 0),
                               ManifestEntry("b.txt", "ascii01", 0)))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ManifestError, match="sample_index"):
+            Manifest(declared_length=8, source_id="src",
+                     entries=(ManifestEntry("a.txt", "ascii01", -1),))
+
     def test_duplicate_path_rejected(self):
         with pytest.raises(ManifestError):
             Manifest(declared_length=8, source_id="src",

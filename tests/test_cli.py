@@ -195,6 +195,24 @@ class TestUsageErrors:
                      "--tests", ""])
         self._assert_usage_error(code, capsys)
 
+    @pytest.mark.parametrize("coefficient", ["nan", "inf"])
+    def test_band_coefficient_not_finite(self, tmp_path, capsys, coefficient):
+        manifest = write_single_sequence_manifest(tmp_path, "f", "01" * 64)
+        code = main(["test", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--band-coefficient", coefficient])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_sample_index(self, tmp_path, capsys):
+        (tmp_path / "f.txt").write_text("01" * 64)
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": 128, "source_id": "s",
+            "entries": [{"path": "f.txt", "encoding": "ascii01", "sample_index": -1}]}))
+        code = main(["test", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--no-min-length-enforcement"])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_entry_outside_its_directory(self, tmp_path, capsys):
         (tmp_path / "outside.txt").write_text("01" * 64)
         d = tmp_path / "source"
@@ -213,7 +231,7 @@ class TestUsageErrors:
         rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
                                       shots_per_sample=64), plan_path)
         doc = json.loads(plan_path.read_text())
-        doc["qubits"][0]["qubit_id"] = 25
+        doc["qubits"][0]["qubit_id"] = -1
         plan_path.write_text(json.dumps(doc))
         code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
         self._assert_usage_error(code, capsys)

@@ -441,7 +441,7 @@ def assert_batch_matches_single(sample_set, params, tests=tuple(TestId)):
 class TestBatchKernels:
     """The suite's batch rows equal the single-sequence results exactly."""
 
-    @pytest.mark.parametrize("n", [128, 1000, 1001, 8191, 8192, 40000])
+    @pytest.mark.parametrize("n", [128, 1000, 1001, 8191, 8192, 40000, 1 << 20])
     def test_batch_rows_equal_single_sequence(self, n):
         sample_set, per_chunk = equivalence_set(n)
         report = assert_batch_matches_single(sample_set, RELAXED)
@@ -571,7 +571,10 @@ class TestPackedDomainKernels:
                     if isinstance(value, np.ndarray):
                         assert single.params[key] == value[i].tolist(), (test_id, key, i)
 
-    @pytest.mark.parametrize("n", [1000, 1001, 8192])
+    # Up to the four-step cutoff, from it, at 2^20 and 10^6 (n1 = 1024 and
+    # 1000), and at 144000 = 375 * 384 (odd n1).
+    @pytest.mark.parametrize("n", [1000, 1001, 8192, R._FOUR_STEP_MIN_N - 1,
+                                   R._FOUR_STEP_MIN_N, 144000, 1 << 20, 10 ** 6])
     def test_half_scale_spectrum_counts_equal_unit_scale(self, n):
         rng = np.random.Generator(np.random.PCG64(n + 2))
         rows = (rng.random((8, n)) < rng.uniform(0.3, 0.7, (8, 1))).astype(np.uint8)
@@ -582,3 +585,29 @@ class TestPackedDomainKernels:
         expected = np.count_nonzero(moduli < math.sqrt(n * math.log(20.0)), axis=1)
         samples = [BitSequence(r) for r in rows]
         assert np.array_equal(R._dft_count(chunk_rows(samples, n), RELAXED)["n_obs"], expected)
+
+    @pytest.mark.parametrize("n,n2", [(R._FOUR_STEP_MIN_N - 2, None), (1 << 17, 256),
+                                      (1 << 20, 1024), (10 ** 6, 1000), (144000, 384),
+                                      (2 * 3 ** 11, 486), (2 * 131101, None)])
+    def test_four_step_split(self, n, n2):
+        # The even divisor nearest sqrt(n) with both factors >= 64; 131101 is prime.
+        assert R._four_step_split(n) == n2
+
+    @pytest.mark.parametrize("n", [R._FOUR_STEP_MIN_N, 144000])
+    def test_four_step_guard_recounts_at_the_threshold(self, n, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(n + 3))
+        bits = (rng.random((3, n)) < 0.5).astype(np.uint8)
+        moduli = np.abs(np.fft.rfft(bits - 0.5, axis=1)[:, :n // 2])
+        # The limit is one of row 1's moduli, so its four-step count could
+        # differ from the single transform's by that one bin.
+        limit = moduli[1, n // 7]
+        direct, recounted = R._dft_direct, []
+
+        def spy(rows, work, limit):
+            recounted.append(len(rows))
+            return direct(rows, work, limit)
+
+        monkeypatch.setattr(R, "_dft_direct", spy)
+        n_obs = R._dft_n_obs(bits, R._Workspace(3, n), limit)
+        assert n_obs.tolist() == np.count_nonzero(moduli < limit, axis=1).tolist()
+        assert recounted == [1]

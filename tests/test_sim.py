@@ -72,7 +72,7 @@ class TestEffectiveBias:
         with pytest.raises(ValueError):
             QubitNoiseModel(qubit_id=0, epochs=(Epoch(0, 0.5), Epoch(0, 0.4)))
         with pytest.raises(ValueError):
-            QubitNoiseModel(qubit_id=99, epochs=(Epoch(0, 0.5),))
+            QubitNoiseModel(qubit_id=-1, epochs=(Epoch(0, 0.5),))
         with pytest.raises(ValueError):
             Epoch(0, 1.5)
         with pytest.raises(ValueError):
@@ -256,6 +256,17 @@ class TestPlans:
         regenerated = generate_experiment(plan)[0]
         assert all(a == b for a, b in zip(loaded, regenerated))
         assert loaded[0].timestamp == regenerated[0].timestamp
+
+    def test_qubit_ids_past_19(self, tmp_path):
+        plan = ExperimentPlan(qubit_models=(fair_model(qubit_id=25),),
+                              samples_per_qubit=3, shots_per_sample=64, master_seed=6)
+        rs.save_plan(plan, tmp_path / "plan.json")
+        assert rs.load_plan(tmp_path / "plan.json") == plan
+        manifest = rs.write_experiment(plan, tmp_path / "out")[0]
+        assert manifest == tmp_path / "out" / "qubit-25" / "manifest.json"
+        loaded = rs.load_sample_set(rs.load_manifest(manifest))
+        assert loaded.source_id == "qubit-25"
+        assert all(a == b for a, b in zip(loaded, generate_experiment(plan)[0]))
 
     def test_write_experiment_commits_with_the_manifest(self, tmp_path, monkeypatch):
         plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=3,

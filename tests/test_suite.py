@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,17 @@ class TestProportionBand:
             proportion_band(0.0, 100)
         with pytest.raises(DomainError):
             proportion_band(0.01, 0)
+        for coefficient in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                proportion_band(0.01, 100, coefficient)
+
+    @pytest.mark.parametrize("knobs", [
+        {"band_coefficient": math.nan}, {"band_coefficient": math.inf},
+        {"band_coefficient": 0.0}, {"uniformity_alpha": math.nan},
+        {"uniformity_alpha": 5.0}, {"uniformity_alpha": 0.0}, {"uniformity_alpha": 1.0}])
+    def test_suite_config_domain_checks(self, knobs):
+        with pytest.raises(DomainError):
+            SuiteConfig(**knobs)
 
 
 class TestUniformityCheck:
