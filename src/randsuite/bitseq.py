@@ -374,7 +374,8 @@ class Manifest:
     ``base_dir`` anchors the entry paths; :func:`load_manifest` sets it to
     the manifest file's directory.  An entry path must stay below it: an
     absolute path or a ``..`` component raises
-    :class:`~randsuite.errors.ManifestError`.
+    :class:`~randsuite.errors.ManifestError`.  So does a ``source_id`` that
+    contains ``/`` or NUL, since output file names are built from it.
     """
 
     declared_length: int
@@ -387,6 +388,9 @@ class Manifest:
         object.__setattr__(self, "base_dir", Path(self.base_dir))
         if self.declared_length <= 0:
             raise ManifestError(f"declared_length must be positive, got {self.declared_length}")
+        if "/" in self.source_id or "\0" in self.source_id:
+            raise ManifestError(f"source_id {self.source_id!r} may not contain '/' or NUL: "
+                                f"it names output files")
         paths = set()
         indices = set()
         for e in self.entries:
@@ -417,21 +421,38 @@ def _parse_timestamp(value):
     return ts
 
 
+def read_json(path, what: str):
+    """Parse the JSON document at ``path``; ``what`` names it in the error message.
+
+    Text that is not UTF-8 (or UTF-16/32) or not JSON raises
+    :class:`~randsuite.errors.ManifestError`.
+    """
+    path = Path(path)
+    try:
+        return json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string raises ManifestError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ManifestError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> Manifest:
     """Read a manifest JSON file; entry paths resolve against its directory."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "manifest")
     try:
         entries = tuple(
             ManifestEntry(path=e["path"], encoding=e["encoding"],
-                          sample_index=int(e["sample_index"]),
+                          sample_index=json_int(e["sample_index"], "sample_index"),
                           timestamp=_parse_timestamp(e.get("timestamp")))
             for e in doc["entries"]
         )
-        return Manifest(declared_length=int(doc["declared_length"]),
+        return Manifest(declared_length=json_int(doc["declared_length"], "declared_length"),
                         source_id=str(doc["source_id"]),
                         entries=entries, base_dir=path.parent)
     except (KeyError, TypeError, ValueError) as exc:
@@ -447,22 +468,24 @@ def _new_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def atomic_write(path: Path, write_fn) -> None:
-    """Call ``write_fn`` on a temp file in the same directory, then rename it to ``path``.
+def atomic_write(path, text: str) -> None:
+    """Commit ``text`` to ``path``: write a temp file beside it, then rename it into place.
 
-    The temp file is created private (0600); it gets the normal new-file
-    mode before the rename, so outputs match files written in place.
+    Readers see the old file or the whole new one, never a part of it.  The
+    temp file is created private (0600) and gets the normal new-file mode
+    before the rename, so outputs match files written in place.  The text is
+    written as UTF-8 with no newline translation.
     """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
     try:
-        write_fn(tmp)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -477,8 +500,7 @@ def save_manifest(manifest: Manifest, path) -> None:
             for e in manifest.entries
         ],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    atomic_write(Path(path), lambda p: Path(p).write_text(text))
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_sample_set(manifest: Manifest) -> SampleSet:

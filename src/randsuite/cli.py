@@ -9,9 +9,11 @@ stability  ones-deviation series plus the acceptable-proportion band; writes
            deviation_<source>.csv and band.json
 simulate   generate sample files plus manifests from a plan file
 
-Exit codes: 0 pass, 1 statistical failure, 2 usage or I/O error.  Reports
-are byte-identical across runs for identical inputs; timestamps come from
-input metadata, never the wall clock.
+Exit codes: 0 pass, 1 statistical failure, 2 usage or input error, an
+invalid manifest or plan included.  Reports are byte-identical across runs
+for identical inputs; timestamps come from input metadata, never the wall
+clock.  Every output is written atomically, except simulate's sample files:
+their commit point is the manifest written after them.
 """
 
 from __future__ import annotations
@@ -60,14 +62,16 @@ def _suite_config(args) -> SuiteConfig:
                        band_coefficient=args.band_coefficient)
 
 
+def _load(manifest_path):
+    return load_sample_set(load_manifest(manifest_path))
+
+
 def cmd_test(args) -> int:
     config = _suite_config(args)
-    manifest = load_manifest(args.manifest[0])
-    sample_set = load_sample_set(manifest)
-    report = run_suite(sample_set, config)
+    report = run_suite(_load(args.manifest[0]), config)
     out = Path(args.out)
-    atomic_write(out / "report.json", lambda p: write_report_json(report, p))
-    atomic_write(out / "results.csv", lambda p: write_results_csv(report, p))
+    write_report_json(report, out / "report.json")
+    write_results_csv(report, out / "results.csv")
     for test_id in report.config.tests:
         agg = report.per_test[test_id]
         uni = ("uniformity_p=%.6f %s" % (agg.uniformity_p,
@@ -84,10 +88,9 @@ def cmd_test(args) -> int:
 def cmd_entropy(args) -> int:
     out = Path(args.out)
     for manifest_path in args.manifest:
-        manifest = load_manifest(manifest_path)
-        series = entropy_series(load_sample_set(manifest))
+        series = entropy_series(_load(manifest_path))
         target = out / f"entropy_{series.source_id}.csv"
-        atomic_write(target, lambda p, s=series: write_entropy_csv(s, p))
+        write_entropy_csv(series, target)
         print(f"{series.source_id}: {len(series)} points -> {target}")
     return EXIT_PASS
 
@@ -102,12 +105,10 @@ def cmd_stability(args) -> int:
     }
     all_inside = True
     for manifest_path in args.manifest:
-        manifest = load_manifest(manifest_path)
-        sample_set = load_sample_set(manifest)
-        joined = concat_chronological(sample_set)
+        joined = concat_chronological(_load(manifest_path))
         series = deviation_series(joined, stride=args.stride)
         target = out / f"deviation_{series.source_id}.csv"
-        atomic_write(target, lambda p, s=series: write_deviation_csv(s, p))
+        write_deviation_csv(series, target)
         lower, upper = proportion_band_for_length(joined.n, args.alpha)
         proportion = joined.count_ones() / joined.n
         inside = lower < proportion < upper
@@ -122,9 +123,7 @@ def cmd_stability(args) -> int:
         print(f"{series.source_id}: proportion={proportion:.6f} "
               f"band=({lower:.6f}, {upper:.6f}) "
               f"{'ok' if inside else 'OUT OF BAND'} -> {target}")
-    atomic_write(out / "band.json",
-                  lambda p: Path(p).write_text(
-                      json.dumps(band_summary, indent=2, sort_keys=True) + "\n"))
+    atomic_write(out / "band.json", json.dumps(band_summary, indent=2, sort_keys=True) + "\n")
     return EXIT_PASS if all_inside else EXIT_STATISTICAL_FAIL
 
 
@@ -144,19 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Statistical randomness testing and noisy-qubit simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, manifests):
-        if manifests == 1:
-            p.add_argument("--manifest", required=True, nargs=1,
-                           help="manifest JSON file")
-        else:
-            p.add_argument("--manifest", required=True, nargs="+",
-                           help="one or more manifest JSON files")
+    def add_common(p, nargs):
+        p.add_argument("--manifest", required=True, nargs=nargs, help="manifest JSON file(s)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--alpha", type=float, default=0.01,
-                       help="per-sample significance level (default 0.01)")
 
     p_test = sub.add_parser("test", help="run the test suite over a manifest")
-    add_common(p_test, manifests=1)
+    add_common(p_test, 1)
     p_test.add_argument("--band-coefficient", type=float, default=3.0,
                         help="proportion-band width coefficient (default 3.0)")
     p_test.add_argument("--tests", default="all",
@@ -171,14 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(fn=cmd_test)
 
     p_entropy = sub.add_parser("entropy", help="per-sample entropy series")
-    add_common(p_entropy, manifests="+")
+    add_common(p_entropy, "+")
     p_entropy.set_defaults(fn=cmd_entropy)
 
     p_stab = sub.add_parser("stability", help="ones-deviation series and proportion band")
-    add_common(p_stab, manifests="+")
+    add_common(p_stab, "+")
     p_stab.add_argument("--stride", type=int, default=8192,
                         help="bits between deviation points (default 8192)")
     p_stab.set_defaults(fn=cmd_stability)
+
+    for p in (p_test, p_stab):
+        p.add_argument("--alpha", type=float, default=0.01,
+                       help="per-sample significance level (default 0.01)")
 
     p_sim = sub.add_parser("simulate", help="generate sample files from a plan")
     p_sim.add_argument("--plan", required=True, help="experiment plan JSON file")

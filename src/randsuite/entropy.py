@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .bitseq import BitSequence, SampleSet, ones_before, pack_rows
+from .bitseq import BitSequence, SampleSet, atomic_write, ones_before, pack_rows
 from .errors import DomainError, EmptySequence, EmptySet
 from .special import erfc_inv
 
@@ -149,8 +148,7 @@ def write_entropy_csv(series: EntropySeries, path) -> None:
     lines += [f"{i},{ts.isoformat() if ts else ''},{h_min!r},{h_sh!r}\r\n"
               for i, ts, h_min, h_sh in zip(series.sample_indices, series.timestamps,
                                             series.min_entropies, series.shannon_entropies)]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def write_deviation_csv(series: DeviationSeries, path) -> None:
@@ -158,5 +156,4 @@ def write_deviation_csv(series: DeviationSeries, path) -> None:
     lines = ["bit_index,deviation\r\n"]
     lines += [f"{i},{d!r}\r\n" for i, d in zip(series.bit_indices.tolist(),
                                                 series.deviations.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    atomic_write(path, "".join(lines))

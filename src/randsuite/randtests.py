@@ -343,41 +343,12 @@ def _runs_finish(values: dict, n: int, params: TestParams):
     return v_obs, p, {"n": n, "proportion_of_ones": pi, "prerequisite_ok": ok}
 
 
-def _byte_table(fn) -> np.ndarray:
-    return np.array([fn(format(b, "08b")) for b in range(256)], dtype=np.int64)
-
-
-# Ones at the start, at the end, and in the longest run of each byte value
-# (most significant bit first).
-_LEADING_ONES = _byte_table(lambda s: len(s) - len(s.lstrip("1")))
-_TRAILING_ONES = _byte_table(lambda s: len(s) - len(s.rstrip("1")))
-_LONGEST_ONES = _byte_table(lambda s: max(map(len, s.split("0"))))
-
-
-def _longest_runs(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 2-D array of packed bytes."""
-    count, width = blocks.shape
-    within = _LONGEST_ONES[blocks].max(axis=1)
-    # A run that crosses a byte boundary ends in the leading ones of a byte
-    # j (j = width stands for the end of the row) and starts in the
-    # trailing ones of the last byte before j that is not 0xFF; every byte
-    # between them is 0xFF.
-    col = np.arange(width + 1)
-    last_partial = np.maximum.accumulate(np.where(blocks == 0xFF, -1, col[:-1]), axis=1)
-    start = np.concatenate([np.full((count, 1), -1), last_partial], axis=1)
-    trailing = np.concatenate([np.zeros((count, 1), np.int64), _TRAILING_ONES[blocks]], axis=1)
-    leading = np.concatenate([_LEADING_ONES[blocks], np.zeros((count, 1), np.int64)], axis=1)
-    crossing = (np.take_along_axis(trailing, start + 1, axis=1)
-                + 8 * (col - 1 - start) + leading)
-    return np.maximum(within, crossing.max(axis=1))
-
-
 def longest_run_of_ones(block: BitSequence) -> int:
     """Length of the longest maximal run of ones; 0 for all-zero or empty."""
-    if block.n == 0:
-        return 0
-    # The padding bits are zero, so they never extend a run of ones.
-    return int(_longest_runs(block.packed[None, :])[0])
+    # With a zero on each side, the bit changes alternate between the start
+    # of a run and the position after its end.
+    edges = np.flatnonzero(np.diff(np.pad(block.asarray(), 1)))
+    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 # Block size selection and reference class probabilities for the

@@ -29,6 +29,9 @@ from .bitseq import (
     Manifest,
     ManifestEntry,
     SampleSet,
+    atomic_write,
+    json_int,
+    read_json,
     save_manifest,
     serialize_bits,
 )
@@ -296,12 +299,13 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
     try:
         models = tuple(
             QubitNoiseModel(
-                qubit_id=int(q["qubit_id"]),
-                epochs=tuple(Epoch(int(e["start_sample"]), float(e["p1_state"]),
+                qubit_id=json_int(q["qubit_id"], "qubit_id"),
+                epochs=tuple(Epoch(json_int(e["start_sample"], "start_sample"),
+                                   float(e["p1_state"]),
                                    float(e.get("eps01", 0.0)), float(e.get("eps10", 0.0)))
                              for e in q["epochs"]),
-                anomaly=(Anomaly(int(q["anomaly"]["start_sample"]),
-                                 int(q["anomaly"]["stop_sample"]),
+                anomaly=(Anomaly(json_int(q["anomaly"]["start_sample"], "start_sample"),
+                                 json_int(q["anomaly"]["stop_sample"], "stop_sample"),
                                  float(q["anomaly"]["p1_override"]))
                          if "anomaly" in q else None),
             )
@@ -310,9 +314,9 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
         start = doc.get("start_time")
         return ExperimentPlan(
             qubit_models=models,
-            samples_per_qubit=int(doc["samples_per_qubit"]),
-            shots_per_sample=int(doc["shots_per_sample"]),
-            master_seed=int(doc["master_seed"]),
+            samples_per_qubit=json_int(doc["samples_per_qubit"], "samples_per_qubit"),
+            shots_per_sample=json_int(doc["shots_per_sample"], "shots_per_sample"),
+            master_seed=json_int(doc["master_seed"], "master_seed"),
             start_time=(datetime.fromisoformat(start.replace("Z", "+00:00"))
                         if start else DEFAULT_START_TIME),
             sample_interval_s=float(doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S)),
@@ -322,16 +326,11 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"plan {path} is not valid JSON: {exc}") from exc
-    return plan_from_dict(doc)
+    return plan_from_dict(read_json(path, "plan"))
 
 
 def save_plan(plan: ExperimentPlan, path) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n")
 
 
 def with_seed(plan: ExperimentPlan, master_seed: int) -> ExperimentPlan:

@@ -13,11 +13,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .bitseq import SampleSet
+from .bitseq import SampleSet, atomic_write
 from .errors import DomainError, EmptySet, SampleTooShort, TooFewSamples
 from .randtests import (
     ALL_TESTS,
@@ -312,7 +311,7 @@ def write_report_json(report: SuiteReport, path) -> None:
             rendered.append(_render_list(values))
     text = json.dumps(doc, indent=2, sort_keys=True)
     text = _PLACEHOLDER.sub(lambda match: rendered[int(match.group(1))], text)
-    Path(path).write_text(text + "\n")
+    atomic_write(path, text + "\n")
 
 
 def write_results_csv(report: SuiteReport, path) -> None:
@@ -329,5 +328,4 @@ def write_results_csv(report: SuiteReport, path) -> None:
                   for idx, statistic, p_value, passed in zip(
                       agg.sample_indices, agg.statistics.tolist(),
                       agg.p_values.tolist(), agg.passed.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    atomic_write(path, "".join(lines))

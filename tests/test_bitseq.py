@@ -1,12 +1,15 @@
 """Bit-sequence parsing, serialization, sample sets, and manifests."""
 
 import json
+import os
+import stat
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import randsuite as rs
 from randsuite import (
     BitSequence,
     Manifest,
@@ -295,6 +298,57 @@ class TestManifest:
         path.write_text(json.dumps({"source_id": "x"}))
         with pytest.raises(ManifestError):
             load_manifest(path)
+        path.write_bytes(b'\xff{"source_id": "x"}')
+        with pytest.raises(ManifestError, match="not valid JSON"):
+            load_manifest(path)
+
+
+WRITERS = ["write_report_json", "write_results_csv", "write_entropy_csv",
+           "write_deviation_csv", "save_manifest", "save_plan"]
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """Each public writer bound to a small output of its kind: path -> None."""
+    plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=4, shots_per_sample=1024,
+                            master_seed=5)
+    [sample_set] = rs.generate_experiment(plan)
+    report = rs.run_suite(sample_set)
+    series = rs.entropy_series(sample_set)
+    deviation = rs.deviation_series(concat_chronological(sample_set))
+    manifest = Manifest(declared_length=8, source_id="s",
+                        entries=(ManifestEntry("a.txt", "ascii01", 0),))
+    return {
+        "write_report_json": lambda path: rs.write_report_json(report, path),
+        "write_results_csv": lambda path: rs.write_results_csv(report, path),
+        "write_entropy_csv": lambda path: rs.write_entropy_csv(series, path),
+        "write_deviation_csv": lambda path: rs.write_deviation_csv(deviation, path),
+        "save_manifest": lambda path: save_manifest(manifest, path),
+        "save_plan": lambda path: rs.save_plan(plan, path),
+    }
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_commits_atomically_with_normal_mode(tmp_path, monkeypatch, writers, name):
+    path = tmp_path / "out" / "file"
+    old_umask = os.umask(0o022)
+    try:
+        writers[name](path)
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert os.listdir(path.parent) == ["file"]
+
+    path.write_bytes(b"previous contents\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        writers[name](path)
+    assert path.read_bytes() == b"previous contents\n"
+    assert os.listdir(path.parent) == ["file"]
 
 
 class TestOnesBefore:

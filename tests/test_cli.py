@@ -236,6 +236,52 @@ class TestUsageErrors:
         code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
         self._assert_usage_error(code, capsys)
 
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_non_integer_sample_index(self, tmp_path, capsys, value):
+        (tmp_path / "f.txt").write_text("01" * 64)
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": 128, "source_id": "s",
+            "entries": [{"path": "f.txt", "encoding": "ascii01", "sample_index": value}]}))
+        code = main(["test", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--no-min-length-enforcement"])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("samples_per_qubit", 2.5),
+                                           ("master_seed", "7"), ("qubit_id", True)])
+    def test_non_integer_plan_value(self, tmp_path, capsys, key, value):
+        plan_path = tmp_path / "plan.json"
+        rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
+                                      shots_per_sample=64), plan_path)
+        doc = json.loads(plan_path.read_text())
+        (doc["qubits"][0] if key == "qubit_id" else doc)[key] = value
+        plan_path.write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["entropy", "stability"])
+    def test_source_id_cannot_leave_the_output_directory(self, tmp_path, capsys, command):
+        d = tmp_path / "a" / "b"
+        d.mkdir(parents=True)
+        (d / "f.txt").write_text("01" * 64)
+        (d / "manifest.json").write_text(json.dumps({
+            "declared_length": 128, "source_id": "x/../../escaped",
+            "entries": [{"path": "f.txt", "encoding": "ascii01", "sample_index": 0}]}))
+        code = main([command, "--manifest", str(d / "manifest.json"), "--out", str(d / "out")])
+        self._assert_usage_error(code, capsys)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "f.txt",
+                                                               "manifest.json"]
+
+    def test_entropy_takes_no_alpha(self, tmp_path, capsys):
+        manifest = write_single_sequence_manifest(tmp_path, "f", "01" * 64)
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                  "--alpha", "5"])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def test_outputs_get_normal_file_mode(tmp_path):
     old_umask = os.umask(0o022)

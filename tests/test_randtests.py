@@ -135,6 +135,8 @@ class TestLongestRun:
         assert longest_run_of_ones(bits("0" * 5 + "1" * 20 + "0" * 7)) == 20
         assert longest_run_of_ones(bits("1" * 17)) == 17
         assert longest_run_of_ones(bits("0000000111111110")) == 8
+        assert longest_run_of_ones(BitSequence(np.ones(10**6, np.uint8))) == 10**6
+        assert longest_run_of_ones(BitSequence([])) == 0
 
     def test_worked_example_statistic(self):
         chi2 = longest_run_statistic((6, 10, 10, 7, 7, 9), 128)
