@@ -194,10 +194,8 @@ def _decode(raw: bytes, encoding: str) -> tuple[np.ndarray, int]:
     raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
 
-def _padding_per_unit(encoding: str) -> int:
-    # Max zero-padding bits an encoder may append: a byte for packed-msb,
-    # a nibble for hex, nothing for ascii01.
-    return {"ascii01": 0, "packed-msb": 7, "hex": 3}[encoding]
+# Zero bits an encoder may pad a stream with: up to a byte or a nibble.
+_PADDING_PER_UNIT = {"ascii01": 0, "packed-msb": 7, "hex": 3}
 
 
 def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
@@ -235,7 +233,7 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
         raise EmptyInput(f"no bits decoded from {encoding} input")
     if length is not None:
         pad = n - length
-        if pad < 0 or pad > _padding_per_unit(encoding):
+        if pad < 0 or pad > _PADDING_PER_UNIT[encoding]:
             raise LengthMismatch(
                 f"decoded {n} bits but {length} were declared",
                 declared=length, actual=n)

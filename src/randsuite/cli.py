@@ -106,10 +106,10 @@ def cmd_stability(args) -> int:
     all_inside = True
     for manifest_path in args.manifest:
         joined = concat_chronological(_load(manifest_path))
+        lower, upper = proportion_band_for_length(joined.n, args.alpha)
         series = deviation_series(joined, stride=args.stride)
         target = out / f"deviation_{series.source_id}.csv"
         write_deviation_csv(series, target)
-        lower, upper = proportion_band_for_length(joined.n, args.alpha)
         proportion = joined.count_ones() / joined.n
         inside = lower < proportion < upper
         all_inside = all_inside and inside

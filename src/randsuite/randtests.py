@@ -167,21 +167,13 @@ class _Workspace:
     turn, as the spectral test's float64 input and moduli and as
     approximate entropy's intp pattern keys; ``spectrum`` holds the chunk's
     Fourier coefficients.  Fresh multi-MB temporaries per chunk would be
-    faulted in page by page every time.  Each buffer is allocated when a
-    kernel first asks for it; a kernel is done with it when it returns.
+    faulted in page by page every time.  ``np.empty`` writes nothing, so a
+    buffer that no selected kernel touches never has a page faulted in.
     """
 
     def __init__(self, rows: int, n: int):
-        self.rows = rows
-        self.n = n
-
-    @cached_property
-    def scratch(self) -> np.ndarray:
-        return np.empty(self.rows * self.n, dtype=np.float64)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        return np.empty(self.rows * _spectrum_width(self.n), dtype=np.complex128)
+        self.scratch = np.empty(rows * n, dtype=np.float64)
+        self.spectrum = np.empty(rows * _spectrum_width(n), dtype=np.complex128)
 
 
 class _Rows:
@@ -252,16 +244,6 @@ def _accumulator(n: int):
     return np.int64
 
 
-def _check_length(test_id: TestId, n: int, params: TestParams) -> None:
-    min_n = MIN_LENGTH[test_id]
-    if params.enforce_min_length and n < min_n:
-        raise SampleTooShort(
-            f"{test_id.value} needs at least {min_n} bits, got {n}",
-            min_length=min_n, actual=n)
-    if n == 0:
-        raise EmptySequence(f"{test_id.value} needs a non-empty sequence")
-
-
 def _check(test_id: TestId, n: int, params: TestParams) -> None:
     """Raise the error a test gives for n-bit samples under ``params``, if any."""
     if test_id is TestId.LONGEST_RUN:
@@ -272,7 +254,12 @@ def _check(test_id: TestId, n: int, params: TestParams) -> None:
                 f"longest_run needs at least 128 bits (no block size is defined "
                 f"below that), got {n}", min_length=128, actual=n)
         return
-    _check_length(test_id, n, params)
+    min_n = MIN_LENGTH[test_id]
+    if params.enforce_min_length and n < min_n:
+        raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits, got {n}",
+                             min_length=min_n, actual=n)
+    if n == 0:
+        raise EmptySequence(f"{test_id.value} needs a non-empty sequence")
     if test_id is TestId.BLOCK_FREQUENCY and params.block_size_m > n:
         raise BlockTooLarge(f"block size {params.block_size_m} exceeds sequence length {n}")
     if test_id is TestId.APPROX_ENTROPY:
@@ -561,23 +548,14 @@ def _dft_finish(values: dict, n: int, params: TestParams):
 
 
 def _phi(counts: np.ndarray, n: int) -> np.ndarray:
-    """Sum of (count/n) * ln(count/n) over the observed patterns of each row.
+    """Sum of (count/n) * ln(count/n) over the patterns of each row, 0 * ln 0 := 0.
 
-    Rows are grouped by which patterns they observed, so that each row's
-    sum runs over the same contiguous terms, in the same order, as a
-    one-row call: the float result does not depend on the other rows.
+    That is the sum over the observed patterns (NIST SP 800-22, 2.12).  A
+    row's sum depends on that row alone, so a one-row call gives the same
+    float as any batch that holds the row.
     """
-    phi = np.empty(len(counts))
-    observed = counts > 0
-    # One key per row: its observed-pattern mask, packed into bytes.
-    keys = np.packbits(observed, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    for i, row in enumerate(first):
-        members = group.ravel() == i
-        freq = np.ascontiguousarray(counts[members][:, observed[row]]) / n
-        phi[members] = (freq * np.log(freq)).sum(axis=1)
-    return phi
+    freq = counts / n
+    return (freq * np.log(freq, out=np.zeros_like(freq), where=counts > 0)).sum(axis=1)
 
 
 def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:

@@ -206,6 +206,14 @@ class ExperimentPlan:
         ids = [m.qubit_id for m in self.qubit_models]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate qubit_id in plan")
+        interval = self.sample_interval_s
+        if not (math.isfinite(interval) and interval >= 0.0):
+            raise DomainError(f"sample_interval_s must be finite and >= 0, got {interval}")
+        try:
+            self.start_time + (self.samples_per_qubit - 1) * timedelta(seconds=interval)
+        except OverflowError as exc:
+            raise DomainError(f"sample_interval_s {interval} puts the last sample's "
+                              f"timestamp out of range") from exc
 
 
 def generate_experiment(plan: ExperimentPlan) -> list[SampleSet]:
@@ -312,6 +320,8 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
             for q in doc["qubits"]
         )
         start = doc.get("start_time")
+        if start is not None and not isinstance(start, str):
+            raise ManifestError(f"start_time must be an ISO 8601 string, got {start!r}")
         return ExperimentPlan(
             qubit_models=models,
             samples_per_qubit=json_int(doc["samples_per_qubit"], "samples_per_qubit"),

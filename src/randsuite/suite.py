@@ -181,17 +181,16 @@ class SuiteReport:
 def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Apply the full three-step protocol to one sample set.
 
-    The result is independent of sample order: all aggregation is keyed by
-    sample_index.  With fewer than 55 samples the uniformity step is
-    skipped and the verdict rests on the proportion step alone.
+    The result is independent of sample order: a SampleSet holds its samples
+    in sample_index order.  With fewer than 55 samples the uniformity step
+    is skipped and the verdict rests on the proportion step alone.
     """
     if len(sample_set) == 0:
         raise EmptySet("cannot run the suite on an empty sample set")
     m = len(sample_set)
-    samples = sorted(sample_set, key=lambda s: s.sample_index)
-    indices = tuple(s.sample_index for s in samples)
+    indices = tuple(s.sample_index for s in sample_set)
     try:
-        batches = run_batch(samples, config.tests, config.params)
+        batches = run_batch(sample_set, config.tests, config.params)
     except SampleTooShort as exc:
         # Every sample has the same length, so the first one fails first.
         raise SampleTooShort(

@@ -260,6 +260,31 @@ class TestUsageErrors:
         self._assert_usage_error(code, capsys)
         assert not (tmp_path / "out").exists()
 
+    # 1e12 s is a valid timedelta, but three samples end past the year 9999.
+    @pytest.mark.parametrize("key,value", [("start_time", 5),
+                                           ("sample_interval_s", float("nan")),
+                                           ("sample_interval_s", -1.0),
+                                           ("sample_interval_s", 1e300),
+                                           ("sample_interval_s", 1e12)])
+    def test_bad_plan_time(self, tmp_path, capsys, key, value):
+        plan_path = tmp_path / "plan.json"
+        rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=3,
+                                      shots_per_sample=64), plan_path)
+        doc = json.loads(plan_path.read_text())
+        doc[key] = value
+        plan_path.write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option,value", [("--alpha", "5"), ("--stride", "0")])
+    def test_stability_rejects_before_writing(self, tmp_path, capsys, option, value):
+        manifest = write_single_sequence_manifest(tmp_path, "f", "01" * 64)
+        code = main(["stability", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     option, value])
+        self._assert_usage_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["entropy", "stability"])
     def test_source_id_cannot_leave_the_output_directory(self, tmp_path, capsys, command):
         d = tmp_path / "a" / "b"
