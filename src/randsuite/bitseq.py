@@ -432,11 +432,23 @@ def read_json(path, what: str):
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a bool, float or string raises ManifestError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ManifestError(f"{what} must be an integer, got {value!r}")
-    return value
+# kind -> (the types json.loads gives for it, its name in messages)
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string")}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` as ``kind`` (int, float or str) if it is that JSON type, else ManifestError.
+
+    A bool is no number, and an integer is a float only if it fits in one.
+    """
+    accepted, name = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ManifestError(f"{what} must be {name}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ManifestError(f"{what} is out of a float's range") from None
 
 
 def load_manifest(path) -> Manifest:
@@ -446,12 +458,13 @@ def load_manifest(path) -> Manifest:
     try:
         entries = tuple(
             ManifestEntry(path=e["path"], encoding=e["encoding"],
-                          sample_index=json_int(e["sample_index"], "sample_index"),
+                          sample_index=json_value(e["sample_index"], int, "sample_index"),
                           timestamp=_parse_timestamp(e.get("timestamp")))
             for e in doc["entries"]
         )
-        return Manifest(declared_length=json_int(doc["declared_length"], "declared_length"),
-                        source_id=str(doc["source_id"]),
+        return Manifest(declared_length=json_value(doc["declared_length"], int,
+                                                   "declared_length"),
+                        source_id=json_value(doc["source_id"], str, "source_id"),
                         entries=entries, base_dir=path.parent)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ManifestError | DuplicateIndex):

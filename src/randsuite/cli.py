@@ -10,7 +10,9 @@ stability  ones-deviation series plus the acceptable-proportion band; writes
 simulate   generate sample files plus manifests from a plan file
 
 Exit codes: 0 pass, 1 statistical failure, 2 usage or input error, an
-invalid manifest or plan included.  Reports are byte-identical across runs
+invalid manifest or plan included.  Every command reads all of its inputs and
+checks every option before it writes its first file, so a command that exits
+2 on bad input leaves --out as it was.  Reports are byte-identical across runs
 for identical inputs; timestamps come from input metadata, never the wall
 clock.  Every output is written atomically, except simulate's sample files:
 their commit point is the manifest written after them.
@@ -31,7 +33,7 @@ from .entropy import (
     write_deviation_csv,
     write_entropy_csv,
 )
-from .errors import RandsuiteError
+from .errors import ManifestError, RandsuiteError
 from .randtests import ALL_TESTS, TestId, TestParams
 from .sim import load_plan, with_seed, write_experiment
 from .suite import SuiteConfig, run_suite, write_report_json, write_results_csv
@@ -46,12 +48,7 @@ EXIT_ERROR = 2
 def _parse_tests(selection: str) -> tuple[TestId, ...]:
     if selection == "all":
         return ALL_TESTS
-    names = [s.strip() for s in selection.split(",") if s.strip()]
-    try:
-        return tuple(TestId(name) for name in names)
-    except ValueError:
-        valid = ", ".join(t.value for t in ALL_TESTS)
-        raise RandsuiteError(f"unknown test in --tests {selection!r}; valid ids: {valid}")
+    return tuple(TestId(s.strip()) for s in selection.split(",") if s.strip())
 
 
 def _suite_config(args) -> SuiteConfig:
@@ -62,13 +59,22 @@ def _suite_config(args) -> SuiteConfig:
                        band_coefficient=args.band_coefficient)
 
 
-def _load(manifest_path):
-    return load_sample_set(load_manifest(manifest_path))
+def _analyse(args, analyse) -> list:
+    """``analyse`` of each ``--manifest`` source in order, one sample set alive at a time;
+    every manifest is read, and a repeated ``source_id`` rejected, before any sample file."""
+    manifests = [load_manifest(path) for path in args.manifest]
+    ids = [manifest.source_id for manifest in manifests]
+    for later, source_id in enumerate(ids):
+        if (first := ids.index(source_id)) < later:
+            raise ManifestError(f"{args.manifest[first]} and {args.manifest[later]} both "
+                                f"declare source_id {source_id!r}")
+    manifests.reverse()  # popped in argument order: each is freed once its samples load
+    return [analyse(load_sample_set(manifests.pop())) for _ in ids]
 
 
 def cmd_test(args) -> int:
     config = _suite_config(args)
-    report = run_suite(_load(args.manifest[0]), config)
+    [report] = _analyse(args, lambda sample_set: run_suite(sample_set, config))
     out = Path(args.out)
     write_report_json(report, out / "report.json")
     write_results_csv(report, out / "results.csv")
@@ -87,44 +93,37 @@ def cmd_test(args) -> int:
 
 def cmd_entropy(args) -> int:
     out = Path(args.out)
-    for manifest_path in args.manifest:
-        series = entropy_series(_load(manifest_path))
+    for series in _analyse(args, entropy_series):
         target = out / f"entropy_{series.source_id}.csv"
         write_entropy_csv(series, target)
         print(f"{series.source_id}: {len(series)} points -> {target}")
     return EXIT_PASS
 
 
+def _deviation(args, sample_set):
+    """One source's deviation series and its ``band.json`` row."""
+    joined = concat_chronological(sample_set)
+    lower, upper = proportion_band_for_length(joined.n, args.alpha)
+    proportion = joined.count_ones() / joined.n
+    return deviation_series(joined, stride=args.stride), {
+        "n": joined.n, "proportion_of_ones": proportion, "band_lower": lower,
+        "band_upper": upper, "inside": lower < proportion < upper}
+
+
 def cmd_stability(args) -> int:
     out = Path(args.out)
-    band_summary = {
-        "alpha": args.alpha,
-        "band_convention": "derived by inverting the frequency test: "
-                           "|p - 1/2| <= sqrt(2)*erfc_inv(alpha)/(2*sqrt(n))",
-        "sources": {},
-    }
-    all_inside = True
-    for manifest_path in args.manifest:
-        joined = concat_chronological(_load(manifest_path))
-        lower, upper = proportion_band_for_length(joined.n, args.alpha)
-        series = deviation_series(joined, stride=args.stride)
+    results = _analyse(args, lambda sample_set: _deviation(args, sample_set))
+    for series, row in results:
         target = out / f"deviation_{series.source_id}.csv"
         write_deviation_csv(series, target)
-        proportion = joined.count_ones() / joined.n
-        inside = lower < proportion < upper
-        all_inside = all_inside and inside
-        band_summary["sources"][series.source_id] = {
-            "n": joined.n,
-            "proportion_of_ones": proportion,
-            "band_lower": lower,
-            "band_upper": upper,
-            "inside": inside,
-        }
-        print(f"{series.source_id}: proportion={proportion:.6f} "
-              f"band=({lower:.6f}, {upper:.6f}) "
-              f"{'ok' if inside else 'OUT OF BAND'} -> {target}")
+        print(f"{series.source_id}: proportion={row['proportion_of_ones']:.6f} "
+              f"band=({row['band_lower']:.6f}, {row['band_upper']:.6f}) "
+              f"{'ok' if row['inside'] else 'OUT OF BAND'} -> {target}")
+    band_summary = {"alpha": args.alpha, "sources": {s.source_id: row for s, row in results},
+                    "band_convention": "derived by inverting the frequency test: "
+                                       "|p - 1/2| <= sqrt(2)*erfc_inv(alpha)/(2*sqrt(n))"}
     atomic_write(out / "band.json", json.dumps(band_summary, indent=2, sort_keys=True) + "\n")
-    return EXIT_PASS if all_inside else EXIT_STATISTICAL_FAIL
+    return EXIT_PASS if all(row["inside"] for _, row in results) else EXIT_STATISTICAL_FAIL
 
 
 def cmd_simulate(args) -> int:

@@ -60,7 +60,16 @@ __all__ = [
 ]
 
 
-class TestId(str, Enum):
+class _Choice(str, Enum):
+    """A string enum whose unknown values raise DomainError, naming the valid ones."""
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(member.value for member in cls)
+        raise DomainError(f"{value!r} is not a valid {cls.__name__}; valid values: {valid}")
+
+
+class TestId(_Choice):
     __test__ = False  # keep pytest from collecting this as a test class
 
     FREQUENCY = "frequency"
@@ -76,7 +85,7 @@ class TestId(str, Enum):
         return self.value
 
 
-class CusumMode(str, Enum):
+class CusumMode(_Choice):
     FORWARD = "forward"
     BACKWARD = "backward"
 

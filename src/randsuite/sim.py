@@ -30,7 +30,7 @@ from .bitseq import (
     ManifestEntry,
     SampleSet,
     atomic_write,
-    json_int,
+    json_value,
     read_json,
     save_manifest,
     serialize_bits,
@@ -307,29 +307,30 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
     try:
         models = tuple(
             QubitNoiseModel(
-                qubit_id=json_int(q["qubit_id"], "qubit_id"),
-                epochs=tuple(Epoch(json_int(e["start_sample"], "start_sample"),
-                                   float(e["p1_state"]),
-                                   float(e.get("eps01", 0.0)), float(e.get("eps10", 0.0)))
+                qubit_id=json_value(q["qubit_id"], int, "qubit_id"),
+                epochs=tuple(Epoch(json_value(e["start_sample"], int, "start_sample"),
+                                   json_value(e["p1_state"], float, "p1_state"),
+                                   json_value(e.get("eps01", 0.0), float, "eps01"),
+                                   json_value(e.get("eps10", 0.0), float, "eps10"))
                              for e in q["epochs"]),
-                anomaly=(Anomaly(json_int(q["anomaly"]["start_sample"], "start_sample"),
-                                 json_int(q["anomaly"]["stop_sample"], "stop_sample"),
-                                 float(q["anomaly"]["p1_override"]))
+                anomaly=(Anomaly(json_value(q["anomaly"]["start_sample"], int, "start_sample"),
+                                 json_value(q["anomaly"]["stop_sample"], int, "stop_sample"),
+                                 json_value(q["anomaly"]["p1_override"], float, "p1_override"))
                          if "anomaly" in q else None),
             )
             for q in doc["qubits"]
         )
         start = doc.get("start_time")
-        if start is not None and not isinstance(start, str):
-            raise ManifestError(f"start_time must be an ISO 8601 string, got {start!r}")
+        start = None if start is None else json_value(start, str, "start_time")
         return ExperimentPlan(
             qubit_models=models,
-            samples_per_qubit=json_int(doc["samples_per_qubit"], "samples_per_qubit"),
-            shots_per_sample=json_int(doc["shots_per_sample"], "shots_per_sample"),
-            master_seed=json_int(doc["master_seed"], "master_seed"),
+            samples_per_qubit=json_value(doc["samples_per_qubit"], int, "samples_per_qubit"),
+            shots_per_sample=json_value(doc["shots_per_sample"], int, "shots_per_sample"),
+            master_seed=json_value(doc["master_seed"], int, "master_seed"),
             start_time=(datetime.fromisoformat(start.replace("Z", "+00:00"))
                         if start else DEFAULT_START_TIME),
-            sample_interval_s=float(doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S)),
+            sample_interval_s=json_value(doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S),
+                                         float, "sample_interval_s"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"plan document is malformed: {exc}") from exc

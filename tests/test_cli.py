@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 import stat
@@ -12,6 +13,8 @@ import pytest
 
 import randsuite as rs
 from randsuite.cli import main
+
+DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json"
 
 
 def write_single_sequence_manifest(tmp_path, name, sequence):
@@ -173,6 +176,17 @@ class TestSimulatePipeline:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.fixture(scope="module")
+def desk_data(tmp_path_factory):
+    """The desk plan simulated once, plus qubit-01's samples declared as source qubit-00."""
+    data = tmp_path_factory.mktemp("desk")
+    assert main(["simulate", "--plan", str(DESK_PLAN), "--out", str(data)]) == 0
+    doc = json.loads((data / "qubit-01" / "manifest.json").read_text())
+    doc["source_id"] = "qubit-00"
+    (data / "qubit-01" / "as_qubit-00.json").write_text(json.dumps(doc))
+    return data
+
+
 class TestUsageErrors:
     """Bad arguments and plans exit 2 with a message, never a traceback."""
 
@@ -247,14 +261,24 @@ class TestUsageErrors:
         self._assert_usage_error(code, capsys)
         assert not (tmp_path / "out").exists()
 
+    # Plan integers that are not JSON integers, plan numbers that are not JSON
+    # numbers, and integers too large for a float.
     @pytest.mark.parametrize("key,value", [("samples_per_qubit", 2.5),
-                                           ("master_seed", "7"), ("qubit_id", True)])
+                                           ("master_seed", "7"), ("qubit_id", True),
+                                           ("p1_state", "0.5"), ("eps01", True),
+                                           ("eps10", "0"), ("p1_override", True),
+                                           ("sample_interval_s", "746"),
+                                           pytest.param("p1_state", 10 ** 400,
+                                                        id="p1_state-10**400"),
+                                           pytest.param("sample_interval_s", 10 ** 400,
+                                                        id="sample_interval_s-10**400")])
     def test_non_integer_plan_value(self, tmp_path, capsys, key, value):
         plan_path = tmp_path / "plan.json"
-        rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
-                                      shots_per_sample=64), plan_path)
+        rs.save_plan(rs.biased_demo_plan(num_qubits=1, samples_per_qubit=2,
+                                         shots_per_sample=64, anomaly_qubit=0), plan_path)
         doc = json.loads(plan_path.read_text())
-        (doc["qubits"][0] if key == "qubit_id" else doc)[key] = value
+        qubit = doc["qubits"][0]
+        next(d for d in (doc, qubit, qubit["epochs"][0], qubit["anomaly"]) if key in d)[key] = value
         plan_path.write_text(json.dumps(doc))
         code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
         self._assert_usage_error(code, capsys)
@@ -285,18 +309,36 @@ class TestUsageErrors:
         self._assert_usage_error(code, capsys)
         assert not (tmp_path / "out").exists()
 
+    # source_id names the output files, so it must be a string without "/".
+    @pytest.mark.parametrize("source_id", ["x/../../escaped", None, 5, ["a"], True])
     @pytest.mark.parametrize("command", ["entropy", "stability"])
-    def test_source_id_cannot_leave_the_output_directory(self, tmp_path, capsys, command):
+    def test_source_id_cannot_leave_the_output_directory(self, tmp_path, capsys, command,
+                                                         source_id):
         d = tmp_path / "a" / "b"
         d.mkdir(parents=True)
         (d / "f.txt").write_text("01" * 64)
         (d / "manifest.json").write_text(json.dumps({
-            "declared_length": 128, "source_id": "x/../../escaped",
+            "declared_length": 128, "source_id": source_id,
             "entries": [{"path": "f.txt", "encoding": "ascii01", "sample_index": 0}]}))
         code = main([command, "--manifest", str(d / "manifest.json"), "--out", str(d / "out")])
         self._assert_usage_error(code, capsys)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "f.txt",
                                                                "manifest.json"]
+
+    # Every manifest is read, and the source ids compared, before the first write.
+    @pytest.mark.parametrize("later", ["not_json", "repeated_source_id"])
+    @pytest.mark.parametrize("command", ["entropy", "stability"])
+    def test_bad_later_manifest_writes_nothing(self, tmp_path, capsys, desk_data, command,
+                                               later):
+        second = desk_data / "qubit-01" / "as_qubit-00.json"
+        if later == "not_json":
+            second = tmp_path / "bad.json"
+            second.write_text("{")
+        out = tmp_path / "out"
+        code = main([command, "--manifest", str(desk_data / "qubit-00" / "manifest.json"),
+                     str(second), "--out", str(out)])
+        self._assert_usage_error(code, capsys)
+        assert not out.exists()
 
     def test_entropy_takes_no_alpha(self, tmp_path, capsys):
         manifest = write_single_sequence_manifest(tmp_path, "f", "01" * 64)
@@ -327,6 +369,64 @@ def test_outputs_get_normal_file_mode(tmp_path):
         assert stat.S_IMODE((out / name).stat().st_mode) == sample_mode, name
 
 
+def _sha256(paths):
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+# Recorded from the code before the commands shared one manifest-reading driver.
+OUTPUT_PINS = {
+    "data/qubit-00/manifest.json":
+        "88d0c8910e66a921c17a580be116cb1b3d0c6234ee7a4afd108e143cf2e323d4",
+    "data/qubit-00/sample_*": "93dfaf6cfcad74c753cf4dd400602d9185be75dc835d5f2e449dfc0714bc7e1f",
+    "data/qubit-01/manifest.json":
+        "39a65caa6d1706d762b766f0b343868e757f2eaf3458357d4b9fdad86369414d",
+    "data/qubit-01/sample_*": "9398d7cc77abe2ad7e2a464d07d77702ed92e41d73c404be83a59ee4da01646b",
+    "out/band.json": "40a77f6951ea0286ef7c3561020019f8487b4f8944ebadda4e40309692f521ce",
+    "out/deviation_qubit-00.csv":
+        "845430b81742f7118f7594f1a356e8343364e5c860d0cd9cbfcce8bb28005443",
+    "out/deviation_qubit-01.csv":
+        "cae0307857b4e209e65c0156b247e1e9044bc71a301c183e3d119243bb37f883",
+    "out/entropy_qubit-00.csv": "3992d7ae166d5024dbd884b642d60c15b7c7296e23db49de7384fad014001122",
+    "out/entropy_qubit-01.csv": "e5fd40bedf1e5d995c5ff82b6aa35fe342cea8809d2ee71ac060f3c40805476f",
+    "out/qubit-00/report.json": "2ba8491819197a823cf385e8e5cba5b425becdfc7dacd2baf1fafc3889e7fa72",
+    "out/qubit-00/results.csv": "dd64eb331349df9fbb77ed80d619af6d74be93d3ac88ba020dd5b7ad0ae9a5cc",
+    "out/qubit-01/report.json": "68f1d0cf4605a90dda7bc607ba7aebda93d87679f5da78c0af6416791c218395",
+    "out/qubit-01/results.csv": "e968ae0950e5ee10873d4b86a06f5845718c8b415c32702a341ae944ae1a3d93",
+    "plan.json": "f4cb8c3f8a264c74576d13dcfa992eadd7585993371da7ce68ffec45e78839d1",
+    "stdout": "c7ea84862392f58069a86b6874267d866b9fff03842810bed116cc71e18589b5",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path, capsys):
+    """simulate, test, entropy and stability write the pinned bytes and print the pinned text.
+
+    1001-bit samples take the padding and unpacking paths of the packed
+    encoding and of concat_chronological.  A deliberate change to an output
+    format updates these pins and records the change in CHANGES.md.
+    """
+    plan = rs.biased_demo_plan(num_qubits=2, samples_per_qubit=60, shots_per_sample=1001,
+                               anomaly_qubit=1)
+    rs.save_plan(plan, tmp_path / "plan.json")
+    data, out = tmp_path / "data", tmp_path / "out"
+    codes = [main(["simulate", "--plan", str(tmp_path / "plan.json"), "--out", str(data)])]
+    manifests = [str(data / f"qubit-0{q}" / "manifest.json") for q in (0, 1)]
+    codes += [main(["test", "--manifest", m, "--out", str(out / Path(m).parent.name)])
+              for m in manifests]
+    codes += [main([command, "--manifest", *manifests, "--out", str(out)])
+              for command in ("entropy", "stability")]
+    assert codes == [0, 1, 1, 0, 1]
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    digests = {str(p.relative_to(tmp_path)): _sha256([p])
+               for p in tmp_path.rglob("*") if p.is_file() and not p.name.startswith("sample_")}
+    for q in (0, 1):
+        digests[f"data/qubit-0{q}/sample_*"] = _sha256(sorted(data.glob(f"qubit-0{q}/sample_*")))
+    digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == OUTPUT_PINS
+
+
 # Runs CLI commands in one fresh interpreter and prints, as its last line,
 # whether scipy was loaded after "import randsuite", after
 # "import randsuite.cli" and after each command.
@@ -346,8 +446,6 @@ print(json.dumps(loaded))
 class TestScipyLoading:
     """SciPy is imported by the first p-value, not by the package import."""
 
-    PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json"
-
     @staticmethod
     def probe(*commands):
         env = dict(os.environ)
@@ -361,7 +459,7 @@ class TestScipyLoading:
         data, out = tmp_path / "data", tmp_path / "out"
         manifests = [str(data / f"qubit-{q:02d}" / "manifest.json") for q in (0, 3)]
         assert self.probe(
-            ["simulate", "--plan", str(self.PLAN), "--out", str(data)],
+            ["simulate", "--plan", str(DESK_PLAN), "--out", str(data)],
             ["entropy", "--manifest", *manifests, "--out", str(out)],
         ) == [False, False, False, False]
         assert self.probe(

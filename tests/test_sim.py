@@ -5,6 +5,7 @@ import math
 import os
 import stat
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from randsuite import (
     min_entropy,
 )
 from randsuite.errors import IndexOutOfRange
+from randsuite.sim import plan_from_dict, plan_to_dict
 
 
 def fair_model(qubit_id=0):
@@ -236,6 +238,20 @@ class TestPlans:
         path = tmp_path / "plan.json"
         rs.save_plan(plan, path)
         assert rs.load_plan(path) == plan
+
+    @pytest.mark.parametrize("name", ["biased_20q_anomalous", "desk_biased_5q", "unbiased_20q"])
+    def test_committed_plans_round_trip(self, tmp_path, name):
+        committed = Path(__file__).resolve().parents[1] / "plans" / f"{name}.json"
+        rs.save_plan(rs.load_plan(committed), tmp_path / "plan.json")
+        assert (tmp_path / "plan.json").read_bytes() == committed.read_bytes()
+
+    def test_integer_plan_numbers_are_numbers(self, tmp_path):
+        doc = plan_to_dict(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2))
+        doc["qubits"][0]["epochs"][0].update(p1_state=1, eps01=0)
+        doc["sample_interval_s"] = 60
+        plan = plan_from_dict(doc)
+        assert plan.qubit_models[0].epochs[0] == Epoch(0, 1.0, 0.0)
+        assert plan.sample_interval_s == 60.0
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

@@ -187,10 +187,15 @@ class TestRunSuite:
             run_suite(sample_set, SuiteConfig(tests=(TestId.FREQUENCY,)))
         assert err.value.sample_index == 7
 
-    def test_tests_selection_respected(self):
+    def test_tests_selection_respected(self, bits):
         report = run_suite(small_experiment(),
                            SuiteConfig(tests=(TestId.RUNS, TestId.CUSUM_FORWARD)))
         assert list(report.per_test) == [TestId.RUNS, TestId.CUSUM_FORWARD]
+        seq = bits("01" * 64)
+        for unknown in (lambda: SuiteConfig(tests=("bogus",)), lambda: rs.run_test("bogus", seq),
+                        lambda: rs.cusum_test(seq, "sideways")):
+            with pytest.raises(DomainError, match="valid values: "):
+                unknown()
 
     def test_579_sample_threshold(self):
         sample_set = small_experiment(num_samples=579, shots=1024, seed=3)
