@@ -17,6 +17,7 @@ Three file encodings are supported:
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from .errors import (
+    DomainError,
     DuplicateIndex,
     EmptyInput,
     EmptySet,
@@ -46,7 +48,6 @@ __all__ = [
     "save_manifest",
     "load_sample_set",
     "concat_chronological",
-    "pack_rows",
     "ones_before",
     "atomic_write",
 ]
@@ -91,24 +92,22 @@ class BitSequence:
                  timestamp: datetime | None = None):
         arr = np.asarray(bits)
         if arr.ndim != 1:
-            raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            arr = arr.astype(np.uint8)
-        elif arr.dtype == np.bool_:
+            raise DomainError(f"bits must be one-dimensional, got shape {arr.shape}")
+        if arr.size == 0 or arr.dtype == np.bool_:
             arr = arr.astype(np.uint8)
         elif arr.dtype.kind in "iu":
-            if arr.size and not ((arr == 0) | (arr == 1)).all():
-                raise ValueError("every bit must be exactly 0 or 1")
+            if not ((arr == 0) | (arr == 1)).all():
+                raise DomainError("every bit must be exactly 0 or 1")
             arr = arr.astype(np.uint8)
         else:
-            raise ValueError(f"bits must be integers or bools, got dtype {arr.dtype}")
+            raise DomainError(f"bits must be integers or bools, got dtype {arr.dtype}")
         self._init_packed(np.packbits(arr), int(arr.size), source_id, sample_index, timestamp)
 
     def _init_packed(self, packed, n, source_id, sample_index, timestamp):
         # Invariant: ceil(n/8) bytes whose padding bits after bit n are zero;
         # the popcount-based counters rely on it.
         if sample_index < 0:
-            raise ValueError(f"sample_index must be nonnegative, got {sample_index}")
+            raise DomainError(f"sample_index must be nonnegative, got {sample_index}")
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
         packed.setflags(write=False)
         object.__setattr__(self, "_packed", packed)
@@ -266,9 +265,15 @@ def serialize_bits(seq: BitSequence, encoding: str) -> bytes:
 
 
 class SampleSet:
-    """Chronologically ordered samples from one source, all the same length."""
+    """Chronologically ordered samples from one source, all the same length.
 
-    __slots__ = ("samples", "source_id", "declared_length")
+    ``packed`` is one read-only ``(m, ceil(n/8))`` uint8 matrix: row i is
+    sample ``sample_indices[i]``, taken at ``timestamps[i]``, in ascending
+    index order.  Only an integer indexes a set; an item is a BitSequence
+    view of its row, with the set's ``source_id``.
+    """
+
+    __slots__ = ("packed", "sample_indices", "timestamps", "source_id", "declared_length")
 
     def __init__(self, samples, *, source_id: str | None = None,
                  declared_length: int | None = None):
@@ -288,49 +293,53 @@ class SampleSet:
             if s.sample_index in seen:
                 raise DuplicateIndex(f"duplicate sample_index {s.sample_index}")
             seen.add(s.sample_index)
-        object.__setattr__(self, "samples", tuple(samples))
-        object.__setattr__(self, "source_id", source_id)
-        object.__setattr__(self, "declared_length", declared_length)
+        packed = np.array([s.packed for s in samples], dtype=np.uint8)
+        self._init_rows(packed.reshape(len(samples), -(-declared_length // 8)), samples,
+                        source_id, declared_length)
+
+    def _init_rows(self, packed, rows, source_id, declared_length):
+        packed.setflags(write=False)
+        values = (packed, tuple(r.sample_index for r in rows), tuple(r.timestamp for r in rows))
+        for name, value in zip(self.__slots__, values + (source_id, declared_length)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_rows(cls, packed, rows, source_id, declared_length) -> "SampleSet":
+        """Adopt ``packed``, whose rows are ``rows`` (samples or manifest entries) in order."""
+        self = cls.__new__(cls)
+        self._init_rows(packed, rows, source_id, declared_length)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleSet is immutable")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.sample_indices)
 
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
+    def __getitem__(self, i: int) -> BitSequence:
+        i = operator.index(i)  # a slice raises TypeError
+        return BitSequence._from_packed(self.packed[i], self.declared_length,
+                                        source_id=self.source_id,
+                                        sample_index=self.sample_indices[i],
+                                        timestamp=self.timestamps[i])
 
     def total_bits(self) -> int:
-        return len(self.samples) * self.declared_length
+        return len(self) * self.declared_length
 
     def __repr__(self):
-        return (f"SampleSet(source_id={self.source_id!r}, samples={len(self.samples)}, "
+        return (f"SampleSet(source_id={self.source_id!r}, samples={len(self)}, "
                 f"declared_length={self.declared_length})")
 
 
 def concat_chronological(sample_set: SampleSet) -> BitSequence:
-    """Join all samples, in sample_index order, into one long sequence."""
+    """Join all samples, in sample_index order, into one long sequence (a view if 8 | n)."""
     if len(sample_set) == 0:
         raise EmptySet("cannot concatenate an empty sample set")
-    if sample_set.declared_length % 8 == 0:
-        packed = np.concatenate([s.packed for s in sample_set])
-        return BitSequence._from_packed(packed, sample_set.total_bits(),
-                                        source_id=sample_set.source_id)
-    bits = np.concatenate([s.asarray() for s in sample_set])
-    return BitSequence._from_packed(np.packbits(bits), int(bits.size),
+    packed, n = sample_set.packed, sample_set.declared_length
+    if n % 8:
+        packed = np.packbits(np.unpackbits(packed, axis=1, count=n))
+    return BitSequence._from_packed(packed.reshape(-1), sample_set.total_bits(),
                                     source_id=sample_set.source_id)
-
-
-def pack_rows(samples) -> np.ndarray:
-    """Stack equal-length samples into one ``(rows, ceil(n/8))`` uint8 matrix.
-
-    Row i holds the packed bytes of ``samples[i]``; padding bits are zero.
-    """
-    return np.stack([s.packed for s in samples])
 
 
 def ones_before(packed: np.ndarray, positions) -> np.ndarray:
@@ -515,28 +524,22 @@ def save_manifest(manifest: Manifest, path) -> None:
 
 
 def load_sample_set(manifest: Manifest) -> SampleSet:
-    """Load and validate every file a manifest declares.
+    """Load and validate every file a manifest declares, each decoded straight into its row.
 
     Raises
     ------
     LengthMismatch
         A file decodes to a bit count other than ``declared_length``
         (message includes the offending path).
-    DuplicateIndex
-        Two entries share a sample_index.
     """
-    samples = []
-    for entry in manifest.entries:
+    entries = sorted(manifest.entries, key=lambda e: e.sample_index)
+    n = manifest.declared_length
+    packed = np.empty((len(entries), -(-n // 8)), dtype=np.uint8)
+    for row, entry in zip(packed, entries):
         file_path = manifest.base_dir / entry.path
-        raw = file_path.read_bytes()
         try:
-            seq = parse_bits(raw, entry.encoding, length=manifest.declared_length,
-                             source_id=manifest.source_id,
-                             sample_index=entry.sample_index,
-                             timestamp=entry.timestamp)
+            row[:] = parse_bits(file_path.read_bytes(), entry.encoding, length=n).packed
         except LengthMismatch as exc:
             raise LengthMismatch(f"{file_path}: {exc}", path=str(file_path),
                                  declared=exc.declared, actual=exc.actual) from exc
-        samples.append(seq)
-    return SampleSet(samples, source_id=manifest.source_id,
-                     declared_length=manifest.declared_length)
+    return SampleSet._from_rows(packed, entries, manifest.source_id, n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import BitSequence, SampleSet, atomic_write, ones_before, pack_rows
+from .bitseq import BitSequence, SampleSet, atomic_write, ones_before
 from .errors import DomainError, EmptySequence, EmptySet
 from .special import erfc_inv
 
@@ -81,12 +81,12 @@ def entropy_series(sample_set: SampleSet) -> EntropySeries:
     n = sample_set.declared_length
     if n == 0:
         raise EmptySequence("entropy needs at least one bit per sample")
-    ones = np.bitwise_count(pack_rows(sample_set)).sum(axis=1, dtype=np.int64).tolist()
+    ones = np.bitwise_count(sample_set.packed).sum(axis=1, dtype=np.int64).tolist()
     p1 = [k / n for k in ones]
     return EntropySeries(
         source_id=sample_set.source_id,
-        sample_indices=tuple(s.sample_index for s in sample_set),
-        timestamps=tuple(s.timestamp for s in sample_set),
+        sample_indices=sample_set.sample_indices,
+        timestamps=sample_set.timestamps,
         min_entropies=tuple(map(_min_entropy, p1)),
         shannon_entropies=tuple(map(_shannon_entropy, p1)),
     )

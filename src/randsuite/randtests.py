@@ -2,7 +2,7 @@
 
 Each test has one kernel over a stack of samples: a ``(rows, ceil(n/8))``
 uint8 matrix of packed samples in, one statistic and one p-value per row
-out.  :func:`run_batch` runs the selected kernels over a whole sample set;
+out.  :func:`run_batch` runs the selected kernels over a sample set's matrix;
 the single-sequence functions (:func:`frequency_test` and the rest) are its
 one-row case, returning a :class:`TestOutcome` with the observed statistic,
 the p-value, the pass/fail verdict at significance ``alpha`` and a params
@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bitseq import BitSequence, ones_before, pack_rows
+from .bitseq import BitSequence, ones_before
 from .errors import (
     BlockTooLarge,
     DomainError,
@@ -377,12 +377,12 @@ def longest_run_statistic(class_counts, block_size: int):
         if m == block_size:
             counts = np.asarray(class_counts, dtype=np.float64)
             if counts.shape[-1] != k + 1:
-                raise ValueError(f"expected {k + 1} class counts for M={m}, "
-                                 f"got {counts.shape[-1]}")
+                raise DomainError(f"expected {k + 1} class counts for M={m}, "
+                                  f"got {counts.shape[-1]}")
             expected = n_blocks * np.asarray(pis)
             chi2 = (((counts - expected) ** 2) / expected).sum(axis=-1)
             return float(chi2) if chi2.ndim == 0 else chi2
-    raise ValueError(f"unsupported block size {block_size}; use 8, 128 or 10000")
+    raise DomainError(f"unsupported block size {block_size}; use 8, 128 or 10000")
 
 
 def _longest_run_count(rows: _Rows, params: TestParams) -> dict:
@@ -618,9 +618,9 @@ def _cusum_pvalue(n: int, z: int) -> float:
     k1 = np.arange(lo1, hi + 1, dtype=np.float64)
     k2 = np.arange(lo2, hi + 1, dtype=np.float64)
     term1 = (normal_cdf((4 * k1 + 1) * z / sqrt_n)
-             - normal_cdf((4 * k1 - 1) * z / sqrt_n)).sum() if k1.size else 0.0
+             - normal_cdf((4 * k1 - 1) * z / sqrt_n)).sum()
     term2 = (normal_cdf((4 * k2 + 3) * z / sqrt_n)
-             - normal_cdf((4 * k2 + 1) * z / sqrt_n)).sum() if k2.size else 0.0
+             - normal_cdf((4 * k2 + 1) * z / sqrt_n)).sum()
     return 1.0 - float(term1) + float(term2)
 
 
@@ -636,11 +636,9 @@ def _cusum_backward_count(rows: _Rows, params: TestParams) -> dict:
 
 
 def _cusum_finish(values: dict, n: int, params: TestParams, *, mode: CusumMode):
-    # One tail-sum evaluation per distinct z keeps each p-value's arithmetic
-    # that of a single sample.
+    # Each p-value is one sample's tail sum; the cache computes each (n, z) once.
     z = values["z"]
-    distinct, where = np.unique(z, return_inverse=True)
-    p = np.array([_cusum_pvalue(n, v) for v in distinct.tolist()])[where.ravel()]
+    p = np.array([_cusum_pvalue(n, v) for v in z.tolist()])
     return z, p, {"n": n, "mode": mode.value}
 
 
@@ -658,15 +656,15 @@ _KERNELS = {
 }
 
 
-def run_batch(samples, tests=ALL_TESTS,
+def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
               params: TestParams = TestParams()) -> dict[TestId, Batch]:
-    """Run the selected tests over a non-empty sequence of equal-length samples.
+    """Run the selected tests over each n-bit row of a packed ``(rows, ceil(n/8))`` matrix.
 
-    The samples are stacked into packed ``(rows, ceil(n/8))`` matrices of
-    about ``_CHUNK_BITS`` bits each; every chunk is unpacked once for all
-    the kernels, the chunks share one workspace, and the p-values are
-    computed once over all rows.  Entry i of each result belongs to
-    ``samples[i]``.
+    ``packed`` needs at least one row of ceil(n/8) bytes, else DomainError,
+    and zero padding bits, as a SampleSet's matrix has.  It is taken in
+    chunks of about ``_CHUNK_BITS`` bits; every chunk is unpacked once for
+    all the kernels, the chunks share one workspace, and the p-values are
+    computed once over all rows.  Entry i of each result belongs to row i.
 
     Raises
     ------
@@ -674,8 +672,9 @@ def run_batch(samples, tests=ALL_TESTS,
         For the first test, in selection order, that cannot run on n-bit
         samples; raised before any test runs.
     """
+    if not len(packed) or packed.shape[1:] != (-(-n // 8),):
+        raise DomainError(f"packed needs shape (rows >= 1, {-(-n // 8)}), got {packed.shape}")
     tests = tuple(TestId(t) for t in tests)
-    n = samples[0].n
     for test_id in tests:
         _check(test_id, n, params)
     # The widest per-row temporary: the bits themselves, or the
@@ -684,10 +683,10 @@ def run_batch(samples, tests=ALL_TESTS,
     if TestId.APPROX_ENTROPY in tests:
         width = max(n, 2 ** (params.pattern_len_m + 1))
     step = max(1, _CHUNK_BITS // width)
-    work = _Workspace(min(step, len(samples)), n)
+    work = _Workspace(min(step, len(packed)), n)
     parts = {test_id: [] for test_id in tests}
-    for start in range(0, len(samples), step):
-        rows = _Rows(pack_rows(samples[start:start + step]), n, work)
+    for start in range(0, len(packed), step):
+        rows = _Rows(packed[start:start + step], n, work)
         for test_id in tests:
             parts[test_id].append(_KERNELS[test_id][0](rows, params))
     results = {}
@@ -703,7 +702,7 @@ def run_batch(samples, tests=ALL_TESTS,
 
 def _one_row(test_id: TestId, seq: BitSequence, params: TestParams) -> TestOutcome:
     """A test on one sample: the one-row case of :func:`run_batch`."""
-    batch = run_batch([seq], (test_id,), params)[test_id]
+    batch = run_batch(seq.packed[None], seq.n, (test_id,), params)[test_id]
     record = {key: value[0].tolist() if isinstance(value, np.ndarray) else value
               for key, value in batch.record.items()}
     record["alpha"] = params.alpha

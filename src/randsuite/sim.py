@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -62,11 +63,11 @@ DEFAULT_START_TIME = datetime(2019, 1, 1, tzinfo=timezone.utc)
 _MAX_SEED = 2 ** 64
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
+def _check_prob(name: str, value: float) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
-    return value
 
 
 @dataclass(frozen=True)

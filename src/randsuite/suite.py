@@ -187,10 +187,10 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
     """
     if len(sample_set) == 0:
         raise EmptySet("cannot run the suite on an empty sample set")
-    m = len(sample_set)
-    indices = tuple(s.sample_index for s in sample_set)
+    m, indices = len(sample_set), sample_set.sample_indices
     try:
-        batches = run_batch(sample_set, config.tests, config.params)
+        batches = run_batch(sample_set.packed, sample_set.declared_length, config.tests,
+                            config.params)
     except SampleTooShort as exc:
         # Every sample has the same length, so the first one fails first.
         raise SampleTooShort(

@@ -24,6 +24,7 @@ from randsuite import (
 )
 from randsuite.bitseq import ones_before
 from randsuite.errors import (
+    DomainError,
     DuplicateIndex,
     EmptyInput,
     EmptySet,
@@ -147,10 +148,14 @@ class TestBitSequence:
             seq[10]
 
     def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             BitSequence([0, 1, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             BitSequence([0.5, 1.0])
+        with pytest.raises(DomainError, match="one-dimensional"):
+            BitSequence([[0, 1], [1, 0]])
+        with pytest.raises(DomainError, match="nonnegative"):
+            BitSequence([0, 1], sample_index=-1)
 
 
 class TestSampleSetAndConcat:
@@ -196,6 +201,48 @@ class TestSampleSetAndConcat:
         with pytest.raises(DuplicateIndex):
             SampleSet([bits("10", sample_index=0), bits("01", sample_index=0)])
 
+    def test_packed_matrix_is_read_only(self, bits):
+        s = SampleSet([bits("1011", sample_index=0), bits("0110", sample_index=1)])
+        assert s.packed.shape == (2, 1)
+        with pytest.raises(ValueError):
+            s.packed[0, 0] = 0
+        with pytest.raises(ValueError):
+            s[0].packed[0] = 0
+
+    def test_shuffled_input_gives_ascending_rows_and_equal_items(self, random_bits):
+        ts = datetime(2019, 1, 1, tzinfo=timezone.utc)
+        members = [BitSequence(random_bits(13, seed=i).asarray(), source_id="q",
+                               sample_index=3 * i, timestamp=ts.replace(hour=i))
+                   for i in range(6)]
+        shuffled = [members[i] for i in (4, 0, 5, 2, 1, 3)]
+        s = SampleSet(shuffled)
+        assert s.sample_indices == (0, 3, 6, 9, 12, 15)
+        assert s.timestamps == tuple(m.timestamp for m in members)
+        for row, m in zip(s.packed, members):
+            assert np.array_equal(row, m.packed)
+        assert list(s) == members
+        for item, m in zip(s, members):
+            assert (item.source_id, item.sample_index, item.timestamp) == \
+                (m.source_id, m.sample_index, m.timestamp)
+        assert s[-1] == members[-1] and s[-1].sample_index == 15
+
+    def test_whole_byte_concat_views_the_matrix(self, random_bits):
+        s = SampleSet([BitSequence(random_bits(16, seed=i).asarray(), sample_index=i)
+                       for i in range(3)])
+        assert np.shares_memory(concat_chronological(s).packed, s.packed)
+
+    def test_empty_set_shape(self):
+        s = SampleSet([], declared_length=13)
+        assert s.packed.shape == (0, 2)
+        assert len(s) == 0 and list(s) == []
+
+    def test_slice_raises(self, bits):
+        s = SampleSet([bits("10", sample_index=0), bits("01", sample_index=1)])
+        with pytest.raises(TypeError):
+            s[0:1]
+        with pytest.raises(IndexError):
+            s[2]
+
     def test_experiment_scale_total_bits(self):
         # 579 samples x 8192 bits joined chronologically
         packed = np.zeros(1024, dtype=np.uint8)
@@ -224,6 +271,20 @@ class TestManifest:
         assert len(s) == 3
         assert s.total_bits() == 24
         assert s.source_id == "src"
+
+    def test_descending_entries_load_in_index_order(self, tmp_path):
+        payloads = {5: b"11110000", 3: b"10101010", 1: b"00000001"}
+        for i, payload in payloads.items():
+            (tmp_path / f"s{i}.txt").write_bytes(payload)
+        manifest = Manifest(
+            declared_length=8, source_id="src", base_dir=tmp_path,
+            entries=tuple(ManifestEntry(f"s{i}.txt", "ascii01", i, datetime(
+                2019, 1, 1, i, tzinfo=timezone.utc)) for i in payloads))
+        s = load_sample_set(manifest)
+        assert s.sample_indices == (1, 3, 5)
+        assert [ts.hour for ts in s.timestamps] == [1, 3, 5]
+        assert s.packed[:, 0].tolist() == [0b00000001, 0b10101010, 0b11110000]
+        assert [seq.sample_index for seq in s] == [1, 3, 5]
 
     def test_length_mismatch_reports_path(self, tmp_path):
         manifest = self._write_fixture(tmp_path, [b"10101010", b"1111000"])

@@ -376,8 +376,10 @@ def _sha256(paths):
     return digest.hexdigest()
 
 
-# Recorded from the code before the commands shared one manifest-reading driver.
-OUTPUT_PINS = {
+# Per sample length, recorded from the code before the commands shared one
+# manifest-reading function (1001 bits) and before a sample set became one
+# packed matrix (1024 bits).
+OUTPUT_PINS = {1001: {
     "data/qubit-00/manifest.json":
         "88d0c8910e66a921c17a580be116cb1b3d0c6234ee7a4afd108e143cf2e323d4",
     "data/qubit-00/sample_*": "93dfaf6cfcad74c753cf4dd400602d9185be75dc835d5f2e449dfc0714bc7e1f",
@@ -397,17 +399,39 @@ OUTPUT_PINS = {
     "out/qubit-01/results.csv": "e968ae0950e5ee10873d4b86a06f5845718c8b415c32702a341ae944ae1a3d93",
     "plan.json": "f4cb8c3f8a264c74576d13dcfa992eadd7585993371da7ce68ffec45e78839d1",
     "stdout": "c7ea84862392f58069a86b6874267d866b9fff03842810bed116cc71e18589b5",
-}
+}, 1024: {
+    "data/qubit-00/manifest.json":
+        "3442e7bd3ee52494a63615473a6e4612299d4cdd5ab5d55b85e5981eec441749",
+    "data/qubit-00/sample_*": "a312bccf406f13c606688368c85f8b0fa8711b0b87f82c08222ffd80ebdb0b40",
+    "data/qubit-01/manifest.json":
+        "8d99e39552cc04290ed48656067c2a668e277c330706b95e6db5985d700b1b1d",
+    "data/qubit-01/sample_*": "cf0707c4ab324b1d949e4e05cffcdbcba8fa5108d5fc3c468ea707fc59976dcb",
+    "out/band.json": "76591a57aa149f8ceb4ed80acdbf8878f4ea1e9c4950b7cb7236551dcf9f20fd",
+    "out/deviation_qubit-00.csv":
+        "34aa4c9387f99c9cfa1cf1146f0fadf009d78c210e568fd4844fc1ec64bcd9a1",
+    "out/deviation_qubit-01.csv":
+        "eb55fcf4f26f3eedff405ce4d9d4a8a718106a30ffa53102c44f1c600a51707f",
+    "out/entropy_qubit-00.csv": "5c4b1d50490868533a3b5835c6a60ec8191ba1a62d9ffa8f521eca567caeb693",
+    "out/entropy_qubit-01.csv": "ee3126c5db37e742e6b8b47f27c89a5f9e087c9c21c0f8d473b54c1c3a78b9ac",
+    "out/qubit-00/report.json": "7ca77379fe9f1098e1a8520041cfa8d7f72354358701fd39339cbf6bf66c2ab7",
+    "out/qubit-00/results.csv": "e29e89ff75426de8135adfaf27b0e9949221cae2e382c864410ec839d8330651",
+    "out/qubit-01/report.json": "7d1f8e48a618c1a6004c37bb09a5692864cd59e2239bb2b1186b7bd8dc69a42c",
+    "out/qubit-01/results.csv": "a56bcf0a1fb69ca94af5082a08ead42d8a871aa6220d2978d17f8b966961976c",
+    "plan.json": "f172741c483bad1b92acdd8b9b6344253ad1c2694c7dcbb5639cacd684219f3d",
+    "stdout": "271f57d9f521fdbff7f637a865b4f403b4be840369e5e3d4d734a6d63ce34c94",
+}}
 
 
-def test_outputs_match_pinned_digests(tmp_path, capsys):
+@pytest.mark.parametrize("shots", sorted(OUTPUT_PINS))
+def test_outputs_match_pinned_digests(tmp_path, capsys, shots):
     """simulate, test, entropy and stability write the pinned bytes and print the pinned text.
 
     1001-bit samples take the padding and unpacking paths of the packed
-    encoding and of concat_chronological.  A deliberate change to an output
-    format updates these pins and records the change in CHANGES.md.
+    encoding and of concat_chronological; 1024-bit samples have no padding
+    and are joined by a reshape.  A deliberate change to an output format
+    updates these pins and records the change in CHANGES.md.
     """
-    plan = rs.biased_demo_plan(num_qubits=2, samples_per_qubit=60, shots_per_sample=1001,
+    plan = rs.biased_demo_plan(num_qubits=2, samples_per_qubit=60, shots_per_sample=shots,
                                anomaly_qubit=1)
     rs.save_plan(plan, tmp_path / "plan.json")
     data, out = tmp_path / "data", tmp_path / "out"
@@ -424,7 +448,7 @@ def test_outputs_match_pinned_digests(tmp_path, capsys):
     for q in (0, 1):
         digests[f"data/qubit-0{q}/sample_*"] = _sha256(sorted(data.glob(f"qubit-0{q}/sample_*")))
     digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
-    assert digests == OUTPUT_PINS
+    assert digests == OUTPUT_PINS[shots]
 
 
 # Runs CLI commands in one fresh interpreter and prints, as its last line,

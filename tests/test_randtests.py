@@ -24,9 +24,9 @@ from randsuite import (
     run_test,
     runs_test,
 )
-from randsuite.bitseq import pack_rows
 from randsuite.errors import (
     BlockTooLarge,
+    DomainError,
     PatternTooLong,
     SampleTooShort,
 )
@@ -142,6 +142,10 @@ class TestLongestRun:
         chi2 = longest_run_statistic((6, 10, 10, 7, 7, 9), 128)
         assert chi2 == pytest.approx(3.994459, abs=1e-6)
         assert rs.upper_igamc(5 / 2, chi2 / 2) == pytest.approx(0.550214, abs=1e-6)
+        with pytest.raises(DomainError, match="expected 6 class counts"):
+            longest_run_statistic((6, 10, 10, 7, 7), 128)
+        with pytest.raises(DomainError, match="unsupported block size"):
+            longest_run_statistic((6, 10, 10, 7, 7, 9), 64)
 
     def test_classification_m8(self, bits):
         # sixteen blocks of "11000000": every longest run is 2 -> class v1
@@ -485,9 +489,9 @@ class TestBatchKernels:
         assert out.params["phi_m1"] == pytest.approx(apen_phi_oracle(vals, m + 1), rel=1e-12)
 
 
-def chunk_rows(sample_set, n):
-    """One kernel chunk of every sample in ``sample_set``."""
-    return R._Rows(pack_rows(sample_set), n, R._Workspace(len(sample_set), n))
+def chunk_rows(samples, n):
+    """One kernel chunk of every sample in ``samples``."""
+    return R._Rows(np.stack([s.packed for s in samples]), n, R._Workspace(len(samples), n))
 
 
 class TestPackedDomainKernels:
@@ -562,7 +566,7 @@ class TestPackedDomainKernels:
         rng = np.random.Generator(np.random.PCG64(n + 1))
         rows = (rng.random((2 * per_chunk + 3, n)) < 0.5).astype(np.uint8)
         samples = [BitSequence(r) for r in rows]
-        batches = R.run_batch(samples, params=RELAXED)
+        batches = R.run_batch(np.packbits(rows, axis=1), n, params=RELAXED)
         for test_id, batch in batches.items():
             for i in (0, per_chunk - 1, per_chunk, 2 * per_chunk - 1, 2 * per_chunk,
                       len(samples) - 1):
@@ -572,6 +576,12 @@ class TestPackedDomainKernels:
                 for key, value in batch.record.items():
                     if isinstance(value, np.ndarray):
                         assert single.params[key] == value[i].tolist(), (test_id, key, i)
+
+    def test_run_batch_rejects_a_matrix_of_another_shape(self):
+        packed = np.zeros((3, 1024), dtype=np.uint8)
+        for bad in (packed[:, 1:], np.zeros((3, 1025), np.uint8), packed[:0], packed[0]):
+            with pytest.raises(DomainError, match="packed needs shape"):
+                R.run_batch(bad, 8192)
 
     # Up to the four-step cutoff, from it, at 2^20 and 10^6 (n1 = 1024 and
     # 1000), and at 144000 = 375 * 384 (odd n1).

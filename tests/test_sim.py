@@ -21,7 +21,7 @@ from randsuite import (
     generate_sample,
     min_entropy,
 )
-from randsuite.errors import IndexOutOfRange
+from randsuite.errors import DomainError, IndexOutOfRange
 from randsuite.sim import plan_from_dict, plan_to_dict
 
 
@@ -79,6 +79,12 @@ class TestEffectiveBias:
             Epoch(0, 1.5)
         with pytest.raises(ValueError):
             Anomaly(10, 10, 0.5)
+        with pytest.raises(DomainError, match="real number"):
+            Epoch(0, "0.5")
+        with pytest.raises(DomainError, match="real number"):
+            Epoch(0, 0.5, eps01=True)
+        with pytest.raises(DomainError, match="real number"):
+            Anomaly(0, 5, None)
 
 
 class TestGenerateSample:
