@@ -284,6 +284,8 @@ class SampleSet:
             if not samples:
                 raise EmptySet("declared_length is required for an empty sample set")
             declared_length = samples[0].n
+        if declared_length < 1:
+            raise DomainError(f"declared_length must be >= 1, got {declared_length}")
         seen = set()
         for s in samples:
             if s.n != declared_length:
@@ -294,20 +296,21 @@ class SampleSet:
                 raise DuplicateIndex(f"duplicate sample_index {s.sample_index}")
             seen.add(s.sample_index)
         packed = np.array([s.packed for s in samples], dtype=np.uint8)
-        self._init_rows(packed.reshape(len(samples), -(-declared_length // 8)), samples,
-                        source_id, declared_length)
+        self._init_rows(packed.reshape(len(samples), -(-declared_length // 8)),
+                        tuple(s.sample_index for s in samples),
+                        tuple(s.timestamp for s in samples), source_id, declared_length)
 
-    def _init_rows(self, packed, rows, source_id, declared_length):
-        packed.setflags(write=False)
-        values = (packed, tuple(r.sample_index for r in rows), tuple(r.timestamp for r in rows))
-        for name, value in zip(self.__slots__, values + (source_id, declared_length)):
+    def _init_rows(self, *values):
+        values[0].setflags(write=False)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_rows(cls, packed, rows, source_id, declared_length) -> "SampleSet":
-        """Adopt ``packed``, whose rows are ``rows`` (samples or manifest entries) in order."""
+    def _from_rows(cls, packed, sample_indices, timestamps, source_id,
+                   declared_length) -> "SampleSet":
+        """Adopt ``packed``, whose row r is sample ``sample_indices[r]``, without checks."""
         self = cls.__new__(cls)
-        self._init_rows(packed, rows, source_id, declared_length)
+        self._init_rows(packed, sample_indices, timestamps, source_id, declared_length)
         return self
 
     def __setattr__(self, name, value):
@@ -542,4 +545,5 @@ def load_sample_set(manifest: Manifest) -> SampleSet:
         except LengthMismatch as exc:
             raise LengthMismatch(f"{file_path}: {exc}", path=str(file_path),
                                  declared=exc.declared, actual=exc.actual) from exc
-    return SampleSet._from_rows(packed, entries, manifest.source_id, n)
+    return SampleSet._from_rows(packed, tuple(e.sample_index for e in entries),
+                                tuple(e.timestamp for e in entries), manifest.source_id, n)

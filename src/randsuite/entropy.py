@@ -79,8 +79,6 @@ def entropy_series(sample_set: SampleSet) -> EntropySeries:
     if len(sample_set) == 0:
         raise EmptySet("cannot compute an entropy series for an empty sample set")
     n = sample_set.declared_length
-    if n == 0:
-        raise EmptySequence("entropy needs at least one bit per sample")
     ones = np.bitwise_count(sample_set.packed).sum(axis=1, dtype=np.int64).tolist()
     p1 = [k / n for k in ones]
     return EntropySeries(

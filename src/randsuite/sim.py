@@ -70,6 +70,13 @@ def _check_prob(name: str, value: float) -> None:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
+def _check_int(name: str, value: int, low: int, error: type = DomainError) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Epoch:
     """Noise parameters holding between two calibrations.
@@ -85,8 +92,7 @@ class Epoch:
     eps10: float = 0.0
 
     def __post_init__(self):
-        if self.start_sample < 0:
-            raise DomainError(f"start_sample must be >= 0, got {self.start_sample}")
+        _check_int("start_sample", self.start_sample, 0)
         _check_prob("p1_state", self.p1_state)
         _check_prob("eps01", self.eps01)
         _check_prob("eps10", self.eps10)
@@ -105,9 +111,8 @@ class Anomaly:
     p1_override: float
 
     def __post_init__(self):
-        if not 0 <= self.start_sample < self.stop_sample:
-            raise DomainError(
-                f"anomaly range [{self.start_sample}, {self.stop_sample}) is empty or negative")
+        _check_int("start_sample", self.start_sample, 0)
+        _check_int("stop_sample", self.stop_sample, self.start_sample + 1)
         _check_prob("p1_override", self.p1_override)
 
     def covers(self, sample_index: int) -> bool:
@@ -124,8 +129,7 @@ class QubitNoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "epochs", tuple(self.epochs))
-        if self.qubit_id < 0:
-            raise DomainError(f"qubit_id must be >= 0, got {self.qubit_id}")
+        _check_int("qubit_id", self.qubit_id, 0)
         if not self.epochs:
             raise DomainError("a noise model needs at least one epoch")
         if self.epochs[0].start_sample != 0:
@@ -141,43 +145,44 @@ class QubitNoiseModel:
 
 def effective_bias(model: QubitNoiseModel, sample_index: int) -> float:
     """Probability of reading 1 at ``sample_index`` under ``model``."""
-    if sample_index < 0:
-        raise IndexOutOfRange(f"sample_index must be >= 0, got {sample_index}")
-    starts = [e.start_sample for e in model.epochs]
-    epoch = model.epochs[bisect_right(starts, sample_index) - 1]
-    p1 = epoch.p1_state
+    _check_int("sample_index", sample_index, 0, IndexOutOfRange)
+    epoch = model.epochs[bisect_right(model.epochs, sample_index,
+                                      key=lambda e: e.start_sample) - 1]
     if model.anomaly is not None and model.anomaly.covers(sample_index):
-        p1 = model.anomaly.p1_override
-    return p1 * (1.0 - epoch.eps10) + (1.0 - p1) * epoch.eps01
+        epoch = replace(epoch, p1_state=model.anomaly.p1_override)
+    return epoch.p_eff
 
 
-def _raw_draws(master_seed: int, qubit_id: int, sample_index: int, shots: int) -> np.ndarray:
-    # Key separation: the Philox key is derived from the identifying triple,
-    # and the counter advances with the shots, so regeneration never depends
-    # on what else has been generated.
-    ss = np.random.SeedSequence(entropy=(master_seed, qubit_id, sample_index))
-    return np.random.Philox(seed=ss).random_raw(shots)
+def _draw_rows(model: QubitNoiseModel, indices, shots: int, master_seed: int) -> np.ndarray:
+    """A packed ``(len(indices), ceil(shots/8))`` matrix whose row r is sample ``indices[r]``.
+
+    Each sample has its own Philox stream, keyed by (master_seed, qubit_id, index), so no
+    row depends on what else is generated.  Shot j reads 1 iff the stream's j-th double
+    ``(raw_j >> 11) * 2**-53`` is below p_eff; ``p_eff * 2**53`` is exact, so the test is
+    made on the raw 64-bit integers: ``raw_j < ceil(p_eff * 2**53) * 2**11``.
+    """
+    rows = np.empty((len(indices), -(-shots // 8)), dtype=np.uint8)
+    for row, i in zip(rows, indices):
+        # 2**64 when p_eff = 1, which every uint64 is below.
+        limit = math.ceil(math.ldexp(effective_bias(model, i), 53)) << 11
+        key = np.random.SeedSequence(entropy=(master_seed, model.qubit_id, i))
+        row[:] = np.packbits(np.random.Philox(seed=key).random_raw(shots) < limit)
+    return rows
 
 
 def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
                     master_seed: int, *, timestamp: datetime | None = None) -> BitSequence:
     """Generate one sample: ``shots`` Bernoulli(p_eff) draws in shot order.
 
-    Identical (master_seed, qubit_id, sample_index, shots) reproduce the
-    sequence bit-for-bit.  Shot i reads 1 iff the i-th uniform double u_i
-    of the keyed Philox stream is below p_eff.  That double is
-    ``(raw_i >> 11) * 2**-53`` for the stream's i-th 64-bit output raw_i,
-    and ``p_eff * 2**53`` is exact, so the comparison is made on the raw
-    integers: ``raw_i < ceil(p_eff * 2**53) * 2**11``.
+    Identical (master_seed, qubit_id, sample_index, shots) reproduce it bit-for-bit,
+    as row ``sample_index`` of the qubit's set from :func:`generate_experiment`.
     """
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
-    if not 0 <= master_seed < _MAX_SEED:
+    _check_int("shots", shots, 1)
+    _check_int("master_seed", master_seed, 0)
+    if master_seed >= _MAX_SEED:
         raise DomainError(f"master_seed must be a 64-bit value, got {master_seed}")
-    # 2**64 when p_eff = 1, which every uint64 is below.
-    limit = math.ceil(math.ldexp(effective_bias(model, sample_index), 53)) << 11
-    draws = _raw_draws(master_seed, model.qubit_id, sample_index, shots)
-    return BitSequence._from_packed(np.packbits(draws < limit), shots,
+    [row] = _draw_rows(model, (sample_index,), shots, master_seed)
+    return BitSequence._from_packed(row, shots,
                                     source_id=model.source_id,
                                     sample_index=sample_index,
                                     timestamp=timestamp)
@@ -198,11 +203,10 @@ class ExperimentPlan:
         object.__setattr__(self, "qubit_models", tuple(self.qubit_models))
         if not self.qubit_models:
             raise DomainError("a plan needs at least one qubit model")
-        if self.samples_per_qubit < 1:
-            raise DomainError(f"samples_per_qubit must be >= 1, got {self.samples_per_qubit}")
-        if self.shots_per_sample < 1:
-            raise DomainError(f"shots_per_sample must be >= 1, got {self.shots_per_sample}")
-        if not 0 <= self.master_seed < _MAX_SEED:
+        _check_int("samples_per_qubit", self.samples_per_qubit, 1)
+        _check_int("shots_per_sample", self.shots_per_sample, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        if self.master_seed >= _MAX_SEED:
             raise DomainError(f"master_seed must be a 64-bit value, got {self.master_seed}")
         ids = [m.qubit_id for m in self.qubit_models]
         if len(set(ids)) != len(ids):
@@ -218,18 +222,13 @@ class ExperimentPlan:
 
 
 def generate_experiment(plan: ExperimentPlan) -> list[SampleSet]:
-    """Generate one SampleSet per qubit, with synthetic advancing timestamps."""
+    """One SampleSet per qubit, its matrix filled row by row, with advancing timestamps."""
+    indices = tuple(range(plan.samples_per_qubit))
     interval = timedelta(seconds=plan.sample_interval_s)
-    sets = []
-    for model in plan.qubit_models:
-        samples = [
-            generate_sample(model, i, plan.shots_per_sample, plan.master_seed,
-                            timestamp=plan.start_time + i * interval)
-            for i in range(plan.samples_per_qubit)
-        ]
-        sets.append(SampleSet(samples, source_id=model.source_id,
-                              declared_length=plan.shots_per_sample))
-    return sets
+    timestamps = tuple(plan.start_time + i * interval for i in indices)
+    return [SampleSet._from_rows(_draw_rows(m, indices, plan.shots_per_sample, plan.master_seed),
+                                 indices, timestamps, m.source_id, plan.shots_per_sample)
+            for m in plan.qubit_models]
 
 
 def unbiased_plan(num_qubits: int = 20, samples_per_qubit: int = 579,

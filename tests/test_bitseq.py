@@ -231,6 +231,15 @@ class TestSampleSetAndConcat:
                        for i in range(3)])
         assert np.shares_memory(concat_chronological(s).packed, s.packed)
 
+    @pytest.mark.parametrize("length", [0, -5, -8])
+    def test_rejects_declared_length_below_one(self, length):
+        with pytest.raises(DomainError, match="declared_length must be >= 1"):
+            SampleSet([], declared_length=length)
+
+    def test_rejects_samples_without_bits(self):
+        with pytest.raises(DomainError, match="declared_length must be >= 1"):
+            SampleSet([BitSequence([])])
+
     def test_empty_set_shape(self):
         s = SampleSet([], declared_length=13)
         assert s.packed.shape == (0, 2)

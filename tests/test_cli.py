@@ -451,6 +451,36 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, shots):
     assert digests == OUTPUT_PINS[shots]
 
 
+def test_benchmark_wrapped_names_are_called(tmp_path, monkeypatch):
+    """The calls a tracer wraps by module global are made through those globals.
+
+    ``write_experiment`` generates through ``randsuite.sim.generate_experiment``,
+    ``load_sample_set`` decodes each file through ``randsuite.bitseq.parse_bits``
+    and ``randsuite test`` loads through ``randsuite.cli.load_sample_set``.
+    """
+    calls = {"generate_experiment": 0, "parse_bits": 0, "load_sample_set": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(rs.sim, "generate_experiment")
+    counting(rs.bitseq, "parse_bits")
+    counting(sys.modules["randsuite.cli"], "load_sample_set")
+    plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=5, shots_per_sample=128)
+    [manifest, _] = rs.write_experiment(plan, tmp_path / "data")
+    assert calls == {"generate_experiment": 1, "parse_bits": 0, "load_sample_set": 0}
+    rs.load_sample_set(rs.load_manifest(manifest))
+    assert calls["parse_bits"] == 5
+    assert main(["test", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                 "--tests", "frequency", "--no-min-length-enforcement"]) in (0, 1)
+    assert calls == {"generate_experiment": 1, "parse_bits": 10, "load_sample_set": 1}
+
+
 # Runs CLI commands in one fresh interpreter and prints, as its last line,
 # whether scipy was loaded after "import randsuite", after
 # "import randsuite.cli" and after each command.

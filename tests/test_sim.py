@@ -85,6 +85,18 @@ class TestEffectiveBias:
             Epoch(0, 0.5, eps01=True)
         with pytest.raises(DomainError, match="real number"):
             Anomaly(0, 5, None)
+        for bad_id in (True, "3", 2.0):
+            with pytest.raises(DomainError, match="qubit_id must be an integer"):
+                QubitNoiseModel(qubit_id=bad_id, epochs=(Epoch(0, 0.5),))
+        for bad_start in (True, 1.5):
+            with pytest.raises(DomainError, match="start_sample must be an integer"):
+                Epoch(bad_start, 0.5)
+        with pytest.raises(DomainError, match="stop_sample must be an integer"):
+            Anomaly(0, 2.5, 0.5)
+        with pytest.raises(DomainError, match="stop_sample must be >= 11, got 10"):
+            Anomaly(10, 10, 0.5)
+        with pytest.raises(DomainError, match="start_sample must be >= 0, got -1"):
+            Epoch(-1, 0.5)
 
 
 class TestGenerateSample:
@@ -118,16 +130,22 @@ class TestGenerateSample:
         (1001, "cc3c62de82f0dc7b1371b94d5a92ee71b297b87042744e03a6543d66e1661264"),
         (8192, "7b1e67eadf990c19f39c89d21ff6a8c00de0006171cae42f1111684c3327aa94"),
     ])
-    def test_stream_is_pinned(self, shots, digest):
+    @pytest.mark.parametrize("source", ["generate_sample", "generate_experiment"])
+    def test_stream_is_pinned(self, shots, digest, source):
         # Recorded when shots were drawn as Generator(Philox).random(shots) < p_eff.
         # Samples 2..5 are in the anomaly window, 6 and 7 have p_eff = 0 and
-        # 8..11 have p_eff = 1.
+        # 8..11 have p_eff = 1.  A set's rows are its samples, byte for byte.
         model = QubitNoiseModel(
             qubit_id=3, epochs=(Epoch(0, 0.5, 0.01, 0.02), Epoch(4, 0.0), Epoch(8, 1.0),
                                 Epoch(12, 0.3, 0.05, 0.1)),
             anomaly=Anomaly(2, 6, 0.9))
-        packed = b"".join(generate_sample(model, i, shots, 104729).packed.tobytes()
-                          for i in range(16))
+        if source == "generate_sample":
+            packed = b"".join(generate_sample(model, i, shots, 104729).packed.tobytes()
+                              for i in range(16))
+        else:
+            plan = ExperimentPlan(qubit_models=(model,), samples_per_qubit=16,
+                                  shots_per_sample=shots, master_seed=104729)
+            packed = generate_experiment(plan)[0].packed.tobytes()
         assert hashlib.sha256(packed).hexdigest() == digest
 
     def test_threshold_matches_float_draws_at_the_boundary(self):
@@ -148,6 +166,23 @@ class TestGenerateSample:
         assert seq.sample_index == 11
         assert seq.n == 64
 
+    def test_argument_validation(self):
+        for bad in (64.0, True, "64"):
+            with pytest.raises(DomainError, match="shots must be an integer"):
+                generate_sample(fair_model(), 0, bad, master_seed=1)
+        with pytest.raises(DomainError, match="shots must be >= 1, got 0"):
+            generate_sample(fair_model(), 0, 0, master_seed=1)
+        for bad in (1.0, True):
+            with pytest.raises(DomainError, match="master_seed must be an integer"):
+                generate_sample(fair_model(), 0, 64, master_seed=bad)
+        with pytest.raises(DomainError, match="64-bit"):
+            generate_sample(fair_model(), 0, 64, master_seed=2 ** 64)
+        for bad in (1.5, True, "1"):
+            with pytest.raises(DomainError, match="sample_index must be an integer"):
+                generate_sample(fair_model(), bad, 64, master_seed=1)
+        with pytest.raises(IndexOutOfRange):
+            generate_sample(fair_model(), -1, 64, master_seed=1)
+
 
 class TestGenerateExperiment:
     def test_shape_and_timestamps(self):
@@ -160,6 +195,20 @@ class TestGenerateExperiment:
             assert s.declared_length == 32
             deltas = {b.timestamp - a.timestamp for a, b in zip(s, list(s)[1:])}
             assert deltas == {timedelta(seconds=plan.sample_interval_s)}
+
+    def test_sets_hold_one_read_only_matrix(self):
+        plan = rs.biased_demo_plan(num_qubits=2, samples_per_qubit=7, shots_per_sample=1001,
+                                   master_seed=3, anomaly_qubit=1)
+        interval = timedelta(seconds=plan.sample_interval_s)
+        for s, model in zip(generate_experiment(plan), plan.qubit_models):
+            assert s.packed.shape == (7, 126) and s.packed.dtype == np.uint8
+            assert s.packed.flags.c_contiguous and not s.packed.flags.writeable
+            # 1001 = 125 * 8 + 1: the last byte carries one bit and seven zeros.
+            assert not (s.packed[:, -1] & 0x7F).any()
+            assert s.sample_indices == tuple(range(7))
+            assert s.timestamps == tuple(plan.start_time + i * interval for i in range(7))
+            for i in range(7):
+                assert s[i] == generate_sample(model, i, 1001, plan.master_seed)
 
     def test_full_regeneration_is_bit_identical(self):
         plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=6,
@@ -268,6 +317,14 @@ class TestPlans:
             ExperimentPlan(qubit_models=(fair_model(),), samples_per_qubit=0)
         with pytest.raises(ValueError):
             ExperimentPlan(qubit_models=(fair_model(),), master_seed=-1)
+        for key, bad in (("master_seed", True), ("samples_per_qubit", 2.5),
+                         ("shots_per_sample", 8.0), ("samples_per_qubit", "3")):
+            with pytest.raises(DomainError, match=f"{key} must be an integer"):
+                ExperimentPlan(qubit_models=(fair_model(),), **{key: bad})
+        plan = ExperimentPlan(qubit_models=(fair_model(),))
+        for bad in (2.5, True):
+            with pytest.raises(DomainError, match="master_seed must be an integer"):
+                rs.with_seed(plan, bad)
 
     def test_write_experiment_layout(self, tmp_path):
         plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=3,
