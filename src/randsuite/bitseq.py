@@ -34,6 +34,7 @@ from .errors import (
     InvalidCharacter,
     LengthMismatch,
     ManifestError,
+    check_int,
 )
 
 __all__ = [
@@ -52,7 +53,9 @@ __all__ = [
     "atomic_write",
 ]
 
-ENCODINGS = ("ascii01", "packed-msb", "hex")
+# Each encoding and the extension of the sample files written in it.
+_EXTENSIONS = {"ascii01": "txt", "packed-msb": "bin", "hex": "hex"}
+ENCODINGS = tuple(_EXTENSIONS)
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -101,13 +104,12 @@ class BitSequence:
             arr = arr.astype(np.uint8)
         else:
             raise DomainError(f"bits must be integers or bools, got dtype {arr.dtype}")
-        self._init_packed(np.packbits(arr), int(arr.size), source_id, sample_index, timestamp)
+        self._init_packed(np.packbits(arr), int(arr.size), source_id,
+                          check_int("sample_index", sample_index, 0), timestamp)
 
     def _init_packed(self, packed, n, source_id, sample_index, timestamp):
         # Invariant: ceil(n/8) bytes whose padding bits after bit n are zero;
         # the popcount-based counters rely on it.
-        if sample_index < 0:
-            raise DomainError(f"sample_index must be nonnegative, got {sample_index}")
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
         packed.setflags(write=False)
         object.__setattr__(self, "_packed", packed)
@@ -190,7 +192,11 @@ def _decode(raw: bytes, encoding: str) -> tuple[np.ndarray, int]:
         if nibbles.size % 2:
             nibbles = np.append(nibbles, np.uint8(0))
         return (nibbles[0::2] << 4) | nibbles[1::2], 4 * arr.size
-    raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    raise _unknown_encoding(encoding)
+
+
+def _unknown_encoding(encoding) -> ManifestError:
+    return ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
 
 # Zero bits an encoder may pad a stream with: up to a byte or a nibble.
@@ -261,7 +267,7 @@ def serialize_bits(seq: BitSequence, encoding: str) -> bytes:
     if encoding == "hex":
         n_nibbles = -(-seq.n // 4)
         return _HEX_DIGIT_PAIRS[seq.packed].reshape(-1)[:n_nibbles].tobytes()
-    raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    raise _unknown_encoding(encoding)
 
 
 class SampleSet:
@@ -284,8 +290,7 @@ class SampleSet:
             if not samples:
                 raise EmptySet("declared_length is required for an empty sample set")
             declared_length = samples[0].n
-        if declared_length < 1:
-            raise DomainError(f"declared_length must be >= 1, got {declared_length}")
+        declared_length = check_int("declared_length", declared_length, 1)
         seen = set()
         for s in samples:
             if s.n != declared_length:
@@ -371,10 +376,24 @@ def ones_before(packed: np.ndarray, positions) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One sample file: a relative path that stays below the manifest's directory."""
+
     path: str
     encoding: str
     sample_index: int
     timestamp: datetime | None = None
+
+    def __post_init__(self):
+        if self.encoding not in ENCODINGS:
+            raise ManifestError(f"unknown encoding {self.encoding!r} for {self.path!r}")
+        if not isinstance(self.path, str):
+            raise ManifestError(f"entry path must be a string, got {self.path!r}")
+        parts = PurePath(self.path)
+        if parts.anchor or ".." in parts.parts:
+            raise ManifestError(f"entry path {self.path!r} leaves the manifest directory; "
+                                f"use a relative path without '..'")
+        object.__setattr__(self, "sample_index", check_int(
+            f"sample_index of {self.path!r}", self.sample_index, 0, error=ManifestError))
 
 
 @dataclass(frozen=True)
@@ -382,10 +401,9 @@ class Manifest:
     """Declares the files making up one source's sample set.
 
     ``base_dir`` anchors the entry paths; :func:`load_manifest` sets it to
-    the manifest file's directory.  An entry path must stay below it: an
-    absolute path or a ``..`` component raises
-    :class:`~randsuite.errors.ManifestError`.  So does a ``source_id`` that
-    contains ``/`` or NUL, since output file names are built from it.
+    the manifest file's directory.  A ``source_id`` that contains ``/`` or
+    NUL raises :class:`~randsuite.errors.ManifestError`, since output file
+    names are built from it.
     """
 
     declared_length: int
@@ -396,27 +414,17 @@ class Manifest:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "base_dir", Path(self.base_dir))
-        if self.declared_length <= 0:
-            raise ManifestError(f"declared_length must be positive, got {self.declared_length}")
-        if "/" in self.source_id or "\0" in self.source_id:
-            raise ManifestError(f"source_id {self.source_id!r} may not contain '/' or NUL: "
-                                f"it names output files")
+        object.__setattr__(self, "declared_length", check_int(
+            "declared_length", self.declared_length, 1, error=ManifestError))
+        if not isinstance(self.source_id, str) or {"/", "\0"} & set(self.source_id):
+            raise ManifestError(f"source_id {self.source_id!r} must be a string without '/' "
+                                f"or NUL: it names output files")
         paths = set()
         indices = set()
         for e in self.entries:
-            if e.encoding not in ENCODINGS:
-                raise ManifestError(f"unknown encoding {e.encoding!r} for {e.path!r}")
-            parts = PurePath(e.path)
-            if parts.anchor or ".." in parts.parts:
-                raise ManifestError(
-                    f"entry path {e.path!r} leaves the manifest directory; use a "
-                    f"relative path without '..'")
             if e.path in paths:
                 raise ManifestError(f"duplicate path {e.path!r} in manifest")
             paths.add(e.path)
-            if e.sample_index < 0:
-                raise ManifestError(f"sample_index must be >= 0, got {e.sample_index} "
-                                    f"for {e.path!r}")
             if e.sample_index in indices:
                 raise DuplicateIndex(f"duplicate sample_index {e.sample_index} in manifest")
             indices.add(e.sample_index)
@@ -444,25 +452,6 @@ def read_json(path, what: str):
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-# kind -> (the types json.loads gives for it, its name in messages)
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-               str: (str, "a string")}
-
-
-def json_value(value, kind: type, what: str):
-    """``value`` as ``kind`` (int, float or str) if it is that JSON type, else ManifestError.
-
-    A bool is no number, and an integer is a float only if it fits in one.
-    """
-    accepted, name = _JSON_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ManifestError(f"{what} must be {name}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise ManifestError(f"{what} is out of a float's range") from None
-
-
 def load_manifest(path) -> Manifest:
     """Read a manifest JSON file; entry paths resolve against its directory."""
     path = Path(path)
@@ -470,13 +459,11 @@ def load_manifest(path) -> Manifest:
     try:
         entries = tuple(
             ManifestEntry(path=e["path"], encoding=e["encoding"],
-                          sample_index=json_value(e["sample_index"], int, "sample_index"),
+                          sample_index=e["sample_index"],
                           timestamp=_parse_timestamp(e.get("timestamp")))
             for e in doc["entries"]
         )
-        return Manifest(declared_length=json_value(doc["declared_length"], int,
-                                                   "declared_length"),
-                        source_id=json_value(doc["source_id"], str, "source_id"),
+        return Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
                         entries=entries, base_dir=path.parent)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ManifestError | DuplicateIndex):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import BitSequence, SampleSet, atomic_write, ones_before
-from .errors import DomainError, EmptySequence, EmptySet
+from .errors import EmptySequence, EmptySet, check_int, check_real
 from .special import erfc_inv
 
 __all__ = [
@@ -98,10 +98,8 @@ def proportion_band_for_length(n: int, alpha: float = 0.01) -> tuple[float, floa
     |p - 1/2| <= sqrt(2) * erfc_inv(alpha) / (2 * sqrt(n)).
     Membership in the open band is exactly "frequency-test p-value > alpha".
     """
-    if n < 1:
-        raise DomainError(f"sequence length must be >= 1, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    check_int("sequence length", n, 1)
+    check_real("alpha", alpha, 0, 1, "()")
     halfwidth = math.sqrt(2.0) * erfc_inv(alpha) / (2.0 * math.sqrt(n))
     return 0.5 - halfwidth, 0.5 + halfwidth
 
@@ -126,8 +124,7 @@ def deviation_series(seq: BitSequence, stride: int = 8192) -> DeviationSeries:
     """
     if seq.n == 0:
         raise EmptySequence("deviation_series needs at least one bit")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
+    check_int("stride", stride, 1)
     idx = np.arange(stride, seq.n + 1, stride, dtype=np.int64)
     if idx.size == 0 or idx[-1] != seq.n:
         idx = np.concatenate([idx, [seq.n]])

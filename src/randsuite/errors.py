@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of its numeric arguments.
 
 Everything raised on purpose derives from :class:`RandsuiteError`, so callers
 can catch one base class.  Most subclasses also derive from ``ValueError``
 because they signal bad input values.
 """
+
+import numbers
 
 
 class RandsuiteError(Exception):
@@ -103,5 +105,38 @@ class NonFiniteInput(RandsuiteError, ValueError):
     """NaN or infinity where a finite real is required."""
 
 
-class IndexOutOfRange(RandsuiteError, ValueError):
+class IndexOutOfRange(DomainError):
     """A sample index falls outside the range a noise model covers."""
+
+
+def check_int(name: str, value, low: int, high: int | None = None, *,
+              error: type = DomainError) -> int:
+    """``value`` as an ``int`` if it is an integer in [low, high], else ``error``.
+
+    A bool is no integer, and neither is a float with an integral value.
+    ``high``, when given, is the largest k-bit value 2**k - 1.  The builtin
+    types are tested before the ABCs, whose checks are far slower.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be a {high.bit_length()}-bit value, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value, low: float, high: float, edges: str = "[]"):
+    """``value`` if it is a real number between ``low`` and ``high``, else DomainError.
+
+    ``edges`` holds the interval's brackets: ``"[]"`` closed, ``"()"`` open,
+    ``"[)"`` and ``"(]"`` half-open.  NaN lies in no interval, and an infinity
+    only in one closed at that edge.  A bool is no real number.  A Python int
+    or float is returned as given, any other real (a numpy float32, say) as a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not ((low < value if edges[0] == "(" else low <= value)
+            and (value < high if edges[1] == ")" else value <= high)):
+        raise DomainError(f"{name} must be in {edges[0]}{low}, {high}{edges[1]}, got {value}")
+    return value if isinstance(value, int | float) else float(value)

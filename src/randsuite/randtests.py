@@ -36,6 +36,8 @@ from .errors import (
     EmptySequence,
     PatternTooLong,
     SampleTooShort,
+    check_int,
+    check_real,
 )
 from .special import as_probability, erfc, normal_cdf, upper_igamc
 
@@ -122,12 +124,13 @@ class TestParams:
     enforce_min_length: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.block_size_m < 2:
-            raise DomainError(f"block_size_m must be >= 2, got {self.block_size_m}")
-        if self.pattern_len_m < 1:
-            raise DomainError(f"pattern_len_m must be >= 1, got {self.pattern_len_m}")
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0, 1, "()"))
+        object.__setattr__(self, "block_size_m", check_int("block_size_m", self.block_size_m, 2))
+        object.__setattr__(self, "pattern_len_m",
+                           check_int("pattern_len_m", self.pattern_len_m, 1))
+        if not isinstance(self.enforce_min_length, bool):
+            raise DomainError(f"enforce_min_length must be a bool, "
+                              f"got {self.enforce_min_length!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -26,17 +25,19 @@ from pathlib import Path
 import numpy as np
 
 from .bitseq import (
+    _EXTENSIONS,
+    ENCODINGS,
     BitSequence,
     Manifest,
     ManifestEntry,
     SampleSet,
+    _unknown_encoding,
     atomic_write,
-    json_value,
     read_json,
     save_manifest,
     serialize_bits,
 )
-from .errors import DomainError, IndexOutOfRange, ManifestError
+from .errors import DomainError, IndexOutOfRange, ManifestError, check_int, check_real
 
 __all__ = [
     "Epoch",
@@ -60,21 +61,13 @@ __all__ = [
 DEFAULT_SAMPLE_INTERVAL_S = 746.0
 DEFAULT_START_TIME = datetime(2019, 1, 1, tzinfo=timezone.utc)
 
-_MAX_SEED = 2 ** 64
+_MAX_SEED = 2 ** 64 - 1
 
 
-def _check_prob(name: str, value: float) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
-
-
-def _check_int(name: str, value: int, low: int, error: type = DomainError) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+def _store(obj, **values) -> None:
+    """Set fields of a frozen dataclass to their checked values."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -92,10 +85,10 @@ class Epoch:
     eps10: float = 0.0
 
     def __post_init__(self):
-        _check_int("start_sample", self.start_sample, 0)
-        _check_prob("p1_state", self.p1_state)
-        _check_prob("eps01", self.eps01)
-        _check_prob("eps10", self.eps10)
+        _store(self, start_sample=check_int("start_sample", self.start_sample, 0),
+               p1_state=check_real("p1_state", self.p1_state, 0, 1),
+               eps01=check_real("eps01", self.eps01, 0, 1),
+               eps10=check_real("eps10", self.eps10, 0, 1))
 
     @property
     def p_eff(self) -> float:
@@ -111,9 +104,10 @@ class Anomaly:
     p1_override: float
 
     def __post_init__(self):
-        _check_int("start_sample", self.start_sample, 0)
-        _check_int("stop_sample", self.stop_sample, self.start_sample + 1)
-        _check_prob("p1_override", self.p1_override)
+        start = check_int("start_sample", self.start_sample, 0)
+        _store(self, start_sample=start,
+               stop_sample=check_int("stop_sample", self.stop_sample, start + 1),
+               p1_override=check_real("p1_override", self.p1_override, 0, 1))
 
     def covers(self, sample_index: int) -> bool:
         return self.start_sample <= sample_index < self.stop_sample
@@ -128,8 +122,8 @@ class QubitNoiseModel:
     anomaly: Anomaly | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "epochs", tuple(self.epochs))
-        _check_int("qubit_id", self.qubit_id, 0)
+        _store(self, epochs=tuple(self.epochs),
+               qubit_id=check_int("qubit_id", self.qubit_id, 0))
         if not self.epochs:
             raise DomainError("a noise model needs at least one epoch")
         if self.epochs[0].start_sample != 0:
@@ -145,7 +139,7 @@ class QubitNoiseModel:
 
 def effective_bias(model: QubitNoiseModel, sample_index: int) -> float:
     """Probability of reading 1 at ``sample_index`` under ``model``."""
-    _check_int("sample_index", sample_index, 0, IndexOutOfRange)
+    check_int("sample_index", sample_index, 0, error=IndexOutOfRange)
     epoch = model.epochs[bisect_right(model.epochs, sample_index,
                                       key=lambda e: e.start_sample) - 1]
     if model.anomaly is not None and model.anomaly.covers(sample_index):
@@ -177,14 +171,12 @@ def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
     Identical (master_seed, qubit_id, sample_index, shots) reproduce it bit-for-bit,
     as row ``sample_index`` of the qubit's set from :func:`generate_experiment`.
     """
-    _check_int("shots", shots, 1)
-    _check_int("master_seed", master_seed, 0)
-    if master_seed >= _MAX_SEED:
-        raise DomainError(f"master_seed must be a 64-bit value, got {master_seed}")
+    shots = check_int("shots", shots, 1)
+    check_int("master_seed", master_seed, 0, _MAX_SEED)
     [row] = _draw_rows(model, (sample_index,), shots, master_seed)
     return BitSequence._from_packed(row, shots,
                                     source_id=model.source_id,
-                                    sample_index=sample_index,
+                                    sample_index=int(sample_index),
                                     timestamp=timestamp)
 
 
@@ -200,20 +192,19 @@ class ExperimentPlan:
     sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S
 
     def __post_init__(self):
-        object.__setattr__(self, "qubit_models", tuple(self.qubit_models))
+        _store(self, qubit_models=tuple(self.qubit_models),
+               samples_per_qubit=check_int("samples_per_qubit", self.samples_per_qubit, 1),
+               shots_per_sample=check_int("shots_per_sample", self.shots_per_sample, 1),
+               master_seed=check_int("master_seed", self.master_seed, 0, _MAX_SEED),
+               sample_interval_s=check_real("sample_interval_s", self.sample_interval_s,
+                                            0, math.inf, "[)"))
         if not self.qubit_models:
             raise DomainError("a plan needs at least one qubit model")
-        _check_int("samples_per_qubit", self.samples_per_qubit, 1)
-        _check_int("shots_per_sample", self.shots_per_sample, 1)
-        _check_int("master_seed", self.master_seed, 0)
-        if self.master_seed >= _MAX_SEED:
-            raise DomainError(f"master_seed must be a 64-bit value, got {self.master_seed}")
-        ids = [m.qubit_id for m in self.qubit_models]
-        if len(set(ids)) != len(ids):
+        if len({m.qubit_id for m in self.qubit_models}) != len(self.qubit_models):
             raise DomainError("duplicate qubit_id in plan")
+        if not isinstance(self.start_time, datetime):
+            raise DomainError(f"start_time must be a datetime, got {self.start_time!r}")
         interval = self.sample_interval_s
-        if not (math.isfinite(interval) and interval >= 0.0):
-            raise DomainError(f"sample_interval_s must be finite and >= 0, got {interval}")
         try:
             self.start_time + (self.samples_per_qubit - 1) * timedelta(seconds=interval)
         except OverflowError as exc:
@@ -307,30 +298,25 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
     try:
         models = tuple(
             QubitNoiseModel(
-                qubit_id=json_value(q["qubit_id"], int, "qubit_id"),
-                epochs=tuple(Epoch(json_value(e["start_sample"], int, "start_sample"),
-                                   json_value(e["p1_state"], float, "p1_state"),
-                                   json_value(e.get("eps01", 0.0), float, "eps01"),
-                                   json_value(e.get("eps10", 0.0), float, "eps10"))
-                             for e in q["epochs"]),
-                anomaly=(Anomaly(json_value(q["anomaly"]["start_sample"], int, "start_sample"),
-                                 json_value(q["anomaly"]["stop_sample"], int, "stop_sample"),
-                                 json_value(q["anomaly"]["p1_override"], float, "p1_override"))
-                         if "anomaly" in q else None),
+                qubit_id=q["qubit_id"],
+                epochs=tuple(Epoch(e["start_sample"], e["p1_state"], e.get("eps01", 0.0),
+                                   e.get("eps10", 0.0)) for e in q["epochs"]),
+                anomaly=(Anomaly(q["anomaly"]["start_sample"], q["anomaly"]["stop_sample"],
+                                 q["anomaly"]["p1_override"]) if "anomaly" in q else None),
             )
             for q in doc["qubits"]
         )
         start = doc.get("start_time")
-        start = None if start is None else json_value(start, str, "start_time")
+        if start is not None and not isinstance(start, str):
+            raise ManifestError(f"start_time must be a string, got {start!r}")
         return ExperimentPlan(
             qubit_models=models,
-            samples_per_qubit=json_value(doc["samples_per_qubit"], int, "samples_per_qubit"),
-            shots_per_sample=json_value(doc["shots_per_sample"], int, "shots_per_sample"),
-            master_seed=json_value(doc["master_seed"], int, "master_seed"),
+            samples_per_qubit=doc["samples_per_qubit"],
+            shots_per_sample=doc["shots_per_sample"],
+            master_seed=doc["master_seed"],
             start_time=(datetime.fromisoformat(start.replace("Z", "+00:00"))
                         if start else DEFAULT_START_TIME),
-            sample_interval_s=json_value(doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S),
-                                         float, "sample_interval_s"),
+            sample_interval_s=doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"plan document is malformed: {exc}") from exc
@@ -349,9 +335,6 @@ def with_seed(plan: ExperimentPlan, master_seed: int) -> ExperimentPlan:
     return replace(plan, master_seed=master_seed)
 
 
-_EXTENSIONS = {"ascii01": "txt", "packed-msb": "bin", "hex": "hex"}
-
-
 def write_experiment(plan: ExperimentPlan, out_dir,
                      encoding: str = "packed-msb") -> list[Path]:
     """Generate the experiment and write one directory per qubit.
@@ -365,8 +348,8 @@ def write_experiment(plan: ExperimentPlan, out_dir,
     qubit without a manifest, never with one that declares missing or
     partly written files.
     """
-    if encoding not in _EXTENSIONS:
-        raise ManifestError(f"unknown encoding {encoding!r}")
+    if encoding not in ENCODINGS:
+        raise _unknown_encoding(encoding)
     out_dir = Path(out_dir)
     ext = _EXTENSIONS[encoding]
     manifest_paths = []

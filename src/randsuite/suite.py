@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitseq import SampleSet, atomic_write
-from .errors import DomainError, EmptySet, SampleTooShort, TooFewSamples
+from .errors import DomainError, EmptySet, SampleTooShort, TooFewSamples, check_int, check_real
 from .randtests import (
     ALL_TESTS,
     MIN_LENGTH,
@@ -74,22 +74,15 @@ class ProportionBand:
         return self.lower < proportion <= self.upper
 
 
-def _check_band_coefficient(coefficient: float) -> None:
-    if not (math.isfinite(coefficient) and coefficient > 0.0):
-        raise DomainError(f"band coefficient must be finite and > 0, got {coefficient}")
-
-
 def proportion_band(alpha: float, m: int, coefficient: float = 3.0) -> ProportionBand:
     """Acceptance band for the proportion of passed samples.
 
     The default coefficient 3 is the customary choice; 2.6 is a published
     alternative, hence the knob.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if m < 1:
-        raise DomainError(f"sample count must be >= 1, got {m}")
-    _check_band_coefficient(coefficient)
+    alpha = check_real("alpha", alpha, 0, 1, "()")
+    m = check_int("sample count", m, 1)
+    coefficient = check_real("band_coefficient", coefficient, 0, math.inf, "()")
     halfwidth = coefficient * math.sqrt(alpha * (1.0 - alpha) / m)
     return ProportionBand(center=1.0 - alpha, halfwidth=halfwidth,
                           coefficient=coefficient, sample_count=m)
@@ -105,6 +98,7 @@ def uniformity_check(p_values, *, significance: float = 0.0001):
     (chi2, p, ok) : tuple of (float, float, bool)
         ``ok`` is ``p >= significance``.
     """
+    check_real("significance", significance, 0, 1, "()")
     p_values = np.fromiter(p_values, dtype=np.float64)
     m = p_values.size
     if m < UNIFORMITY_MIN_SAMPLES:
@@ -135,10 +129,11 @@ class SuiteConfig:
             raise DomainError("at least one test must be selected")
         if len(set(tests)) != len(tests):
             raise DomainError("duplicate test ids in selection")
-        _check_band_coefficient(self.band_coefficient)
-        if not 0.0 < self.uniformity_alpha < 1.0:
-            raise DomainError(f"uniformity_alpha must be in (0, 1), got {self.uniformity_alpha}")
         object.__setattr__(self, "tests", tests)
+        object.__setattr__(self, "band_coefficient", check_real(
+            "band_coefficient", self.band_coefficient, 0, math.inf, "()"))
+        object.__setattr__(self, "uniformity_alpha", check_real(
+            "uniformity_alpha", self.uniformity_alpha, 0, 1, "()"))
 
 
 @dataclass(frozen=True, eq=False)

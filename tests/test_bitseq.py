@@ -154,7 +154,7 @@ class TestBitSequence:
             BitSequence([0.5, 1.0])
         with pytest.raises(DomainError, match="one-dimensional"):
             BitSequence([[0, 1], [1, 0]])
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(DomainError, match="sample_index must be >= 0, got -1"):
             BitSequence([0, 1], sample_index=-1)
 
 

@@ -21,7 +21,7 @@ from randsuite import (
     generate_sample,
     min_entropy,
 )
-from randsuite.errors import DomainError, IndexOutOfRange
+from randsuite.errors import DomainError, IndexOutOfRange, ManifestError
 from randsuite.sim import plan_from_dict, plan_to_dict
 
 
@@ -325,6 +325,33 @@ class TestPlans:
         for bad in (2.5, True):
             with pytest.raises(DomainError, match="master_seed must be an integer"):
                 rs.with_seed(plan, bad)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        epochs = (Epoch(np.int64(0), np.float32(0.5), np.float64(0.01)),
+                  Epoch(np.int32(2), np.float32(0.25)))
+        model = QubitNoiseModel(np.int64(3), epochs,
+                                anomaly=Anomaly(np.int64(1), np.uint8(2), np.float32(0.125)))
+        plan = ExperimentPlan((model,), samples_per_qubit=np.int64(4),
+                              shots_per_sample=np.int16(64), master_seed=np.uint64(2 ** 63),
+                              sample_interval_s=np.float32(2.5))
+        assert type(plan.master_seed) is int and type(model.epochs[1].start_sample) is int
+        assert type(plan.sample_interval_s) is float and type(model.anomaly.p1_override) is float
+        rs.save_plan(plan, tmp_path / "plan.json")
+        assert rs.load_plan(tmp_path / "plan.json") == plan
+        # Python numbers are kept as given, so a saved plan's bytes do not move.
+        assert type(Epoch(0, 1).p1_state) is int
+
+    def test_unknown_encoding_is_rejected_before_any_directory(self, tmp_path):
+        plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=2, shots_per_sample=64)
+        with pytest.raises(ManifestError) as written:
+            rs.write_experiment(plan, tmp_path / "out", encoding="utf-9")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ManifestError) as serialized:
+            rs.serialize_bits(rs.BitSequence([0, 1]), "utf-9")
+        with pytest.raises(ManifestError) as parsed:
+            rs.parse_bits(b"01", "utf-9")
+        assert str(written.value) == str(serialized.value) == str(parsed.value) == (
+            "unknown encoding 'utf-9'; expected one of ('ascii01', 'packed-msb', 'hex')")
 
     def test_write_experiment_layout(self, tmp_path):
         plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=3,
