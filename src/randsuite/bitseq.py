@@ -108,6 +108,8 @@ class BitSequence:
                           check_int("sample_index", sample_index, 0), timestamp)
 
     def _init_packed(self, packed, n, source_id, sample_index, timestamp):
+        if timestamp is not None and not isinstance(timestamp, datetime):
+            raise DomainError(f"timestamp must be a datetime or None, got {timestamp!r}")
         # Invariant: ceil(n/8) bytes whose padding bits after bit n are zero;
         # the popcount-based counters rely on it.
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
@@ -394,6 +396,9 @@ class ManifestEntry:
                                 f"use a relative path without '..'")
         object.__setattr__(self, "sample_index", check_int(
             f"sample_index of {self.path!r}", self.sample_index, 0, error=ManifestError))
+        if self.timestamp is not None and not isinstance(self.timestamp, datetime):
+            raise ManifestError(f"timestamp of {self.path!r} must be a datetime or None, "
+                                f"got {self.timestamp!r}")
 
 
 @dataclass(frozen=True)

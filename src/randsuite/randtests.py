@@ -176,11 +176,12 @@ class _Workspace:
     """Buffers that every chunk of one :func:`run_batch` call reuses.
 
     ``scratch`` holds 8 bytes per bit of the largest chunk and serves, in
-    turn, as the spectral test's float64 input and moduli and as
-    approximate entropy's intp pattern keys; ``spectrum`` holds the chunk's
-    Fourier coefficients.  Fresh multi-MB temporaries per chunk would be
-    faulted in page by page every time.  ``np.empty`` writes nothing, so a
-    buffer that no selected kernel touches never has a page faulted in.
+    turn, as the spectral test's float64 input and its moduli; ``spectrum``
+    holds the chunk's Fourier coefficients and then the moduli's
+    comparisons with the threshold.  Fresh multi-MB temporaries per chunk
+    would be faulted in page by page every time.  ``np.empty`` writes
+    nothing, so a buffer that no selected kernel touches never has a page
+    faulted in.
     """
 
     def __init__(self, rows: int, n: int):
@@ -463,12 +464,12 @@ def _spectrum_width(n: int) -> int:
 
 @lru_cache(maxsize=2)
 def _twiddles(n: int, n1: int) -> np.ndarray:
-    """Read-only W_n^(c*b) = exp(-2 pi i c b / n) for c = 0..n2/2, b = 0..n1-1."""
-    table = np.empty((n // n1 // 2 + 1, n1), dtype=np.complex128)
+    """Read-only W_n^(b*c) = exp(-2 pi i b c / n) for b = 0..n1-1, c = 0..n2/2."""
+    table = np.empty((n1, n // n1 // 2 + 1), dtype=np.complex128)
     angle = table.real
-    # Each c * b < n is an exact float64.
-    np.multiply.outer(np.arange(len(table), dtype=np.float64),
-                      np.arange(n1, dtype=np.float64), out=angle)
+    # Each b * c < n is an exact float64.
+    np.multiply.outer(np.arange(n1, dtype=np.float64),
+                      np.arange(table.shape[1], dtype=np.float64), out=angle)
     angle *= -2.0 * math.pi / n
     np.sin(angle, out=table.imag)
     np.cos(angle, out=angle)
@@ -498,23 +499,25 @@ def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
     with a modulus too close to ``limit`` for the count to be trusted.
 
     With j = b + n1 * a and k = c + n2 * d, the row viewed as an (n2, n1)
-    array is transformed along a (rows c = 0..n2/2 of a real input),
-    multiplied by W_n^(c*b) and transformed along b in place: row c then
-    holds X[c + n2 * d].  Rows n2/2+1..n2-1 hold the conjugates of rows
-    n2/2-1..1, so those count twice and rows 0 and n2/2 once: ``full``
-    counts all n bins.  X_0 and X_{n/2} are their own conjugates and every
-    other bin pairs with one in 1..n/2-1, so full is [X_0] + [X_{n/2}] plus
-    twice the count over 1..n/2-1, and (full + [X_0]) // 2 is the count
-    over 0..n/2-1.
+    array is written transposed, as an (n1, n2) array, so that its real
+    transform along a runs over contiguous rows (columns c = 0..n2/2).  It
+    is multiplied by W_n^(b*c) and transformed along b in place: column c
+    then holds X[c + n2 * d].  Columns n2/2+1..n2-1 would hold the
+    conjugates of columns n2/2-1..1, so those count twice and columns 0
+    and n2/2 once: ``full`` counts all n bins.  X_0 and X_{n/2} are their
+    own conjugates and every other bin pairs with one in 1..n/2-1, so full
+    is [X_0] + [X_{n/2}] plus twice the count over 1..n/2-1, and
+    (full + [X_0]) // 2 is the count over 0..n/2-1.
     """
     r, n = bits.shape
     n1 = n // n2
-    x = _as_buffer(work.scratch, np.float64, (r, n))
-    np.subtract(bits, 0.5, out=x)
-    spectrum = _as_buffer(work.spectrum, np.complex128, (r, n2 // 2 + 1, n1))
-    np.fft.rfft(x.reshape(r, n2, n1), axis=1, out=spectrum)
+    x = _as_buffer(work.scratch, np.float64, (r, n1, n2))
+    # The transposing copy costs less than a transform along strided data.
+    np.subtract(bits.reshape(r, n2, n1).transpose(0, 2, 1), 0.5, out=x)
+    spectrum = _as_buffer(work.spectrum, np.complex128, (r, n1, n2 // 2 + 1))
+    np.fft.rfft(x, axis=2, out=spectrum)
     spectrum *= _twiddles(n, n1)
-    np.fft.fft(spectrum, axis=2, out=spectrum)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
     moduli = _as_buffer(work.scratch, np.float64, spectrum.shape)
     np.abs(spectrum, out=moduli)
     below = _as_buffer(work.spectrum, np.bool_, spectrum.shape)
@@ -525,8 +528,8 @@ def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
     upper = np.count_nonzero(below, axis=(1, 2))
     np.less(moduli, low, out=below)
     lower = np.count_nonzero(below, axis=(1, 2))
-    full = (2 * lower - np.count_nonzero(below[:, 0], axis=1)
-            - np.count_nonzero(below[:, -1], axis=1))
+    full = (2 * lower - np.count_nonzero(below[:, :, 0], axis=1)
+            - np.count_nonzero(below[:, :, -1], axis=1))
     return (full + (moduli[:, 0, 0] < low)) // 2, upper != lower
 
 
@@ -570,24 +573,73 @@ def _phi(counts: np.ndarray, n: int) -> np.ndarray:
     return (freq * np.log(freq, out=np.zeros_like(freq), where=counts > 0)).sum(axis=1)
 
 
-def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:
-    # Patterns wrap cyclically (the first m bits are appended), so each
-    # pattern length yields exactly n overlapping windows.  The codes are
-    # built in the narrowest type that holds them, then offset by size * row
-    # into the scratch so that one bincount counts every row; the m-bit
-    # counts are the (m+1)-bit counts summed over the last bit.
-    m, n, bits = params.pattern_len_m, rows.n, rows.bits
-    r, size = len(bits), 2 ** (m + 1)
-    codes = bits.astype(np.min_scalar_type(size - 1))
+# Approximate entropy counts its windows a byte at a time for pattern
+# lengths up to this one, and bit by bit above it.  The byte path's table
+# has 2^(2m+9) entries; at n = 8192 it is the faster path up to m = 5 and
+# the slower one from m = 6 on.
+_APEN_BYTE_MAX_M = 5
+
+
+@lru_cache(maxsize=None)
+def _window_table(m: int) -> np.ndarray:
+    """Read-only (2^(8+m), 2^(m+1)) float64 table of approximate entropy's
+    byte keys: entry [key, p] is how many of the 8 (m+1)-bit windows that
+    start at bits 0..7 of the (8+m)-bit key (most significant first) show
+    pattern p."""
+    keys = np.arange(2 ** (8 + m))
+    table = np.zeros((len(keys), 2 ** (m + 1)))
+    for start in range(8):
+        table[keys, (keys >> (7 - start)) & (2 ** (m + 1) - 1)] += 1
+    table.flags.writeable = False
+    return table
+
+
+def _apen_bins(m: int) -> int:
+    """Bins per row of approximate entropy's largest count."""
+    return 2 ** (8 + m) if m <= _APEN_BYTE_MAX_M else 2 ** (m + 1)
+
+
+def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Each row's counts of the n cyclic (m+1)-bit windows, by pattern.
+
+    The first m bits are appended to each row, so there are exactly n
+    windows.  The 8 windows that start in each of the first ``whole`` bytes
+    end before bit n: that byte and the top m bits of the next make an
+    (8+m)-bit key, one bincount over all rows counts the keys (2^(8+m) bins
+    per row), and the window table turns key counts into pattern counts.
+    The remaining windows, m to m + 7 of them (all n when m is above
+    _APEN_BYTE_MAX_M), are counted bit by bit from the unpacked tail with
+    the row's first m bits appended, which is the wrap.  The float64 counts
+    are exact integers.
+    """
+    r, size = len(packed), 2 ** (m + 1)
+    whole = (n - m) // 8 if m <= _APEN_BYTE_MAX_M else 0
+    counts = np.zeros((r, size))
+    if whole:
+        keys = packed[:, :whole].astype(np.intp)
+        keys <<= m
+        keys |= packed[:, 1:whole + 1] >> (8 - m)
+        keys += (np.arange(r, dtype=np.intp) << (8 + m))[:, None]
+        hist = np.bincount(keys.reshape(-1), minlength=r << (8 + m))
+        np.matmul(hist.reshape(r, -1), _window_table(m), out=counts)
+    width = n - 8 * whole
+    tail = np.concatenate([np.unpackbits(packed[:, whole:], axis=1, count=width),
+                           np.unpackbits(packed[:, :(m + 7) // 8], axis=1, count=m)], axis=1)
+    codes = tail[:, :width].astype(np.intp)
     for j in range(1, m + 1):
         codes <<= 1
-        codes[:, :n - j] |= bits[:, j:]
-        codes[:, n - j:] |= bits[:, :j]
-    keys = _as_buffer(rows.work.scratch, np.intp, (r, n))
-    np.add(codes, size * np.arange(r, dtype=np.intp)[:, None], out=keys)
-    counts = np.bincount(keys.reshape(-1), minlength=size * r).reshape(r, size)
-    return {"phi_m": _phi(counts.reshape(r, size // 2, 2).sum(axis=2), n),
-            "phi_m1": _phi(counts, n)}
+        codes |= tail[:, j:j + width]
+    codes += size * np.arange(r, dtype=np.intp)[:, None]
+    counts += np.bincount(codes.reshape(-1), minlength=size * r).reshape(r, size)
+    return counts
+
+
+def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:
+    # The m-bit counts are the (m+1)-bit counts summed over the last bit.
+    counts = _pattern_counts(rows.packed, rows.n, params.pattern_len_m)
+    r, size = counts.shape
+    return {"phi_m": _phi(counts.reshape(r, size // 2, 2).sum(axis=2), rows.n),
+            "phi_m1": _phi(counts, rows.n)}
 
 
 _APEN_STATISTIC_FORMULA = "2*n*(ln(2) - (phi_m - phi_{m+1}))"
@@ -680,11 +732,11 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
     tests = tuple(TestId(t) for t in tests)
     for test_id in tests:
         _check(test_id, n, params)
-    # The widest per-row temporary: the bits themselves, or the
-    # (m+1)-pattern counts of approximate entropy.
+    # The widest per-row temporary: the bits themselves, or approximate
+    # entropy's largest count.
     width = n
     if TestId.APPROX_ENTROPY in tests:
-        width = max(n, 2 ** (params.pattern_len_m + 1))
+        width = max(n, _apen_bins(params.pattern_len_m))
     step = max(1, _CHUNK_BITS // width)
     work = _Workspace(min(step, len(packed)), n)
     parts = {test_id: [] for test_id in tests}

@@ -155,6 +155,14 @@ ARGUMENTS = [
      DomainError),
     ("BitSequence.sample_index", COUNT, 3, lambda v: BitSequence([0, 1], sample_index=v),
      DomainError),
+    # None is a timestamp not known.
+    ("BitSequence.timestamp", TIME[:-1], _START, lambda v: BitSequence([0, 1], timestamp=v),
+     DomainError),
+    ("parse_bits.timestamp", TIME[:-1], _START, lambda v: rs.parse_bits("01", "ascii01",
+                                                                      timestamp=v),
+     DomainError),
+    ("generate_sample.timestamp", TIME[:-1], _START,
+     lambda v: rs.generate_sample(_MODEL, 0, 64, 1, timestamp=v), DomainError),
     # None asks SampleSet for its first sample's length.
     ("SampleSet.declared_length", COUNT[:-1], 8, lambda v: SampleSet([], declared_length=v),
      DomainError),
@@ -168,6 +176,8 @@ ARGUMENTS = [
      lambda v: ManifestEntry("a.txt", v, 0), ManifestError),
     ("ManifestEntry.sample_index", COUNT, 3,
      lambda v: ManifestEntry("a.txt", "hex", v), ManifestError),
+    ("ManifestEntry.timestamp", TIME[:-1], _START,
+     lambda v: ManifestEntry("a.txt", "hex", 0, v), ManifestError),
 ]
 
 

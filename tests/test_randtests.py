@@ -623,3 +623,57 @@ class TestPackedDomainKernels:
         n_obs = R._dft_n_obs(bits, R._Workspace(3, n), limit)
         assert n_obs.tolist() == np.count_nonzero(moduli < limit, axis=1).tolist()
         assert recounted == [1]
+
+    @pytest.mark.parametrize("n", [R._FOUR_STEP_MIN_N, 144000])
+    def test_four_step_multi_row_chunks_equal_single_transform(self, n):
+        # Two rows per chunk, as run_batch stacks them at 2^17; 144000 has
+        # the odd n1 = 375.  No random row comes near the guard band.
+        rng = np.random.Generator(np.random.PCG64(n + 4))
+        bits = (rng.random((4, n)) < 0.5).astype(np.uint8)
+        n2, limit = R._four_step_split(n), 0.5 * R._dft_threshold(n)
+        for chunk in (bits[:2], bits[2:]):
+            n_obs, unsure = R._dft_four_step(chunk, R._Workspace(2, n), limit, n2)
+            assert not unsure.any()
+            assert n_obs.tolist() == R._dft_direct(chunk, R._Workspace(2, n), limit).tolist()
+
+    @pytest.mark.parametrize("n,n1", [(1 << 17, 512), (144000, 375)])
+    def test_twiddles_are_laid_out_as_the_transposed_input(self, n, n1):
+        table = R._twiddles(n, n1)
+        n2 = n // n1
+        assert table.shape == (n1, n2 // 2 + 1)
+        assert not table.flags.writeable
+        b, c = np.meshgrid(np.arange(n1), np.arange(n2 // 2 + 1), indexing="ij")
+        assert np.allclose(table, np.exp(-2j * np.pi * b * c / n), rtol=0, atol=1e-12)
+
+
+def reference_pattern_counts(bits, m):
+    """Counts of each row's n cyclic (m+1)-bit windows, built bit by bit."""
+    n = bits.shape[1]
+    ext = np.concatenate([bits, bits[:, :m]], axis=1).astype(np.int64)
+    codes = sum(ext[:, j:j + n] << (m - j) for j in range(m + 1))
+    return np.stack([np.bincount(row, minlength=2 ** (m + 1)) for row in codes])
+
+
+class TestBytewiseApproximateEntropy:
+    """The byte-key pattern counts against a per-bit reference."""
+
+    @pytest.mark.parametrize("n", [65, 1001, 8190, 8192, 1 << 17])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+    def test_pattern_counts_equal_per_bit_reference(self, n, m):
+        rng = np.random.Generator(np.random.PCG64(n + m))
+        bits = (rng.random((8, n)) < rng.uniform(0.2, 0.8, (8, 1))).astype(np.uint8)
+        bits[0] = 0
+        bits[1] = 1
+        bits[2] = np.arange(n) % 2
+        bits[3] = np.arange(n) % 3 == 0
+        counts = R._pattern_counts(np.packbits(bits, axis=1), n, m)
+        assert counts.sum(axis=1).tolist() == [n] * 8
+        assert np.array_equal(counts, reference_pattern_counts(bits, m))
+
+    def test_window_table(self):
+        table = R._window_table(2)
+        assert table.shape == (1024, 8) and not table.flags.writeable
+        key = "0001101100"  # 8 + 2 bits
+        windows = [int(key[start:start + 3], 2) for start in range(8)]
+        assert table[int(key, 2)].tolist() == np.bincount(windows, minlength=8).tolist()
+        assert table.sum(axis=1).tolist() == [8] * 1024
