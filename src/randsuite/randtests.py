@@ -39,7 +39,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .special import as_probability, erfc, normal_cdf, upper_igamc
+from .special import _scipy_fft, as_probability, erfc, normal_cdf, upper_igamc
 
 __all__ = [
     "TestId",
@@ -176,9 +176,11 @@ class _Workspace:
     """Buffers that every chunk of one :func:`run_batch` call reuses.
 
     ``scratch`` holds 8 bytes per bit of the largest chunk and serves, in
-    turn, as the spectral test's float64 input and its moduli; ``spectrum``
-    holds the chunk's Fourier coefficients and then the moduli's
-    comparisons with the threshold.  Fresh multi-MB temporaries per chunk
+    turn, as the spectral test's input and its moduli, float64 or float32;
+    ``spectrum`` holds the chunk's float64 Fourier coefficients and then the
+    moduli's comparisons with the threshold.  The float32 transform's
+    complex64 coefficients are SciPy's own allocation, half a float64
+    spectrum's size.  Fresh multi-MB temporaries per chunk
     would be faulted in page by page every time.  ``np.empty`` writes
     nothing, so a buffer that no selected kernel touches never has a page
     faulted in.
@@ -395,21 +397,26 @@ def _longest_run_count(rows: _Rows, params: TestParams) -> dict:
     # i..i+length-1 of the block are all ones, so a block has a run of
     # `length` ones iff it is still nonzero.  A block's class is the number
     # of class edges v0_edge+1..v0_edge+k that its longest run reaches.
-    width = m // 8
-    blocks = rows.packed[:, :num_blocks * width].reshape(-1, width).copy()
-    x = blocks.reshape(-1)
+    # Blocks are shifted as big-endian words of gcd(M/8, 8) bytes (8 at
+    # M = 128, 2 at M = 10000, 1 at M = 8), so bit order is sequence order
+    # and each word takes its carry from the top bit of the next.
+    r = len(rows.packed)
+    size = math.gcd(m // 8, 8)
+    per_block = m // 8 // size
+    x = (rows.packed[:, :num_blocks * m // 8].reshape(-1, size)
+         .view(f">u{size}").astype(f"u{size}").reshape(-1))
     shifted, carry = np.empty_like(x), np.empty_like(x)
-    classes = np.zeros(len(blocks), dtype=np.intp)
+    classes = np.zeros(len(x) // per_block, dtype=np.intp)
     for length in range(2, v0_edge + k + 1):
         np.left_shift(x, 1, out=shifted)
-        np.right_shift(x[1:], 7, out=carry[:-1])
-        carry[width - 1::width] = 0  # nothing carries across a block's end
+        np.right_shift(x[1:], 8 * size - 1, out=carry[:-1])
+        carry[per_block - 1::per_block] = 0  # nothing carries across a block's end
         shifted |= carry
         x &= shifted
         if length > v0_edge:
-            classes += blocks.any(axis=1)
-    classes = classes.reshape(-1, num_blocks)
-    return {"class_counts": (classes[:, :, None] == np.arange(k + 1)).sum(axis=1)}
+            classes += np.bitwise_or.reduce(x.reshape(-1, per_block), axis=1) != 0
+    classes += (k + 1) * np.repeat(np.arange(r), num_blocks)
+    return {"class_counts": np.bincount(classes, minlength=r * (k + 1)).reshape(r, k + 1)}
 
 
 def _longest_run_finish(values: dict, n: int, params: TestParams):
@@ -439,6 +446,19 @@ _FOUR_STEP_MIN_N = 1 << 17
 # of the same bin.  The two differ by about 1e-12 at n = 2^20, where the
 # half threshold is about 443.
 _FOUR_STEP_GUARD = 1e-9
+
+# Samples of at most this many bits take their moduli from a float32
+# transform (see _dft_float32).  A row has about 0.3 * g * n moduli inside
+# a guard band of relative width g, and every flagged row is transformed
+# again in float64: at 24576 and 2^15 bits those recounts cancel what
+# single precision saves, and at 2^15 structured rows err by more than a
+# tenth of the guard below.
+_FLOAT32_MAX_N = 1 << 14
+
+# Relative distance from the threshold within which a float32 modulus might
+# fall on the other side of it than the float64 modulus of the same bin:
+# 10 times the largest difference measured (see _dft_float32).
+_FLOAT32_GUARD = 5e-5
 
 
 def _four_step_split(n: int) -> int | None:
@@ -493,6 +513,55 @@ def _dft_direct(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
     return np.count_nonzero(below, axis=1)
 
 
+def _guarded_count(moduli: np.ndarray, below: np.ndarray, limit: float,
+                   guard: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's count of ``moduli`` below ``(1 - guard) * limit``, and the
+    rows with a modulus in ``[(1 - guard) * limit, (1 + guard) * limit)``.
+
+    If no modulus of a row is farther than ``guard * limit`` from the exact
+    value, the row's count below ``limit`` is the count returned unless the
+    row is flagged.  ``below``, a bool array of ``moduli``'s shape, is left
+    holding the comparisons with the lower edge.
+    """
+    axes = tuple(range(1, moduli.ndim))
+    np.less(moduli, (1.0 + guard) * limit, out=below)
+    upper = np.count_nonzero(below, axis=axes)
+    np.less(moduli, (1.0 - guard) * limit, out=below)
+    lower = np.count_nonzero(below, axis=axes)
+    return lower, upper != lower
+
+
+def _dft_float32(bits: np.ndarray, work: _Workspace,
+                 limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_dft_direct`'s counts from a float32 transform, and the rows
+    with a modulus too close to ``limit`` for the count to be trusted.
+
+    The input's +/-1/2 values are exact in float32.  The transform's
+    rounding error scales with the input's norm, which by Parseval is
+    ||x||_2 = sqrt(n)/2 whatever the row, as the half threshold
+    sqrt(n ln 20)/2 does; so on random rows the error relative to the
+    threshold hardly depends on n.  A structured row, whose energy sits in
+    a few large bins, spreads more error into the others, and more as n
+    grows.  Measured against the float64 moduli, over bins below twice the
+    threshold, at n = 1001, 8190, 8192, 12288, 16382 and 16384: at most
+    8.1e-7 of the threshold on 10^4 random rows at each n, and at most
+    4.1e-6 on about 2,300 structured rows at each n (periodic with many
+    periods, duties and phases, single runs, sparse, biased and noisy
+    periodic rows).  _FLOAT32_GUARD is more than 10 times that.  The moduli
+    are compared in float32: rounding the band's edges moves them by 6e-8
+    of the threshold, far inside the band.
+    """
+    r, n = bits.shape
+    half = n // 2
+    x = _as_buffer(work.scratch, np.float32, (r, n))
+    np.subtract(bits, np.float32(0.5), out=x)
+    spectrum = _scipy_fft().rfft(x, axis=1)
+    moduli = _as_buffer(work.scratch, np.float32, (r, half))
+    np.abs(spectrum[:, :half], out=moduli)
+    below = _as_buffer(work.spectrum, np.bool_, (r, half))
+    return _guarded_count(moduli, below, limit, _FLOAT32_GUARD)
+
+
 def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
                    n2: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_dft_direct`'s counts by the four-step transform, and the rows
@@ -521,27 +590,32 @@ def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
     moduli = _as_buffer(work.scratch, np.float64, spectrum.shape)
     np.abs(spectrum, out=moduli)
     below = _as_buffer(work.spectrum, np.bool_, spectrum.shape)
-    # Count below the lower edge of the guard band; the count below its
-    # upper edge differs only where a modulus lies inside it.
-    low, high = (1.0 - _FOUR_STEP_GUARD) * limit, (1.0 + _FOUR_STEP_GUARD) * limit
-    np.less(moduli, high, out=below)
-    upper = np.count_nonzero(below, axis=(1, 2))
-    np.less(moduli, low, out=below)
-    lower = np.count_nonzero(below, axis=(1, 2))
+    lower, unsure = _guarded_count(moduli, below, limit, _FOUR_STEP_GUARD)
     full = (2 * lower - np.count_nonzero(below[:, :, 0], axis=1)
             - np.count_nonzero(below[:, :, -1], axis=1))
-    return (full + (moduli[:, 0, 0] < low)) // 2, upper != lower
+    return (full + below[:, 0, 0]) // 2, unsure
 
 
 def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
-    """:func:`_dft_direct`'s counts, by the four-step transform where n allows."""
-    n2 = _four_step_split(bits.shape[1])
-    if n2 is None:
+    """:func:`_dft_direct`'s counts, by a faster transform where n allows.
+
+    Up to _FLOAT32_MAX_N bits the float32 transform counts, from
+    _FOUR_STEP_MIN_N bits the four-step one, and in between (or where n
+    has no four-step split) the float64 single transform.  The two fast
+    transforms flag the rows with a modulus near ``limit``; the float64
+    single transform, the reference, counts those rows again.
+    """
+    n = bits.shape[1]
+    n2 = _four_step_split(n)
+    if n2 is not None:
+        n_obs, unsure = _dft_four_step(bits, work, limit, n2)
+    elif n <= _FLOAT32_MAX_N:
+        n_obs, unsure = _dft_float32(bits, work, limit)
+    else:
         return _dft_direct(bits, work, limit)
-    n_obs, unsure = _dft_four_step(bits, work, limit, n2)
     if unsure.any():
         # The single transform rebuilds these rows' input, which the
-        # four-step moduli overwrote.
+        # moduli overwrote.
         n_obs[unsure] = _dft_direct(bits[unsure], work, limit)
     return n_obs
 
@@ -594,9 +668,35 @@ def _window_table(m: int) -> np.ndarray:
     return table
 
 
-def _apen_bins(m: int) -> int:
-    """Bins per row of approximate entropy's largest count."""
+# Approximate entropy counts a row's windows in 2^(m+1) bins, unless that
+# is more than both n and this many; then it sorts the row's n window
+# codes, so that its memory grows with n, not with 2^m.
+_APEN_DENSE_MAX_BINS = 1 << 16
+
+
+def _apen_sorts(n: int, m: int) -> bool:
+    return 2 ** (m + 1) > max(n, _APEN_DENSE_MAX_BINS)
+
+
+def _apen_bins(n: int, m: int) -> int:
+    """Values per row of approximate entropy's largest temporary."""
+    if _apen_sorts(n, m):
+        return n
     return 2 ** (8 + m) if m <= _APEN_BYTE_MAX_M else 2 ** (m + 1)
+
+
+def _window_codes(packed: np.ndarray, n: int, m: int, start: int) -> np.ndarray:
+    """Codes of each row's cyclic (m+1)-bit windows that start at bits
+    ``start``..n-1, ``start`` a multiple of 8: the row's bits from ``start``
+    on with its first m bits appended, which is the wrap."""
+    width = n - start
+    tail = np.concatenate([np.unpackbits(packed[:, start // 8:], axis=1, count=width),
+                           np.unpackbits(packed[:, :(m + 7) // 8], axis=1, count=m)], axis=1)
+    codes = tail[:, :width].astype(np.intp)
+    for j in range(1, m + 1):
+        codes <<= 1
+        codes |= tail[:, j:j + width]
+    return codes
 
 
 def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -608,9 +708,8 @@ def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
     (8+m)-bit key, one bincount over all rows counts the keys (2^(8+m) bins
     per row), and the window table turns key counts into pattern counts.
     The remaining windows, m to m + 7 of them (all n when m is above
-    _APEN_BYTE_MAX_M), are counted bit by bit from the unpacked tail with
-    the row's first m bits appended, which is the wrap.  The float64 counts
-    are exact integers.
+    _APEN_BYTE_MAX_M), are counted bit by bit from their codes.  The
+    float64 counts are exact integers.
     """
     r, size = len(packed), 2 ** (m + 1)
     whole = (n - m) // 8 if m <= _APEN_BYTE_MAX_M else 0
@@ -622,19 +721,38 @@ def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
         keys += (np.arange(r, dtype=np.intp) << (8 + m))[:, None]
         hist = np.bincount(keys.reshape(-1), minlength=r << (8 + m))
         np.matmul(hist.reshape(r, -1), _window_table(m), out=counts)
-    width = n - 8 * whole
-    tail = np.concatenate([np.unpackbits(packed[:, whole:], axis=1, count=width),
-                           np.unpackbits(packed[:, :(m + 7) // 8], axis=1, count=m)], axis=1)
-    codes = tail[:, :width].astype(np.intp)
-    for j in range(1, m + 1):
-        codes <<= 1
-        codes |= tail[:, j:j + width]
+    codes = _window_codes(packed, n, m, 8 * whole)
     codes += size * np.arange(r, dtype=np.intp)[:, None]
     counts += np.bincount(codes.reshape(-1), minlength=size * r).reshape(r, size)
     return counts
 
 
+def _sorted_phis(packed: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_phi` of each row's m-bit and (m+1)-bit window counts, from its
+    n sorted window codes instead of 2^(m+1) bins.
+
+    The terms are summed in pattern order, as :func:`_phi` sums them, but
+    one by one instead of pairwise, so a sum can differ from the dense
+    one's in its last bits.
+    """
+    r = len(packed)
+    codes = _window_codes(packed, n, m, 0)
+    codes += np.arange(r, dtype=np.intp)[:, None] << (m + 1)
+    codes = np.sort(codes, axis=None)
+    phis = []
+    # An m-bit window is an (m+1)-bit one without its last bit.
+    for keys, bits in ((codes >> 1, m), (codes, m + 1)):
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        freq = np.diff(starts, append=len(keys)) / n
+        phis.append(np.bincount(keys[starts] >> bits, weights=freq * np.log(freq),
+                                minlength=r))
+    return phis[0], phis[1]
+
+
 def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:
+    if _apen_sorts(rows.n, params.pattern_len_m):
+        phi_m, phi_m1 = _sorted_phis(rows.packed, rows.n, params.pattern_len_m)
+        return {"phi_m": phi_m, "phi_m1": phi_m1}
     # The m-bit counts are the (m+1)-bit counts summed over the last bit.
     counts = _pattern_counts(rows.packed, rows.n, params.pattern_len_m)
     r, size = counts.shape
@@ -736,7 +854,7 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
     # entropy's largest count.
     width = n
     if TestId.APPROX_ENTROPY in tests:
-        width = max(n, _apen_bins(params.pattern_len_m))
+        width = max(n, _apen_bins(n, params.pattern_len_m))
     step = max(1, _CHUNK_BITS // width)
     work = _Workspace(min(step, len(packed)), n)
     parts = {test_id: [] for test_id in tests}

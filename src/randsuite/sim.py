@@ -147,20 +147,100 @@ def effective_bias(model: QubitNoiseModel, sample_index: int) -> float:
     return epoch.p_eff
 
 
+# Constants of numpy's SeedSequence, O'Neill's seed_seq_fe hash ("PCG: A
+# Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+# Random Number Generation", 2014) with a pool of four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _int_words(value: int) -> list[int]:
+    """``value``'s little-endian 32-bit words, as SeedSequence splits an int; 0 is one word."""
+    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _philox_keys(master_seed: int, qubit_id: int, indices) -> np.ndarray:
+    """``(len(indices), 2)`` uint64 keys: row r is
+    ``SeedSequence(entropy=(master_seed, qubit_id, indices[r])).generate_state(2, np.uint64)``.
+
+    The hash runs over all rows at once in uint32 arrays, whose arithmetic
+    wraps as the C code's does.  Its multiplier sequence does not depend on
+    the data.  A missing word among the pool's first four hashes as 0; an
+    entropy word past them (a seed, qubit id or index of 2**32 or more)
+    mixes into the pool only in the rows that have it.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    prefix = _int_words(master_seed) + _int_words(qubit_id)
+    indices = np.array([int(i) for i in indices], dtype=object)
+    index_words = len(_int_words(max(indices)))
+    columns = [np.full(len(indices), word, dtype=np.uint32) for word in prefix]
+    columns += [((indices >> (32 * k)) & _MASK32).astype(np.uint32) for k in range(index_words)]
+    columns += [np.zeros(len(indices), dtype=np.uint32)] * (_POOL_SIZE - len(columns))
+    # Entropy words per row: the prefix and the index up to its highest nonzero word.
+    length = np.full(len(indices), len(prefix) + 1)
+    for k in range(1, index_words):
+        length[columns[len(prefix) + k] != 0] = len(prefix) + k + 1
+
+    pool = [hashmix(column) for column in columns[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(columns)):
+        present = src < length
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(present, mix(pool[dst], hashmix(columns[src])), pool[dst])
+
+    state, hash_const = [], _INIT_B
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * np.uint32(hash_const)
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
 def _draw_rows(model: QubitNoiseModel, indices, shots: int, master_seed: int) -> np.ndarray:
     """A packed ``(len(indices), ceil(shots/8))`` matrix whose row r is sample ``indices[r]``.
 
     Each sample has its own Philox stream, keyed by (master_seed, qubit_id, index), so no
-    row depends on what else is generated.  Shot j reads 1 iff the stream's j-th double
+    row depends on what else is generated.  The keys are the ones ``Philox(seed=
+    SeedSequence(entropy=(master_seed, qubit_id, index)))`` takes; they come from one
+    vectorised pass (:func:`_philox_keys`), and one ``Philox`` draws every row, its state
+    reset to the row's key with counter 0 and an empty buffer, so the streams are those
+    of a fresh ``Philox`` per sample.  Shot j reads 1 iff the stream's j-th double
     ``(raw_j >> 11) * 2**-53`` is below p_eff; ``p_eff * 2**53`` is exact, so the test is
     made on the raw 64-bit integers: ``raw_j < ceil(p_eff * 2**53) * 2**11``.
     """
+    # 2**64 when p_eff = 1, which every uint64 is below.  effective_bias
+    # checks each index, before any key is derived from it.
+    limits = [math.ceil(math.ldexp(effective_bias(model, i), 53)) << 11 for i in indices]
+    keys = _philox_keys(master_seed, model.qubit_id, indices)
+    bit_generator = np.random.Philox(0)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     rows = np.empty((len(indices), -(-shots // 8)), dtype=np.uint8)
-    for row, i in zip(rows, indices):
-        # 2**64 when p_eff = 1, which every uint64 is below.
-        limit = math.ceil(math.ldexp(effective_bias(model, i), 53)) << 11
-        key = np.random.SeedSequence(entropy=(master_seed, model.qubit_id, i))
-        row[:] = np.packbits(np.random.Philox(seed=key).random_raw(shots) < limit)
+    for row, limit, key in zip(rows, limits, keys):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        row[:] = np.packbits(bit_generator.random_raw(shots) < limit)
     return rows
 
 

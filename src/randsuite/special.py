@@ -11,12 +11,14 @@ and :func:`as_probability` take a float or an array: a float comes back as
 a float, an array as an array of the broadcast shape, with the same checks
 applied to every element.
 
-This is the only module of the package that uses SciPy, and it imports
-``scipy.special`` on the first special-function call, not at import time.
-Loading it takes about 0.4 s, most of it SciPy's array-API layer pulling in
-``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``; commands that compute
-no p-value (``simulate``, ``entropy``) never pay for it.  A missing SciPy
-therefore surfaces as an ``ImportError`` at the first such call.
+The package reaches SciPy only through this module's two accessors.  It
+imports ``scipy.special`` on the first special-function call, not at import
+time, and ``scipy.fft`` on the spectral test's first single-precision
+transform.  Loading ``scipy.special`` takes about 0.4 s, most of it SciPy's
+array-API layer pulling in ``numpy.testing``, ``numpy.f2py`` and
+``numpy.ma``; commands that compute no p-value (``simulate``, ``entropy``)
+never pay for it.  A missing SciPy therefore surfaces as an ``ImportError``
+at the first such call.
 """
 
 import math
@@ -45,6 +47,13 @@ def _scipy_special():
     """``scipy.special``, imported on first use."""
     from scipy import special
     return special
+
+
+@cache
+def _scipy_fft():
+    """``scipy.fft``, imported on first use."""
+    from scipy import fft
+    return fft
 
 
 def _first(values: np.ndarray, where: np.ndarray) -> float:

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -164,6 +165,11 @@ class TestAggregate:
         for name in ("statistics", "p_values", "passed"):
             getattr(self, name).setflags(write=False)
 
+    @cached_property
+    def _p_value_reprs(self) -> tuple[str, ...]:
+        """Each p-value's ``repr``, rendered once for both report writers."""
+        return tuple(map(repr, self.p_values.tolist()))
+
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -278,15 +284,15 @@ def report_to_dict(report: SuiteReport) -> dict:
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
-def _render_list(values: list) -> str:
-    """A list of numbers as ``json.dumps(..., indent=2)`` writes it at depth 3.
+def _render_list(items) -> str:
+    """Rendered numbers as ``json.dumps(..., indent=2)`` writes a list of them at depth 3.
 
     Each test's per-sample lists sit at that depth of report.json: items
     indented by 8 spaces, the closing bracket by 6.
     """
-    if not values:
+    if not items:
         return "[]"
-    return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
 def write_report_json(report: SuiteReport, path) -> None:
@@ -299,10 +305,12 @@ def write_report_json(report: SuiteReport, path) -> None:
     """
     doc = report_to_dict(report)
     rendered = []
-    for entry in doc["tests"].values():
-        for key in ("p_values", "sample_indices"):
-            entry[key], values = f"\0{len(rendered)}", entry[key]
-            rendered.append(_render_list(values))
+    for test_id, agg in report.per_test.items():
+        entry = doc["tests"][test_id.value]
+        for key, items in (("p_values", agg._p_value_reprs),
+                           ("sample_indices", list(map(repr, entry["sample_indices"])))):
+            entry[key] = f"\0{len(rendered)}"
+            rendered.append(_render_list(items))
     text = json.dumps(doc, indent=2, sort_keys=True)
     text = _PLACEHOLDER.sub(lambda match: rendered[int(match.group(1))], text)
     atomic_write(path, text + "\n")
@@ -318,8 +326,8 @@ def write_results_csv(report: SuiteReport, path) -> None:
     for test_id in report.config.tests:
         agg = report.per_test[test_id]
         name = test_id.value
-        lines += [f"{name},{idx},{statistic!r},{p_value!r},{passed}\r\n"
+        lines += [f"{name},{idx},{statistic!r},{p_value},{passed}\r\n"
                   for idx, statistic, p_value, passed in zip(
                       agg.sample_indices, agg.statistics.tolist(),
-                      agg.p_values.tolist(), agg.passed.tolist())]
+                      agg._p_value_reprs, agg.passed.tolist())]
     atomic_write(path, "".join(lines))

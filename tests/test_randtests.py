@@ -477,7 +477,8 @@ class TestBatchKernels:
             classes = np.clip(reference_longest_runs(blocks) - edge, 0, k)
             assert out.params["class_counts"] == np.bincount(classes, minlength=k + 1).tolist()
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+    # From m = 16 at n = 1001 the windows are counted by sorting their codes.
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 24])
     def test_approx_entropy_pattern_lengths(self, m):
         sample_set, _ = equivalence_set(1001)
         params = TestParams(enforce_min_length=False, pattern_len_m=m)
@@ -517,13 +518,27 @@ class TestPackedDomainKernels:
     @pytest.mark.parametrize("n,block", [(1000, 8), (8192, 128), (750000, 10000)])
     def test_and_shift_classes_equal_per_block_longest_runs(self, n, block):
         rng = np.random.Generator(np.random.PCG64(block))
-        rows = (rng.random((3, n)) < 0.5).astype(np.uint8)
+        rows = (rng.random((6, n)) < 0.5).astype(np.uint8)
         # Runs of 2..20 ones that start mid-byte, some across a block end.
         for start in rng.integers(0, n - 20, size=n // 50):
             rows[0, start:start + rng.integers(2, 21)] = 1
         for end in range(block, n - 8, block):
             rows[1, end - 3:end + 3] = 1
         rows[2] = 1
+        # Blocks are shifted as words of gcd(M/8, 8) bytes.  Row 3 has runs
+        # across each word boundary, row 4 runs of exactly each class edge
+        # (one run per block, after a zero), row 5 all-ones blocks between
+        # all-zero ones.
+        word = 8 * math.gcd(block // 8, 8)
+        for boundary in range(word, n - 12, word * 3):
+            rows[3, boundary - 5:boundary + 6] = 1
+            rows[3, boundary - 6] = rows[3, boundary + 6] = 0
+        _, _, k, _, edge, _ = R._longest_run_config(n)
+        rows[4] = 0
+        for b, start in enumerate(range(0, n - block + 1, block)):
+            length = edge + b % (k + 1)
+            rows[4, start + 1:start + 1 + length] = 1
+        rows[5] = np.arange(n) // block % 2
         samples = [BitSequence(r) for r in rows]
         _, m, k, num_blocks, edge, _ = R._longest_run_config(n)
         assert m == block
@@ -646,6 +661,91 @@ class TestPackedDomainKernels:
         assert np.allclose(table, np.exp(-2j * np.pi * b * c / n), rtol=0, atol=1e-12)
 
 
+class TestFloat32Spectrum:
+    """The float32 transform's guarded counts against the float64 single transform."""
+
+    @staticmethod
+    def structured_rows(n):
+        j = np.arange(n)
+        return np.array([np.zeros(n), np.ones(n), j % 2, j % 3 == 0,
+                         j % 16 < 8, j % 64 < 32], dtype=np.uint8)
+
+    def test_guarded_count_flags_moduli_inside_the_band(self):
+        g, limit = 1e-3, 10.0
+        moduli = np.array([[9.0, 10.0 * (1 - 2 * g), 11.0],       # counted, not flagged
+                           [9.0, 10.0 * (1 - g / 2), 11.0],       # inside, below the limit
+                           [9.0, 10.0 * (1 + g / 2), 11.0],       # inside, above it
+                           [9.0, 10.0 * (1 + 2 * g), 9.5]])
+        lower, unsure = R._guarded_count(moduli, np.empty(moduli.shape, bool), limit, g)
+        assert lower.tolist() == [2, 1, 1, 2]
+        assert unsure.tolist() == [False, True, True, False]
+        # The four-step passes (rows, n1, n2/2+1) moduli.
+        lower, unsure = R._guarded_count(moduli.reshape(2, 2, 3), np.empty((2, 2, 3), bool),
+                                         limit, g)
+        assert lower.tolist() == [3, 3] and unsure.tolist() == [True, True]
+
+    def test_guard_recounts_a_float32_ambiguous_row(self, monkeypatch):
+        import scipy.fft
+
+        n = 8192
+        rng = np.random.Generator(np.random.PCG64(n + 5))
+        bits = (rng.random((3, n)) < 0.5).astype(np.uint8)
+        m64 = np.abs(np.fft.rfft(bits - 0.5, axis=1)[:, :n // 2])
+        m32 = np.abs(scipy.fft.rfft(bits.astype(np.float32) - np.float32(0.5),
+                                    axis=1)[:, :n // 2]).astype(np.float64)
+        # Row 1's bin with the largest relative float32 error among bins
+        # above 1/100 of the threshold; the limit halves the two moduli,
+        # so float32 alone would count that bin on the wrong side.
+        half_threshold = 0.5 * R._dft_threshold(n)
+        error = np.where(m64[1] > 0.01 * half_threshold, np.abs(m32[1] - m64[1]) / m64[1], 0)
+        k = error.argmax()
+        limit = 0.5 * (m32[1, k] + m64[1, k])
+        assert (m32[1, k] < limit) != (m64[1, k] < limit)
+        assert abs(m32[1, k] - limit) > 1e-6 * limit  # outside a 100 times narrower guard
+        _, unsure = R._dft_float32(bits, R._Workspace(3, n), limit)
+        assert unsure[1]
+        direct, recounted = R._dft_direct, []
+
+        def spy(rows, work, limit):
+            recounted.append(len(rows))
+            return direct(rows, work, limit)
+
+        monkeypatch.setattr(R, "_dft_direct", spy)
+        n_obs = R._dft_n_obs(bits, R._Workspace(3, n), limit)
+        assert n_obs.tolist() == np.count_nonzero(m64 < limit, axis=1).tolist()
+        assert recounted == [unsure.sum()]
+
+    @pytest.mark.parametrize("n", [1001, 8190, 8192, R._FLOAT32_MAX_N, 1 << 15, 1 << 16])
+    def test_structured_rows_count_as_the_single_transform(self, n):
+        bits = self.structured_rows(n)
+        limit = 0.5 * R._dft_threshold(n)
+        expected = R._dft_direct(bits, R._Workspace(len(bits), n), limit)
+        moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0, axis=1)[:, :n // 2])
+        assert expected.tolist() == np.count_nonzero(
+            moduli < math.sqrt(n * math.log(20.0)), axis=1).tolist()
+        assert R._dft_n_obs(bits, R._Workspace(len(bits), n), limit).tolist() == \
+            expected.tolist()
+
+    @pytest.mark.parametrize("n,path", [
+        (1001, "float32"), (8192, "float32"), (R._FLOAT32_MAX_N, "float32"),
+        (R._FLOAT32_MAX_N + 2, "direct"), (1 << 15, "direct"), (1 << 16, "direct"),
+        (R._FOUR_STEP_MIN_N, "four_step")])
+    def test_transform_chosen_by_length(self, n, path, monkeypatch):
+        calls = []
+        for name in ("float32", "direct", "four_step"):
+            original = getattr(R, f"_dft_{name}")
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(R, f"_dft_{name}", spy)
+        rng = np.random.Generator(np.random.PCG64(n + 6))
+        bits = (rng.random((2, n)) < 0.5).astype(np.uint8)
+        R._dft_n_obs(bits, R._Workspace(2, n), 0.5 * R._dft_threshold(n))
+        # A fast transform's flagged rows add a call to the direct one.
+        assert calls in ([[path]] if path == "direct" else [[path], [path, "direct"]])
+
+
 def reference_pattern_counts(bits, m):
     """Counts of each row's n cyclic (m+1)-bit windows, built bit by bit."""
     n = bits.shape[1]
@@ -669,6 +769,27 @@ class TestBytewiseApproximateEntropy:
         counts = R._pattern_counts(np.packbits(bits, axis=1), n, m)
         assert counts.sum(axis=1).tolist() == [n] * 8
         assert np.array_equal(counts, reference_pattern_counts(bits, m))
+
+    def test_long_patterns_take_memory_bounded_by_n(self):
+        # With 2^25 bins per row, the dense count of m = 24 peaked near 1 GB.
+        import tracemalloc
+
+        packed = np.packbits(seeded_bits(130, seed=9).asarray().reshape(2, 65), axis=1)
+        params = TestParams(pattern_len_m=24, enforce_min_length=False)
+        R.run_batch(packed, 65, (TestId.APPROX_ENTROPY,), params)  # SciPy loads here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = R.run_batch(packed, 65, (TestId.APPROX_ENTROPY,), params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for row, phi_m, phi_m1 in zip(np.unpackbits(packed, axis=1, count=65),
+                                      batch[TestId.APPROX_ENTROPY].record["phi_m"],
+                                      batch[TestId.APPROX_ENTROPY].record["phi_m1"]):
+            assert phi_m == pytest.approx(apen_phi_oracle(list(row), 24), rel=1e-12)
+            assert phi_m1 == pytest.approx(apen_phi_oracle(list(row), 25), rel=1e-12)
 
     def test_window_table(self):
         table = R._window_table(2)

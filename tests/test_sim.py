@@ -22,7 +22,7 @@ from randsuite import (
     min_entropy,
 )
 from randsuite.errors import DomainError, IndexOutOfRange, ManifestError
-from randsuite.sim import plan_from_dict, plan_to_dict
+from randsuite.sim import _draw_rows, _philox_keys, plan_from_dict, plan_to_dict
 
 
 def fair_model(qubit_id=0):
@@ -182,6 +182,41 @@ class TestGenerateSample:
                 generate_sample(fair_model(), bad, 64, master_seed=1)
         with pytest.raises(IndexOutOfRange):
             generate_sample(fair_model(), -1, 64, master_seed=1)
+
+
+class TestVectorisedKeys:
+    """One pass of key derivation and one Philox per qubit give numpy's streams."""
+
+    SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
+    QUBITS = (0, 19, 20, 2 ** 32 + 5)
+    # Up to seven entropy words: two each for the seed and qubit id, up to
+    # two for the index, so the pool's third mixing loop runs.
+    INDICES = (0, 578, 2 ** 32 - 1, 2 ** 32, 2 ** 40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("qubit_id", QUBITS)
+    def test_keys_equal_seed_sequence(self, seed, qubit_id):
+        keys = _philox_keys(seed, qubit_id, self.INDICES)
+        assert keys.dtype == np.uint64 and keys.shape == (len(self.INDICES), 2)
+        for key, i in zip(keys, self.INDICES):
+            expected = np.random.SeedSequence(entropy=(seed, qubit_id, i)).generate_state(
+                2, np.uint64)
+            assert key.tolist() == expected.tolist(), i
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_a_fresh_philox_per_sample(self, seed):
+        # 1001 shots leave Philox's four-value buffer part used after each
+        # row, so a row that did not reset it would differ.
+        shots = 1001
+        model = QubitNoiseModel(qubit_id=2 ** 32 + 5, epochs=(Epoch(0, 0.3),))
+        limit = math.ceil(math.ldexp(0.3, 53)) << 11
+        indices = self.INDICES + self.INDICES[::-1]
+        rows = _draw_rows(model, indices, shots, seed)
+        for row, i in zip(rows, indices):
+            key = np.random.SeedSequence(entropy=(seed, model.qubit_id, i))
+            raw = np.random.Philox(seed=key).random_raw(shots)
+            assert row.tobytes() == np.packbits(raw < limit).tobytes(), i
+            assert row.tobytes() == generate_sample(model, i, shots, seed).packed.tobytes()
 
 
 class TestGenerateExperiment:
