@@ -33,7 +33,7 @@ from .entropy import (
     write_deviation_csv,
     write_entropy_csv,
 )
-from .errors import ManifestError, RandsuiteError
+from .errors import ManifestError, RandsuiteError, check_int, check_real
 from .randtests import ALL_TESTS, TestId, TestParams
 from .sim import load_plan, with_seed, write_experiment
 from .suite import SuiteConfig, run_suite, write_report_json, write_results_csv
@@ -111,6 +111,8 @@ def _deviation(args, sample_set):
 
 
 def cmd_stability(args) -> int:
+    check_real("alpha", args.alpha, 0, 1, "()")
+    check_int("stride", args.stride, 1)
     out = Path(args.out)
     results = _analyse(args, lambda sample_set: _deviation(args, sample_set))
     for series, row in results:

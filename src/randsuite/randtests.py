@@ -555,7 +555,7 @@ def _dft_float32(bits: np.ndarray, work: _Workspace,
     half = n // 2
     x = _as_buffer(work.scratch, np.float32, (r, n))
     np.subtract(bits, np.float32(0.5), out=x)
-    spectrum = _scipy_fft().rfft(x, axis=1)
+    spectrum = _scipy_fft()(x)
     moduli = _as_buffer(work.scratch, np.float32, (r, half))
     np.abs(spectrum[:, :half], out=moduli)
     below = _as_buffer(work.spectrum, np.bool_, (r, half))

@@ -1,13 +1,20 @@
 """Special-function contracts, checked against an independent high-precision oracle."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from randsuite import erfc, erfc_inv, lower_igamc, normal_cdf, upper_igamc
+import randsuite as rs
+from randsuite import erfc, erfc_inv, lower_igamc, normal_cdf, special, upper_igamc
+from randsuite.cli import main
 from randsuite.errors import DomainError, NonFiniteInput
 from randsuite.special import as_probability
 
@@ -161,3 +168,134 @@ class TestAsProbability:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError):
             as_probability(bad)
+
+
+# The packages that the direct loads of SciPy's compiled modules stand in for.
+STOOD_IN = ("scipy.special", "scipy.fft", "scipy.fft._pocketfft")
+UFUNCS = ("erfc", "erfcinv", "gammainc", "gammaincc", "ndtr")
+DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json"
+
+# Loads both accessors in a fresh interpreter, the direct load made to fail
+# once a stand-in is in place when argv[1] is "fail", then imports the public
+# packages.  Prints, as its last line, the stand-ins present when a load
+# raised, the stand-ins and other modules beneath them left in sys.modules
+# afterwards, and whether the public packages work and give the accessors'
+# functions.
+_LOADER_PROBE = """
+import json, sys
+import numpy as np
+from randsuite import special
+STOOD_IN = tuple(json.loads(sys.argv[2]))
+def stand_ins():
+    return [p for p in STOOD_IN if p in sys.modules and not hasattr(sys.modules[p], "__file__")]
+stood_in = []
+if sys.argv[1] == "fail":
+    def failing(name):
+        stood_in.extend(stand_ins())
+        raise ImportError(name)
+    special.import_module = failing
+ufuncs, rfft = special._scipy_special(), special._scipy_fft()
+left = stand_ins()
+beneath = [m for m in sys.modules if m.startswith(STOOD_IN)]
+import scipy.special, scipy.fft
+with scipy.special.errstate(all="raise"):
+    pass
+x = np.linspace(-0.5, 0.5, 2 * 1001, dtype=np.float32).reshape(2, 1001)
+print(json.dumps({
+    "ufuncs": ufuncs.__name__, "stood_in": stood_in, "left": left, "beneath": beneath,
+    "same": [getattr(ufuncs, f) is getattr(scipy.special, f) for f in json.loads(sys.argv[3])],
+    "rfft": rfft(x).tobytes() == scipy.fft.rfft(x, axis=1).tobytes()}))
+"""
+
+
+@pytest.fixture
+def fresh_loaders():
+    """The accessors' caches cleared before and after the test."""
+    special._scipy_special.cache_clear()
+    special._scipy_fft.cache_clear()
+    yield
+    special._scipy_special.cache_clear()
+    special._scipy_fft.cache_clear()
+
+
+def stand_ins():
+    """The stand-in packages in ``sys.modules``: bare modules, with no ``__file__``."""
+    return [p for p in STOOD_IN if p in sys.modules and not hasattr(sys.modules[p], "__file__")]
+
+
+def fail_direct_loads(monkeypatch):
+    """Makes each direct load raise once its stand-ins are in place.
+
+    The packages stood in for, and the modules beneath them, are hidden
+    from ``sys.modules`` for the test, so that stand-ins are made even where
+    SciPy is already imported.  Returns the list that collects the
+    stand-ins present when a load raised.
+    """
+    stood_in = []
+    for name in list(sys.modules):
+        if name.startswith(STOOD_IN):
+            monkeypatch.delitem(sys.modules, name)
+
+    def failing(name):
+        stood_in.extend(stand_ins())
+        raise ImportError(f"direct load of {name} made to fail")
+    monkeypatch.setattr(special, "import_module", failing)
+    return stood_in
+
+
+class TestScipyLoaders:
+    """The accessors load SciPy's compiled modules directly and fall back to
+    the public packages; either way the values are the same."""
+
+    @staticmethod
+    def probe(mode):
+        env = dict(os.environ)
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADER_PROBE, mode, json.dumps(STOOD_IN),
+             json.dumps(UFUNCS)], env=env, capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_direct_load_in_a_fresh_process(self):
+        assert self.probe("direct") == {"ufuncs": "scipy.special._ufuncs", "stood_in": [],
+                                        "left": [], "beneath": [], "same": [True] * 5,
+                                        "rfft": True}
+
+    def test_failed_direct_load_in_a_fresh_process(self):
+        found = self.probe("fail")
+        del found["beneath"]  # the public packages' own modules
+        assert found == {"ufuncs": "scipy.special", "left": [], "same": [True] * 5,
+                         "rfft": True, "stood_in": list(STOOD_IN)}
+
+    @pytest.mark.parametrize("shape", [(32, 8192), (1, 1001), (16, 16384)])
+    def test_direct_rfft_equals_scipy_fft_bit_for_bit(self, fresh_loaders, shape):
+        import scipy.fft
+        from scipy.fft._pocketfft import pypocketfft
+        rfft = special._scipy_fft()
+        assert rfft.func is pypocketfft.r2c
+        rng = np.random.default_rng(sum(shape))
+        x = rng.integers(0, 2, shape).astype(np.float32) - np.float32(0.5)
+        ours, public = rfft(x), scipy.fft.rfft(x, axis=1)
+        assert ours.dtype == public.dtype == np.complex64
+        assert ours.tobytes() == public.tobytes()
+
+    def test_fallback_writes_the_same_reports(self, tmp_path, fresh_loaders, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["simulate", "--plan", str(DESK_PLAN), "--out", str(data)]) == 0
+        manifest = str(data / "qubit-00" / "manifest.json")
+
+        def report(out):
+            assert main(["test", "--manifest", manifest, "--out", str(tmp_path / out)]) == 1
+            return [(tmp_path / out / f).read_bytes() for f in ("report.json", "results.csv")]
+
+        direct = report("direct")
+        assert special._scipy_special().__name__ == "scipy.special._ufuncs"
+        assert special._scipy_fft().func.__name__ == "r2c"
+        special._scipy_special.cache_clear()
+        special._scipy_fft.cache_clear()
+        stood_in = fail_direct_loads(monkeypatch)
+        assert report("public") == direct
+        assert stood_in and stand_ins() == []
+        assert special._scipy_special().__name__ == "scipy.special"
+        assert special._scipy_fft().func.__name__ == "rfft"
