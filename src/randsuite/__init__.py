@@ -17,6 +17,7 @@ from .bitseq import (
     load_sample_set,
     parse_bits,
     save_manifest,
+    save_sample_set,
     serialize_bits,
 )
 from .entropy import (

@@ -12,6 +12,11 @@ Three file encodings are supported:
 ``hex``
     Each hex character contributes 4 bits, most significant first;
     whitespace ignored.
+
+Every input format lives here: :func:`save_sample_set` writes a source's sample
+files and manifest and :func:`load_sample_set` reads them back, :func:`read_json`
+and :func:`write_json` read and write manifests and plans, and
+:func:`parse_timestamp` reads each of their times, a trailing ``Z`` or no offset as UTC.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "load_manifest",
     "save_manifest",
     "load_sample_set",
+    "save_sample_set",
     "concat_chronological",
     "ones_before",
     "atomic_write",
@@ -255,21 +261,24 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
                                     sample_index=sample_index, timestamp=timestamp)
 
 
+def _encode(packed: np.ndarray, n: int, encoding: str) -> bytes:
+    """The file bytes of the n-bit stream packed MSB-first in ``packed``; inverse of _decode."""
+    if encoding == "ascii01":
+        return (np.unpackbits(packed, count=n) + ord("0")).tobytes()
+    if encoding == "packed-msb":
+        return packed.tobytes()
+    if encoding == "hex":
+        return _HEX_DIGIT_PAIRS[packed].reshape(-1)[:-(-n // 4)].tobytes()
+    raise _unknown_encoding(encoding)
+
+
 def serialize_bits(seq: BitSequence, encoding: str) -> bytes:
     """Encode a sequence into bytes; inverse of :func:`parse_bits`.
 
-    ``packed-msb`` and ``hex`` zero-pad the final byte/nibble; the bit
-    count must be supplied back to :func:`parse_bits` (``length=``) to
-    round-trip lengths that are not multiples of 8 or 4.
+    ``packed-msb`` and ``hex`` zero-pad the final byte/nibble, so a length that
+    is no multiple of 8 or 4 round-trips only with ``parse_bits(..., length=n)``.
     """
-    if encoding == "ascii01":
-        return (seq.asarray() + ord("0")).astype(np.uint8).tobytes()
-    if encoding == "packed-msb":
-        return seq.packed.tobytes()
-    if encoding == "hex":
-        n_nibbles = -(-seq.n // 4)
-        return _HEX_DIGIT_PAIRS[seq.packed].reshape(-1)[:n_nibbles].tobytes()
-    raise _unknown_encoding(encoding)
+    return _encode(seq.packed, seq.n, encoding)
 
 
 class SampleSet:
@@ -435,13 +444,18 @@ class Manifest:
             indices.add(e.sample_index)
 
 
-def _parse_timestamp(value):
+def parse_timestamp(value, what: str) -> datetime | None:
+    """The ISO 8601 string ``value`` as an aware datetime, ``None`` as ``None``.
+
+    A trailing ``Z`` and a time with no UTC offset both read as UTC.  A
+    value that is no string raises TypeError, naming it as ``what``.
+    """
     if value is None:
         return None
-    ts = datetime.fromisoformat(value)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    ts = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith("Z") else value)
+    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
 
 
 def read_json(path, what: str):
@@ -457,6 +471,11 @@ def read_json(path, what: str):
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def write_json(path, doc) -> None:
+    """Commit ``doc`` to ``path`` as JSON: indent 2, sorted keys, a final newline."""
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def load_manifest(path) -> Manifest:
     """Read a manifest JSON file; entry paths resolve against its directory."""
     path = Path(path)
@@ -465,7 +484,7 @@ def load_manifest(path) -> Manifest:
         entries = tuple(
             ManifestEntry(path=e["path"], encoding=e["encoding"],
                           sample_index=e["sample_index"],
-                          timestamp=_parse_timestamp(e.get("timestamp")))
+                          timestamp=parse_timestamp(e.get("timestamp"), "timestamp"))
             for e in doc["entries"]
         )
         return Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
@@ -515,7 +534,31 @@ def save_manifest(manifest: Manifest, path) -> None:
             for e in manifest.entries
         ],
     }
-    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
+
+
+def save_sample_set(sample_set: SampleSet, directory, encoding: str = "packed-msb") -> Path:
+    """Write each row to ``directory/sample_<index>.<ext>``, then ``manifest.json``; return it.
+
+    The inverse of ``load_sample_set(load_manifest(path))`` when the set's
+    timestamps are aware or None.  The manifest is checked before any file is
+    written, and it is the commit point: the old one is removed first and the
+    new one written last, so a write that stops part-way leaves no manifest.
+    """
+    if encoding not in ENCODINGS:
+        raise _unknown_encoding(encoding)
+    n = sample_set.declared_length
+    manifest = Manifest(n, sample_set.source_id, [
+        ManifestEntry(f"sample_{index:05d}.{_EXTENSIONS[encoding]}", encoding, index, timestamp)
+        for index, timestamp in zip(sample_set.sample_indices, sample_set.timestamps)])
+    directory = Path(directory)
+    manifest_path = directory / "manifest.json"
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest_path.unlink(missing_ok=True)
+    for row, entry in zip(sample_set.packed, manifest.entries):
+        (directory / entry.path).write_bytes(_encode(row, n, encoding))
+    save_manifest(manifest, manifest_path)
+    return manifest_path
 
 
 def load_sample_set(manifest: Manifest) -> SampleSet:

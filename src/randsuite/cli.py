@@ -21,11 +21,10 @@ their commit point is the manifest written after them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .bitseq import atomic_write, concat_chronological, load_manifest, load_sample_set
+from .bitseq import concat_chronological, load_manifest, load_sample_set, write_json
 from .entropy import (
     deviation_series,
     entropy_series,
@@ -35,7 +34,7 @@ from .entropy import (
 )
 from .errors import ManifestError, RandsuiteError, check_int, check_real
 from .randtests import ALL_TESTS, TestId, TestParams
-from .sim import load_plan, with_seed, write_experiment
+from .sim import check_seed, load_plan, with_seed, write_experiment
 from .suite import SuiteConfig, run_suite, write_report_json, write_results_csv
 
 __all__ = ["main"]
@@ -124,15 +123,14 @@ def cmd_stability(args) -> int:
     band_summary = {"alpha": args.alpha, "sources": {s.source_id: row for s, row in results},
                     "band_convention": "derived by inverting the frequency test: "
                                        "|p - 1/2| <= sqrt(2)*erfc_inv(alpha)/(2*sqrt(n))"}
-    atomic_write(out / "band.json", json.dumps(band_summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "band.json", band_summary)
     return EXIT_PASS if all(row["inside"] for _, row in results) else EXIT_STATISTICAL_FAIL
 
 
 def cmd_simulate(args) -> int:
+    seed = None if args.seed is None else check_seed(args.seed)
     plan = load_plan(args.plan)
-    if args.seed is not None:
-        plan = with_seed(plan, args.seed)
-    manifests = write_experiment(plan, args.out)
+    manifests = write_experiment(plan if seed is None else with_seed(plan, seed), args.out)
     for path in manifests:
         print(f"wrote {path}")
     return EXIT_PASS

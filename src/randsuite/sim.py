@@ -15,7 +15,6 @@ separation, not by shared-stream discipline.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -24,19 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitseq import (
-    _EXTENSIONS,
-    ENCODINGS,
-    BitSequence,
-    Manifest,
-    ManifestEntry,
-    SampleSet,
-    _unknown_encoding,
-    atomic_write,
-    read_json,
-    save_manifest,
-    serialize_bits,
-)
+from .bitseq import BitSequence, SampleSet, parse_timestamp, read_json, save_sample_set, write_json
 from .errors import DomainError, IndexOutOfRange, ManifestError, check_int, check_real
 
 __all__ = [
@@ -61,7 +48,10 @@ __all__ = [
 DEFAULT_SAMPLE_INTERVAL_S = 746.0
 DEFAULT_START_TIME = datetime(2019, 1, 1, tzinfo=timezone.utc)
 
-_MAX_SEED = 2 ** 64 - 1
+
+def check_seed(master_seed) -> int:
+    """``master_seed`` as an ``int`` if it is an integer in [0, 2**64 - 1]; DomainError if not."""
+    return check_int("master_seed", master_seed, 0, 2 ** 64 - 1)
 
 
 def _store(obj, **values) -> None:
@@ -252,7 +242,7 @@ def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
     as row ``sample_index`` of the qubit's set from :func:`generate_experiment`.
     """
     shots = check_int("shots", shots, 1)
-    check_int("master_seed", master_seed, 0, _MAX_SEED)
+    check_seed(master_seed)
     [row] = _draw_rows(model, (sample_index,), shots, master_seed)
     return BitSequence._from_packed(row, shots,
                                     source_id=model.source_id,
@@ -275,7 +265,7 @@ class ExperimentPlan:
         _store(self, qubit_models=tuple(self.qubit_models),
                samples_per_qubit=check_int("samples_per_qubit", self.samples_per_qubit, 1),
                shots_per_sample=check_int("shots_per_sample", self.shots_per_sample, 1),
-               master_seed=check_int("master_seed", self.master_seed, 0, _MAX_SEED),
+               master_seed=check_seed(self.master_seed),
                sample_interval_s=check_real("sample_interval_s", self.sample_interval_s,
                                             0, math.inf, "[)"))
         if not self.qubit_models:
@@ -284,6 +274,8 @@ class ExperimentPlan:
             raise DomainError("duplicate qubit_id in plan")
         if not isinstance(self.start_time, datetime):
             raise DomainError(f"start_time must be a datetime, got {self.start_time!r}")
+        if self.start_time.tzinfo is None:  # read as UTC, as a manifest's timestamps are
+            _store(self, start_time=self.start_time.replace(tzinfo=timezone.utc))
         interval = self.sample_interval_s
         try:
             self.start_time + (self.samples_per_qubit - 1) * timedelta(seconds=interval)
@@ -386,16 +378,12 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
             )
             for q in doc["qubits"]
         )
-        start = doc.get("start_time")
-        if start is not None and not isinstance(start, str):
-            raise ManifestError(f"start_time must be a string, got {start!r}")
         return ExperimentPlan(
             qubit_models=models,
             samples_per_qubit=doc["samples_per_qubit"],
             shots_per_sample=doc["shots_per_sample"],
             master_seed=doc["master_seed"],
-            start_time=(datetime.fromisoformat(start.replace("Z", "+00:00"))
-                        if start else DEFAULT_START_TIME),
+            start_time=parse_timestamp(doc.get("start_time"), "start_time") or DEFAULT_START_TIME,
             sample_interval_s=doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -407,7 +395,7 @@ def load_plan(path) -> ExperimentPlan:
 
 
 def save_plan(plan: ExperimentPlan, path) -> None:
-    atomic_write(path, json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n")
+    write_json(path, plan_to_dict(plan))
 
 
 def with_seed(plan: ExperimentPlan, master_seed: int) -> ExperimentPlan:
@@ -417,37 +405,7 @@ def with_seed(plan: ExperimentPlan, master_seed: int) -> ExperimentPlan:
 
 def write_experiment(plan: ExperimentPlan, out_dir,
                      encoding: str = "packed-msb") -> list[Path]:
-    """Generate the experiment and write one directory per qubit.
-
-    Each qubit directory holds one file per sample plus a ``manifest.json``
-    declaring them.  Returns the manifest paths.
-
-    The manifest is the commit point: a qubit's old manifest is removed
-    before any of its sample files is rewritten, and the new one is written
-    last, through temp-and-rename.  A run that stops part-way leaves that
-    qubit without a manifest, never with one that declares missing or
-    partly written files.
-    """
-    if encoding not in ENCODINGS:
-        raise _unknown_encoding(encoding)
-    out_dir = Path(out_dir)
-    ext = _EXTENSIONS[encoding]
-    manifest_paths = []
-    for sample_set in generate_experiment(plan):
-        qubit_dir = out_dir / sample_set.source_id
-        manifest_path = qubit_dir / "manifest.json"
-        qubit_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path.unlink(missing_ok=True)
-        entries = []
-        for seq in sample_set:
-            name = f"sample_{seq.sample_index:05d}.{ext}"
-            (qubit_dir / name).write_bytes(serialize_bits(seq, encoding))
-            entries.append(ManifestEntry(path=name, encoding=encoding,
-                                         sample_index=seq.sample_index,
-                                         timestamp=seq.timestamp))
-        manifest = Manifest(declared_length=plan.shots_per_sample,
-                            source_id=sample_set.source_id,
-                            entries=tuple(entries), base_dir=qubit_dir)
-        save_manifest(manifest, manifest_path)
-        manifest_paths.append(manifest_path)
-    return manifest_paths
+    """Generate the experiment, save each qubit's set to ``out_dir/<source_id>`` with
+    :func:`~randsuite.bitseq.save_sample_set`, and return the manifest paths."""
+    return [save_sample_set(sample_set, Path(out_dir) / sample_set.source_id, encoding)
+            for sample_set in generate_experiment(plan)]

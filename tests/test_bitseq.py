@@ -373,6 +373,66 @@ class TestManifest:
             load_manifest(path)
 
 
+class TestSaveSampleSet:
+    @pytest.mark.parametrize("encoding", ["ascii01", "packed-msb", "hex"])
+    @pytest.mark.parametrize("n", [1001, 8190, 8192])
+    @pytest.mark.parametrize("aware", [False, True])
+    def test_round_trip(self, tmp_path, encoding, n, aware):
+        rng = np.random.Generator(np.random.PCG64(n))
+        packed = np.packbits(rng.integers(0, 2, size=(3, n), dtype=np.uint8), axis=1)
+        start = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
+        timestamps = (start, None, start.replace(hour=12)) if aware else (None,) * 3
+        saved = SampleSet._from_rows(packed, (0, 4, 100000), timestamps, "qubit-07", n)
+        manifest = rs.save_sample_set(saved, tmp_path / "q", encoding)
+        assert manifest == tmp_path / "q" / "manifest.json"
+        loaded = load_sample_set(load_manifest(manifest))
+        assert np.array_equal(loaded.packed, saved.packed)
+        assert (loaded.sample_indices, loaded.timestamps) == ((0, 4, 100000), timestamps)
+        assert (loaded.source_id, loaded.declared_length) == ("qubit-07", n)
+        assert [serialize_bits(s, encoding) for s in saved] == [
+            (tmp_path / "q" / e.path).read_bytes() for e in load_manifest(manifest).entries]
+
+    def test_rejects_a_bad_source_id_before_writing(self, tmp_path):
+        packed = np.packbits(np.ones((1, 16), dtype=np.uint8), axis=1)
+        bad = SampleSet._from_rows(packed, (0,), (None,), "a/b", 16)
+        with pytest.raises(ManifestError, match="source_id"):
+            rs.save_sample_set(bad, tmp_path / "q")
+        assert not (tmp_path / "q").exists()
+
+    def test_write_experiment_builds_no_bit_sequence(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BitSequence was built")
+
+        monkeypatch.setattr(BitSequence, "_from_packed", refuse)
+        plan = rs.unbiased_plan(num_qubits=2, samples_per_qubit=3, shots_per_sample=100)
+        for encoding in rs.ENCODINGS:
+            assert len(rs.write_experiment(plan, tmp_path / encoding, encoding)) == 2
+
+    # Python 3.10's datetime.fromisoformat rejects a trailing Z.
+    @pytest.mark.parametrize("text", ["2019-05-09T11:24:27Z", "2019-05-09T11:24:27"])
+    def test_z_or_no_offset_reads_as_utc_in_manifests_and_plans(self, tmp_path, text):
+        (tmp_path / "a.txt").write_bytes(b"10101010")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": 8, "source_id": "s",
+            "entries": [{"path": "a.txt", "encoding": "ascii01", "sample_index": 0,
+                         "timestamp": text}]}))
+        doc = rs.sim.plan_to_dict(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2))
+        doc["start_time"] = text
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        expected = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
+        assert load_manifest(tmp_path / "manifest.json").entries[0].timestamp == expected
+        assert rs.load_plan(tmp_path / "plan.json").start_time == expected
+
+    @pytest.mark.parametrize("value", [5, ["2019-01-01"]])
+    def test_timestamp_must_be_a_string(self, tmp_path, value):
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": 8, "source_id": "s",
+            "entries": [{"path": "a.txt", "encoding": "ascii01", "sample_index": 0,
+                         "timestamp": value}]}))
+        with pytest.raises(ManifestError, match="timestamp must be a string"):
+            load_manifest(tmp_path / "manifest.json")
+
+
 WRITERS = ["write_report_json", "write_results_csv", "write_entropy_csv",
            "write_deviation_csv", "save_manifest", "save_plan"]
 

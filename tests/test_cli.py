@@ -176,6 +176,23 @@ class TestSimulatePipeline:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+def test_plan_time_without_offset_reads_as_utc_in_process_and_on_the_cli(tmp_path):
+    """A plan's naive start_time gives the same entropy CSV in-process and via simulate."""
+    doc = rs.sim.plan_to_dict(rs.unbiased_plan(num_qubits=1, samples_per_qubit=3,
+                                               shots_per_sample=64))
+    doc["start_time"] = "2019-01-01T00:00:00"
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(doc))
+    [sample_set] = rs.generate_experiment(rs.load_plan(plan_path))
+    rs.write_entropy_csv(rs.entropy_series(sample_set), tmp_path / "in_process.csv")
+    assert main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "data")]) == 0
+    assert main(["entropy", "--manifest", str(tmp_path / "data" / "qubit-00" / "manifest.json"),
+                 "--out", str(tmp_path / "cli")]) == 0
+    cli_csv = (tmp_path / "cli" / "entropy_qubit-00.csv").read_bytes()
+    assert cli_csv == (tmp_path / "in_process.csv").read_bytes()
+    assert b",2019-01-01T00:00:00+00:00," in cli_csv
+
+
 @pytest.fixture(scope="module")
 def desk_data(tmp_path_factory):
     """The desk plan simulated once, plus qubit-01's samples declared as source qubit-00."""
@@ -352,6 +369,14 @@ class TestUsageErrors:
         code = main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"),
                      option, value])
         assert message in capsys.readouterr().err
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    # The seed is checked before the plan is read, with with_seed's message.
+    def test_seed_checked_before_a_missing_plan(self, tmp_path, capsys):
+        code = main(["simulate", "--plan", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert "master_seed must be >= 0" in capsys.readouterr().err
         assert code == 2
         assert not (tmp_path / "out").exists()
 

@@ -4,7 +4,7 @@ import hashlib
 import math
 import os
 import stat
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +335,11 @@ class TestPlans:
         rs.save_plan(rs.load_plan(committed), tmp_path / "plan.json")
         assert (tmp_path / "plan.json").read_bytes() == committed.read_bytes()
 
+    def test_naive_start_time_reads_as_utc(self):
+        plan = ExperimentPlan(qubit_models=(fair_model(),), start_time=datetime(2019, 1, 1))
+        assert plan.start_time == datetime(2019, 1, 1, tzinfo=timezone.utc)
+        assert plan_to_dict(plan)["start_time"] == "2019-01-01T00:00:00+00:00"
+
     def test_integer_plan_numbers_are_numbers(self, tmp_path):
         doc = plan_to_dict(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2))
         doc["qubits"][0]["epochs"][0].update(p1_state=1, eps01=0)
@@ -419,13 +424,15 @@ class TestPlans:
 
         calls = []
 
-        def fail_on_second(seq, encoding):
-            calls.append(seq.sample_index)
+        encode = rs.bitseq._encode
+
+        def fail_on_second(row, n, encoding):
+            calls.append(n)
             if len(calls) == 2:
                 raise OSError("disk full")
-            return rs.bitseq.serialize_bits(seq, encoding)
+            return encode(row, n, encoding)
 
-        monkeypatch.setattr(rs.sim, "serialize_bits", fail_on_second)
+        monkeypatch.setattr(rs.bitseq, "_encode", fail_on_second)
         with pytest.raises(OSError, match="disk full"):
             rs.write_experiment(plan, out)
         # The old manifest is gone, so it cannot declare the half-written set.
