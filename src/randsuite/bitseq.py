@@ -211,9 +211,7 @@ def _unknown_encoding(encoding) -> ManifestError:
 _PADDING_PER_UNIT = {"ascii01": 0, "packed-msb": 7, "hex": 3}
 
 
-def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
-               source_id: str = "", sample_index: int = 0,
-               timestamp: datetime | None = None) -> BitSequence:
+def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) -> BitSequence:
     """Decode a byte stream into a :class:`BitSequence`.
 
     Parameters
@@ -222,9 +220,9 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
         Input stream.  ``str`` is accepted for the text encodings.
     encoding : {"ascii01", "packed-msb", "hex"}
     length : int, optional
-        Declared bit count.  When given, trailing padding bits (which must
-        be zero) are dropped, and any other size disagreement raises
-        :class:`~randsuite.errors.LengthMismatch`.
+        Declared bit count, a positive integer (else DomainError).  When given,
+        trailing padding bits (which must be zero) are dropped, and any other
+        size disagreement raises :class:`~randsuite.errors.LengthMismatch`.
 
     Raises
     ------
@@ -245,6 +243,7 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
     if n == 0:
         raise EmptyInput(f"no bits decoded from {encoding} input")
     if length is not None:
+        length = check_int("length", length, 1)
         pad = n - length
         if pad < 0 or pad > _PADDING_PER_UNIT[encoding]:
             raise LengthMismatch(
@@ -257,8 +256,7 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None,
                 f"nonzero padding bits after declared length {length}",
                 declared=length, actual=n)
         n = length
-    return BitSequence._from_packed(packed, n, source_id=source_id,
-                                    sample_index=sample_index, timestamp=timestamp)
+    return BitSequence._from_packed(packed, n)
 
 
 def _encode(packed: np.ndarray, n: int, encoding: str) -> bytes:

@@ -21,6 +21,7 @@ their commit point is the manifest written after them.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from .entropy import (
 from .errors import ManifestError, RandsuiteError, check_int, check_real
 from .randtests import ALL_TESTS, TestId, TestParams
 from .sim import check_seed, load_plan, with_seed, write_experiment
-from .suite import SuiteConfig, run_suite, write_report_json, write_results_csv
+from .suite import (UNIFORMITY_MIN_SAMPLES, SuiteConfig, run_suite, write_report_json,
+                    write_results_csv)
 
 __all__ = ["main"]
 
@@ -79,9 +81,9 @@ def cmd_test(args) -> int:
     write_results_csv(report, out / "results.csv")
     for test_id in report.config.tests:
         agg = report.per_test[test_id]
-        uni = ("uniformity_p=%.6f %s" % (agg.uniformity_p,
-                                         "ok" if agg.uniformity_ok else "NOT UNIFORM")
-               if agg.uniformity_ok is not None else "uniformity skipped (m < 55)")
+        uni = (f"uniformity skipped (m < {UNIFORMITY_MIN_SAMPLES})" if agg.uniformity_ok is None
+               else f"uniformity_p={agg.uniformity_p:.6f} "
+                    f"{'ok' if agg.uniformity_ok else 'NOT UNIFORM'}")
         print(f"{test_id.value:16s} proportion={agg.pass_proportion:.6f} "
               f"(band > {agg.band.lower:.6f}) "
               f"{'ok' if agg.proportion_ok else 'OUT OF BAND'}; {uni}")
@@ -148,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run the test suite over a manifest")
     add_common(p_test, 1)
-    p_test.add_argument("--band-coefficient", type=float, default=3.0,
-                        help="proportion-band width coefficient (default 3.0)")
+    p_test.add_argument("--band-coefficient", type=float, default=SuiteConfig.band_coefficient,
+                        help="proportion-band width coefficient (default %(default)s)")
     p_test.add_argument("--tests", default="all",
                         help="comma-separated test ids (default all): "
                              + ",".join(t.value for t in ALL_TESTS))
-    p_test.add_argument("--block-size", type=int, default=128,
-                        help="block size M for block_frequency (default 128)")
-    p_test.add_argument("--apen-m", type=int, default=2,
-                        help="pattern length m for approx_entropy (default 2)")
+    p_test.add_argument("--block-size", type=int, default=TestParams.block_size_m,
+                        help="block size M for block_frequency (default %(default)s)")
+    p_test.add_argument("--apen-m", type=int, default=TestParams.pattern_len_m,
+                        help="pattern length m for approx_entropy (default %(default)s)")
     p_test.add_argument("--no-min-length-enforcement", action="store_true",
                         help="allow sequences below the per-test minimum lengths")
     p_test.set_defaults(fn=cmd_test)
@@ -167,13 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="ones-deviation series and proportion band")
     add_common(p_stab, "+")
-    p_stab.add_argument("--stride", type=int, default=8192,
-                        help="bits between deviation points (default 8192)")
+    p_stab.add_argument("--stride", type=int,
+                        default=inspect.signature(deviation_series).parameters["stride"].default,
+                        help="bits between deviation points (default %(default)s)")
     p_stab.set_defaults(fn=cmd_stability)
 
     for p in (p_test, p_stab):
-        p.add_argument("--alpha", type=float, default=0.01,
-                       help="per-sample significance level (default 0.01)")
+        p.add_argument("--alpha", type=float, default=TestParams.alpha,
+                       help="per-sample significance level (default %(default)s)")
 
     p_sim = sub.add_parser("simulate", help="generate sample files from a plan")
     p_sim.add_argument("--plan", required=True, help="experiment plan JSON file")

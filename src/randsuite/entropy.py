@@ -91,7 +91,7 @@ def entropy_series(sample_set: SampleSet) -> EntropySeries:
 
 
 def proportion_band_for_length(n: int, alpha: float = 0.01) -> tuple[float, float]:
-    """Acceptable proportion of ones for an n-bit sequence at significance alpha.
+    """Acceptable proportion of ones for an n-bit sequence at level alpha.
 
     Inverts the frequency test: a proportion p passes iff
     erfc(sqrt(n) * |2p - 1| / sqrt(2)) >= alpha, i.e.

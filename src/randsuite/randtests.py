@@ -5,7 +5,7 @@ uint8 matrix of packed samples in, one statistic and one p-value per row
 out.  :func:`run_batch` runs the selected kernels over a sample set's matrix;
 the single-sequence functions (:func:`frequency_test` and the rest) are its
 one-row case, returning a :class:`TestOutcome` with the observed statistic,
-the p-value, the pass/fail verdict at significance ``alpha`` and a params
+the p-value, the pass/fail verdict at level ``alpha`` and a params
 record of the values behind them.
 
 Conventions that remedy known defects in circulating descriptions of these
@@ -261,17 +261,12 @@ def _accumulator(n: int):
 
 def _check(test_id: TestId, n: int, params: TestParams) -> None:
     """Raise the error a test gives for n-bit samples under ``params``, if any."""
-    if test_id is TestId.LONGEST_RUN:
-        # No block size is defined below 128 bits, so this minimum holds
-        # regardless of enforce_min_length.
-        if n < 128:
-            raise SampleTooShort(
-                f"longest_run needs at least 128 bits (no block size is defined "
-                f"below that), got {n}", min_length=128, actual=n)
-        return
     min_n = MIN_LENGTH[test_id]
-    if params.enforce_min_length and n < min_n:
-        raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits, got {n}",
+    # The longest-run minimum holds regardless of enforce_min_length: no block
+    # size is defined below it.
+    if n < min_n and (params.enforce_min_length or test_id is TestId.LONGEST_RUN):
+        why = " (no block size is defined below that)" if test_id is TestId.LONGEST_RUN else ""
+        raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits{why}, got {n}",
                              min_length=min_n, actual=n)
     if n == 0:
         raise EmptySequence(f"{test_id.value} needs a non-empty sequence")

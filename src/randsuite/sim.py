@@ -235,7 +235,7 @@ def _draw_rows(model: QubitNoiseModel, indices, shots: int, master_seed: int) ->
 
 
 def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
-                    master_seed: int, *, timestamp: datetime | None = None) -> BitSequence:
+                    master_seed: int) -> BitSequence:
     """Generate one sample: ``shots`` Bernoulli(p_eff) draws in shot order.
 
     Identical (master_seed, qubit_id, sample_index, shots) reproduce it bit-for-bit,
@@ -244,10 +244,8 @@ def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
     shots = check_int("shots", shots, 1)
     check_seed(master_seed)
     [row] = _draw_rows(model, (sample_index,), shots, master_seed)
-    return BitSequence._from_packed(row, shots,
-                                    source_id=model.source_id,
-                                    sample_index=int(sample_index),
-                                    timestamp=timestamp)
+    return BitSequence._from_packed(row, shots, source_id=model.source_id,
+                                    sample_index=int(sample_index))
 
 
 @dataclass(frozen=True)
@@ -297,25 +295,28 @@ def generate_experiment(plan: ExperimentPlan) -> list[SampleSet]:
 def unbiased_plan(num_qubits: int = 20, samples_per_qubit: int = 579,
                   shots_per_sample: int = 8192, master_seed: int = 42) -> ExperimentPlan:
     """Ideal reference plan: every qubit reads a fair coin, no readout error."""
-    models = tuple(
-        QubitNoiseModel(qubit_id=q, epochs=(Epoch(0, 0.5),))
-        for q in range(num_qubits)
-    )
+    models = tuple(QubitNoiseModel(qubit_id=q, epochs=(Epoch(0, 0.5),))
+                   for q in range(check_int("num_qubits", num_qubits, 1)))
     return ExperimentPlan(qubit_models=models, samples_per_qubit=samples_per_qubit,
                           shots_per_sample=shots_per_sample, master_seed=master_seed)
 
 
 def biased_demo_plan(num_qubits: int = 20, samples_per_qubit: int = 579,
                      shots_per_sample: int = 8192, master_seed: int = 42,
-                     anomaly_qubit: int | None = None,
-                     num_epochs: int = 5) -> ExperimentPlan:
+                     anomaly_qubit: int | None = None) -> ExperimentPlan:
     """Plan with per-qubit effective biases spread over [0.47, 0.50].
 
-    Readout asymmetries are synthetic but plausible (roughly 1-6 %), drift
-    slightly across ``num_epochs`` calibration epochs, and one qubit can be
-    given a mid-run state-bias anomaly.  Every epoch's p_eff stays inside
-    [0.47, 0.50] by construction.
+    Readout asymmetries are synthetic but plausible (roughly 1-6 %) and drift
+    slightly over five calibration epochs, a fifth of the samples each.  Qubit
+    ``anomaly_qubit`` (None, or below ``num_qubits``) gets a mid-run state-bias
+    anomaly.  Every epoch's p_eff stays inside [0.47, 0.50] by construction.
     """
+    num_qubits = check_int("num_qubits", num_qubits, 1)
+    samples_per_qubit = check_int("samples_per_qubit", samples_per_qubit, 1)
+    if anomaly_qubit is not None and check_int("anomaly_qubit", anomaly_qubit, 0) >= num_qubits:
+        raise DomainError(f"anomaly_qubit must be < num_qubits = {num_qubits}, "
+                          f"got {anomaly_qubit}")
+    num_epochs = 5
     models = []
     for q in range(num_qubits):
         frac = q / (num_qubits - 1) if num_qubits > 1 else 0.0

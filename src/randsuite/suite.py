@@ -30,6 +30,7 @@ from .randtests import _APEN_STATISTIC_FORMULA, _DFT_THRESHOLD_FORMULA
 from .special import as_probability, upper_igamc
 
 __all__ = [
+    "UNIFORMITY_ALPHA",
     "UNIFORMITY_MIN_SAMPLES",
     "ProportionBand",
     "proportion_band",
@@ -43,6 +44,7 @@ __all__ = [
     "write_results_csv",
 ]
 
+UNIFORMITY_ALPHA = 0.0001
 UNIFORMITY_MIN_SAMPLES = 55
 
 # Fixed column order of the flat results CSV.
@@ -89,7 +91,7 @@ def proportion_band(alpha: float, m: int, coefficient: float = 3.0) -> Proportio
                           coefficient=coefficient, sample_count=m)
 
 
-def uniformity_check(p_values, *, significance: float = 0.0001):
+def uniformity_check(p_values):
     """Ten-bin chi-squared uniformity check over a test's p-values.
 
     Bins are [k/10, (k+1)/10) for k = 0..9 with 1.0 landing in the top bin.
@@ -97,9 +99,9 @@ def uniformity_check(p_values, *, significance: float = 0.0001):
     Returns
     -------
     (chi2, p, ok) : tuple of (float, float, bool)
-        ``ok`` is ``p >= significance``.
+        ``ok`` is ``p >= UNIFORMITY_ALPHA``, the level NIST SP 800-22 Rev. 1a
+        fixes in section 4.2.2.
     """
-    check_real("significance", significance, 0, 1, "()")
     p_values = np.fromiter(p_values, dtype=np.float64)
     m = p_values.size
     if m < UNIFORMITY_MIN_SAMPLES:
@@ -112,17 +114,17 @@ def uniformity_check(p_values, *, significance: float = 0.0001):
     expected = m / 10.0
     chi2 = float(((counts - expected) ** 2).sum() / expected)
     p = upper_igamc(9.0 / 2.0, chi2 / 2.0)
-    return chi2, p, p >= significance
+    return chi2, p, p >= UNIFORMITY_ALPHA
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Test selection plus the knobs of each protocol step."""
+    """Test selection, the tests' parameters and the proportion band's coefficient; the
+    uniformity level is the fixed ``UNIFORMITY_ALPHA``, which the report writes with them."""
 
     params: TestParams = field(default_factory=TestParams)
     tests: tuple[TestId, ...] = ALL_TESTS
     band_coefficient: float = 3.0
-    uniformity_alpha: float = 0.0001
 
     def __post_init__(self):
         tests = tuple(TestId(t) for t in self.tests)
@@ -133,8 +135,6 @@ class SuiteConfig:
         object.__setattr__(self, "tests", tests)
         object.__setattr__(self, "band_coefficient", check_real(
             "band_coefficient", self.band_coefficient, 0, math.inf, "()"))
-        object.__setattr__(self, "uniformity_alpha", check_real(
-            "uniformity_alpha", self.uniformity_alpha, 0, 1, "()"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +207,7 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
         proportion_ok = band.contains(proportion)
         chi2 = p_uni = uni_ok = None
         if m >= UNIFORMITY_MIN_SAMPLES:
-            chi2, p_uni, uni_ok = uniformity_check(
-                batch.p_values, significance=config.uniformity_alpha)
+            chi2, p_uni, uni_ok = uniformity_check(batch.p_values)
         agg = TestAggregate(
             test_id=test_id,
             sample_indices=indices,
@@ -236,7 +235,7 @@ def _config_to_dict(config: SuiteConfig) -> dict:
         "enforce_min_length": config.params.enforce_min_length,
         "tests": [t.value for t in config.tests],
         "band_coefficient": config.band_coefficient,
-        "uniformity_alpha": config.uniformity_alpha,
+        "uniformity_alpha": UNIFORMITY_ALPHA,
         "min_lengths": {t.value: MIN_LENGTH[t] for t in config.tests},
     }
 

@@ -136,7 +136,7 @@ def test_c09_uniformity_golden():
     mids = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]
     counts = [2, 8, 10, 13, 17, 17, 13, 10, 8, 2]
     p_values = [m for m, c in zip(mids, counts) for _ in range(c)]
-    chi2, p, ok = rs.uniformity_check(p_values, significance=0.0001)
+    chi2, p, ok = rs.uniformity_check(p_values)
     check("C9", "p-value uniformity golden", [
         ("chi2", abs(chi2 - 25.2) <= 1e-6, f"chi2={chi2!r}"),
         ("p", abs(p - 0.002758) <= 1e-6, f"p={p!r}"),

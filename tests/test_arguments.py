@@ -110,14 +110,10 @@ ARGUMENTS = [
      lambda v: TestParams(enforce_min_length=v), DomainError),
     ("SuiteConfig.band_coefficient", REAL, 2.6, lambda v: SuiteConfig(band_coefficient=v),
      DomainError),
-    ("SuiteConfig.uniformity_alpha", REAL, 0.001, lambda v: SuiteConfig(uniformity_alpha=v),
-     DomainError),
     ("proportion_band.alpha", REAL, 0.05, lambda v: rs.proportion_band(v, 100), DomainError),
     ("proportion_band.m", COUNT, 3, lambda v: rs.proportion_band(0.01, v), DomainError),
     ("proportion_band.coefficient", REAL, 2.6, lambda v: rs.proportion_band(0.01, 100, v),
      DomainError),
-    ("uniformity_check.significance", REAL, 0.25,
-     lambda v: rs.uniformity_check([0.5] * 60, significance=v), DomainError),
     ("proportion_band_for_length.n", COUNT, 8, lambda v: rs.proportion_band_for_length(v),
      DomainError),
     ("proportion_band_for_length.alpha", REAL, 0.05,
@@ -143,6 +139,15 @@ ARGUMENTS = [
      lambda v: ExperimentPlan((_MODEL,), sample_interval_s=v), DomainError),
     ("ExperimentPlan.start_time", TIME, _START,
      lambda v: ExperimentPlan((_MODEL,), start_time=v), DomainError),
+    ("unbiased_plan.num_qubits", COUNT, 3,
+     lambda v: rs.unbiased_plan(v, samples_per_qubit=2, shots_per_sample=8), DomainError),
+    ("biased_demo_plan.num_qubits", COUNT, 3,
+     lambda v: rs.biased_demo_plan(v, samples_per_qubit=2, shots_per_sample=8), DomainError),
+    ("biased_demo_plan.samples_per_qubit", COUNT, 3,
+     lambda v: rs.biased_demo_plan(3, samples_per_qubit=v, shots_per_sample=8), DomainError),
+    # None gives no qubit an anomaly.
+    ("biased_demo_plan.anomaly_qubit", COUNT[:-1] + (-1, 3, 7), 2,
+     lambda v: rs.biased_demo_plan(3, samples_per_qubit=40, anomaly_qubit=v), DomainError),
     ("with_seed.master_seed", COUNT, 3,
      lambda v: rs.with_seed(ExperimentPlan((_MODEL,)), v), DomainError),
     ("generate_sample.sample_index", COUNT, 3, lambda v: rs.generate_sample(_MODEL, v, 64, 1),
@@ -158,11 +163,9 @@ ARGUMENTS = [
     # None is a timestamp not known.
     ("BitSequence.timestamp", TIME[:-1], _START, lambda v: BitSequence([0, 1], timestamp=v),
      DomainError),
-    ("parse_bits.timestamp", TIME[:-1], _START, lambda v: rs.parse_bits("01", "ascii01",
-                                                                      timestamp=v),
-     DomainError),
-    ("generate_sample.timestamp", TIME[:-1], _START,
-     lambda v: rs.generate_sample(_MODEL, 0, 64, 1, timestamp=v), DomainError),
+    # None declares no length.
+    ("parse_bits.length", COUNT[:-1] + (0, -1), 2,
+     lambda v: rs.parse_bits("01", "ascii01", length=v), DomainError),
     # None asks SampleSet for its first sample's length.
     ("SampleSet.declared_length", COUNT[:-1], 8, lambda v: SampleSet([], declared_length=v),
      DomainError),
