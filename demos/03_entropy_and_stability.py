@@ -58,11 +58,10 @@ print(f"terminal deviation after {joined.n} bits: {dev.deviations[-1]:+.1f} "
       f"(a fair source stays near 0)\n")
 
 # --- acceptable proportion of ones for this length ------------------------
-lower, upper = rs.proportion_band_for_length(joined.n, alpha=0.01)
-p_hat = joined.count_ones() / joined.n
-verdict = "inside" if lower < p_hat < upper else "OUTSIDE"
-print(f"proportion of ones: {p_hat:.6f}; acceptable band for n={joined.n}: "
-      f"({lower:.6f}, {upper:.6f}) -> {verdict}")
+band = rs.ones_band(sample_set, alpha=0.01)
+print(f"proportion of ones: {band['proportion_of_ones']:.6f}; acceptable band for "
+      f"n={band['n']}: ({band['band_lower']:.6f}, {band['band_upper']:.6f}) -> "
+      f"{'inside' if band['inside'] else 'OUTSIDE'}")
 print("""
 The min-entropy never exceeds the Shannon entropy; both are 1 exactly for a
 perfectly balanced sample, but min-entropy falls off faster near uniformity,

@@ -26,8 +26,10 @@ from .entropy import (
     deviation_series,
     entropy_series,
     min_entropy,
+    ones_band,
     proportion_band_for_length,
     shannon_entropy,
+    write_band_json,
     write_deviation_csv,
     write_entropy_csv,
 )

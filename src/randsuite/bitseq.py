@@ -426,8 +426,9 @@ class Manifest:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "base_dir", Path(self.base_dir))
+        # numpy holds the packed width and the bit offsets as int64.
         object.__setattr__(self, "declared_length", check_int(
-            "declared_length", self.declared_length, 1, error=ManifestError))
+            "declared_length", self.declared_length, 1, 2 ** 63 - 1, error=ManifestError))
         if not isinstance(self.source_id, str) or {"/", "\0"} & set(self.source_id):
             raise ManifestError(f"source_id {self.source_id!r} must be a string without '/' "
                                 f"or NUL: it names output files")
@@ -564,19 +565,28 @@ def load_sample_set(manifest: Manifest) -> SampleSet:
 
     Raises
     ------
-    LengthMismatch
-        A file decodes to a bit count other than ``declared_length``
-        (message includes the offending path).
+    LengthMismatch, InvalidCharacter, EmptyInput
+        A file decodes to a bit count other than ``declared_length``, holds a
+        character outside its encoding or decodes to no bits; the message
+        starts with the offending path.
     """
     entries = sorted(manifest.entries, key=lambda e: e.sample_index)
     n = manifest.declared_length
-    packed = np.empty((len(entries), -(-n // 8)), dtype=np.uint8)
-    for row, entry in zip(packed, entries):
+    packed = np.empty((0, -(-n // 8)), dtype=np.uint8)
+    for i, entry in enumerate(entries):
         file_path = manifest.base_dir / entry.path
         try:
-            row[:] = parse_bits(file_path.read_bytes(), entry.encoding, length=n).packed
+            row = parse_bits(file_path.read_bytes(), entry.encoding, length=n).packed
         except LengthMismatch as exc:
             raise LengthMismatch(f"{file_path}: {exc}", path=str(file_path),
                                  declared=exc.declared, actual=exc.actual) from exc
+        except (InvalidCharacter, EmptyInput) as exc:
+            raise type(exc)(f"{file_path}: {exc}") from exc
+        if not i:
+            # Allocated once the first file has matched the declared length,
+            # so a length that no file could match fails as that file's
+            # LengthMismatch, not as an allocation of the declared size.
+            packed = np.empty((len(entries), row.size), dtype=np.uint8)
+        packed[i] = row
     return SampleSet._from_rows(packed, tuple(e.sample_index for e in entries),
                                 tuple(e.timestamp for e in entries), manifest.source_id, n)

@@ -25,11 +25,12 @@ import inspect
 import sys
 from pathlib import Path
 
-from .bitseq import concat_chronological, load_manifest, load_sample_set, write_json
+from .bitseq import concat_chronological, load_manifest, load_sample_set
 from .entropy import (
     deviation_series,
     entropy_series,
-    proportion_band_for_length,
+    ones_band,
+    write_band_json,
     write_deviation_csv,
     write_entropy_csv,
 )
@@ -101,31 +102,21 @@ def cmd_entropy(args) -> int:
     return EXIT_PASS
 
 
-def _deviation(args, sample_set):
-    """One source's deviation series and its ``band.json`` row."""
-    joined = concat_chronological(sample_set)
-    lower, upper = proportion_band_for_length(joined.n, args.alpha)
-    proportion = joined.count_ones() / joined.n
-    return deviation_series(joined, stride=args.stride), {
-        "n": joined.n, "proportion_of_ones": proportion, "band_lower": lower,
-        "band_upper": upper, "inside": lower < proportion < upper}
-
-
 def cmd_stability(args) -> int:
     check_real("alpha", args.alpha, 0, 1, "()")
     check_int("stride", args.stride, 1)
     out = Path(args.out)
-    results = _analyse(args, lambda sample_set: _deviation(args, sample_set))
+    results = _analyse(args, lambda sample_set: (
+        deviation_series(concat_chronological(sample_set), stride=args.stride),
+        ones_band(sample_set, args.alpha)))
     for series, row in results:
         target = out / f"deviation_{series.source_id}.csv"
         write_deviation_csv(series, target)
         print(f"{series.source_id}: proportion={row['proportion_of_ones']:.6f} "
               f"band=({row['band_lower']:.6f}, {row['band_upper']:.6f}) "
               f"{'ok' if row['inside'] else 'OUT OF BAND'} -> {target}")
-    band_summary = {"alpha": args.alpha, "sources": {s.source_id: row for s, row in results},
-                    "band_convention": "derived by inverting the frequency test: "
-                                       "|p - 1/2| <= sqrt(2)*erfc_inv(alpha)/(2*sqrt(n))"}
-    write_json(out / "band.json", band_summary)
+    write_band_json({series.source_id: row for series, row in results}, args.alpha,
+                    out / "band.json")
     return EXIT_PASS if all(row["inside"] for _, row in results) else EXIT_STATISTICAL_FAIL
 
 

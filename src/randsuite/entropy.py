@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import BitSequence, SampleSet, atomic_write, ones_before
+from .bitseq import BitSequence, SampleSet, atomic_write, ones_before, write_json
 from .errors import EmptySequence, EmptySet, check_int, check_real
+from .randtests import TestParams
 from .special import erfc_inv
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "EntropySeries",
     "entropy_series",
     "proportion_band_for_length",
+    "ones_band",
+    "write_band_json",
     "DeviationSeries",
     "deviation_series",
     "write_entropy_csv",
@@ -35,7 +38,8 @@ __all__ = [
 
 
 def _min_entropy(p1: float) -> float:
-    return -math.log2(max(p1, 1.0 - p1))
+    # 0.0 - x, not -x: a constant sample's log2(1) = 0.0 would give -0.0.
+    return 0.0 - math.log2(max(p1, 1.0 - p1))
 
 
 def _shannon_entropy(p1: float) -> float:
@@ -90,7 +94,7 @@ def entropy_series(sample_set: SampleSet) -> EntropySeries:
     )
 
 
-def proportion_band_for_length(n: int, alpha: float = 0.01) -> tuple[float, float]:
+def proportion_band_for_length(n: int, alpha: float = TestParams.alpha) -> tuple[float, float]:
     """Acceptable proportion of ones for an n-bit sequence at level alpha.
 
     Inverts the frequency test: a proportion p passes iff
@@ -102,6 +106,29 @@ def proportion_band_for_length(n: int, alpha: float = 0.01) -> tuple[float, floa
     check_real("alpha", alpha, 0, 1, "()")
     halfwidth = math.sqrt(2.0) * erfc_inv(alpha) / (2.0 * math.sqrt(n))
     return 0.5 - halfwidth, 0.5 + halfwidth
+
+
+def ones_band(sample_set: SampleSet, alpha: float) -> dict:
+    """The source's ``band.json`` row: its proportion of ones against
+    :func:`proportion_band_for_length` for its total length, all samples joined.
+
+    Keys ``n``, ``proportion_of_ones``, ``band_lower``, ``band_upper`` and
+    ``inside``, which is membership in the open band.
+    """
+    if len(sample_set) == 0:
+        raise EmptySet("cannot compute the ones band of an empty sample set")
+    n = sample_set.total_bits()
+    lower, upper = proportion_band_for_length(n, alpha)
+    proportion = int(np.bitwise_count(sample_set.packed).sum(dtype=np.int64)) / n
+    return {"n": n, "proportion_of_ones": proportion, "band_lower": lower,
+            "band_upper": upper, "inside": lower < proportion < upper}
+
+
+def write_band_json(rows, alpha: float, path) -> None:
+    """``band.json``: ``rows`` maps each source id to its :func:`ones_band` row at ``alpha``."""
+    write_json(path, {"alpha": alpha, "sources": dict(rows),
+                      "band_convention": "derived by inverting the frequency test: "
+                                         "|p - 1/2| <= sqrt(2)*erfc_inv(alpha)/(2*sqrt(n))"})
 
 
 @dataclass(frozen=True)

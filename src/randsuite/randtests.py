@@ -280,6 +280,12 @@ def _check(test_id: TestId, n: int, params: TestParams) -> None:
             raise PatternTooLong(
                 f"pattern length {m} is too long for meaningful results at n={n} "
                 f"(need m < floor(log2(n)) - 1)")
+        # The counts take 2^(m+1) values per row.  Past both n and 2^16 a
+        # pattern expects less than one window, and the memory grows with
+        # 2^m instead of n.  Under the enforced minimum length it never binds.
+        if 2 ** (m + 1) > max(n, 2 ** 16):
+            raise PatternTooLong(f"pattern length {m} is too long at n={n}: its "
+                                 f"2^(m+1) = {2 ** (m + 1)} patterns exceed max(n, 2^16)")
 
 
 # Each test is a pair of functions.  ``count`` maps one chunk of rows to
@@ -663,37 +669,6 @@ def _window_table(m: int) -> np.ndarray:
     return table
 
 
-# Approximate entropy counts a row's windows in 2^(m+1) bins, unless that
-# is more than both n and this many; then it sorts the row's n window
-# codes, so that its memory grows with n, not with 2^m.
-_APEN_DENSE_MAX_BINS = 1 << 16
-
-
-def _apen_sorts(n: int, m: int) -> bool:
-    return 2 ** (m + 1) > max(n, _APEN_DENSE_MAX_BINS)
-
-
-def _apen_bins(n: int, m: int) -> int:
-    """Values per row of approximate entropy's largest temporary."""
-    if _apen_sorts(n, m):
-        return n
-    return 2 ** (8 + m) if m <= _APEN_BYTE_MAX_M else 2 ** (m + 1)
-
-
-def _window_codes(packed: np.ndarray, n: int, m: int, start: int) -> np.ndarray:
-    """Codes of each row's cyclic (m+1)-bit windows that start at bits
-    ``start``..n-1, ``start`` a multiple of 8: the row's bits from ``start``
-    on with its first m bits appended, which is the wrap."""
-    width = n - start
-    tail = np.concatenate([np.unpackbits(packed[:, start // 8:], axis=1, count=width),
-                           np.unpackbits(packed[:, :(m + 7) // 8], axis=1, count=m)], axis=1)
-    codes = tail[:, :width].astype(np.intp)
-    for j in range(1, m + 1):
-        codes <<= 1
-        codes |= tail[:, j:j + width]
-    return codes
-
-
 def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
     """Each row's counts of the n cyclic (m+1)-bit windows, by pattern.
 
@@ -716,38 +691,21 @@ def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
         keys += (np.arange(r, dtype=np.intp) << (8 + m))[:, None]
         hist = np.bincount(keys.reshape(-1), minlength=r << (8 + m))
         np.matmul(hist.reshape(r, -1), _window_table(m), out=counts)
-    codes = _window_codes(packed, n, m, 8 * whole)
+    # The windows from bit 8 * whole on: the row's bits from there with its
+    # first m bits appended, which is the wrap.
+    width = n - 8 * whole
+    tail = np.concatenate([np.unpackbits(packed[:, whole:], axis=1, count=width),
+                           np.unpackbits(packed[:, :(m + 7) // 8], axis=1, count=m)], axis=1)
+    codes = tail[:, :width].astype(np.intp)
+    for j in range(1, m + 1):
+        codes <<= 1
+        codes |= tail[:, j:j + width]
     codes += size * np.arange(r, dtype=np.intp)[:, None]
     counts += np.bincount(codes.reshape(-1), minlength=size * r).reshape(r, size)
     return counts
 
 
-def _sorted_phis(packed: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_phi` of each row's m-bit and (m+1)-bit window counts, from its
-    n sorted window codes instead of 2^(m+1) bins.
-
-    The terms are summed in pattern order, as :func:`_phi` sums them, but
-    one by one instead of pairwise, so a sum can differ from the dense
-    one's in its last bits.
-    """
-    r = len(packed)
-    codes = _window_codes(packed, n, m, 0)
-    codes += np.arange(r, dtype=np.intp)[:, None] << (m + 1)
-    codes = np.sort(codes, axis=None)
-    phis = []
-    # An m-bit window is an (m+1)-bit one without its last bit.
-    for keys, bits in ((codes >> 1, m), (codes, m + 1)):
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        freq = np.diff(starts, append=len(keys)) / n
-        phis.append(np.bincount(keys[starts] >> bits, weights=freq * np.log(freq),
-                                minlength=r))
-    return phis[0], phis[1]
-
-
 def _approx_entropy_count(rows: _Rows, params: TestParams) -> dict:
-    if _apen_sorts(rows.n, params.pattern_len_m):
-        phi_m, phi_m1 = _sorted_phis(rows.packed, rows.n, params.pattern_len_m)
-        return {"phi_m": phi_m, "phi_m1": phi_m1}
     # The m-bit counts are the (m+1)-bit counts summed over the last bit.
     counts = _pattern_counts(rows.packed, rows.n, params.pattern_len_m)
     r, size = counts.shape
@@ -849,7 +807,8 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
     # entropy's largest count.
     width = n
     if TestId.APPROX_ENTROPY in tests:
-        width = max(n, _apen_bins(n, params.pattern_len_m))
+        m = params.pattern_len_m
+        width = max(n, 2 ** (8 + m) if m <= _APEN_BYTE_MAX_M else 2 ** (m + 1))
     step = max(1, _CHUNK_BITS // width)
     work = _Workspace(min(step, len(packed)), n)
     parts = {test_id: [] for test_id in tests}
@@ -931,7 +890,9 @@ def approx_entropy_test(seq: BitSequence, params: TestParams = TestParams()) -> 
     """Relative frequency of overlapping m-bit vs (m+1)-bit patterns.
 
     Patterns wrap cyclically (the first block_len-1 bits are appended), so
-    each block length yields exactly n overlapping windows.
+    each block length yields exactly n overlapping windows.  An m whose
+    2^(m+1) patterns exceed both n and 2^16 raises PatternTooLong, with the
+    minimum length relaxed too.
     """
     return _one_row(TestId.APPROX_ENTROPY, seq, params)
 

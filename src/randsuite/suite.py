@@ -52,6 +52,26 @@ CSV_COLUMNS = ("test_id", "sample_index", "statistic", "p_value", "passed")
 
 
 @dataclass(frozen=True)
+class SuiteConfig:
+    """Test selection, the tests' parameters and the proportion band's coefficient; the
+    uniformity level is the fixed ``UNIFORMITY_ALPHA``, which the report writes with them."""
+
+    params: TestParams = field(default_factory=TestParams)
+    tests: tuple[TestId, ...] = ALL_TESTS
+    band_coefficient: float = 3.0
+
+    def __post_init__(self):
+        tests = tuple(TestId(t) for t in self.tests)
+        if not tests:
+            raise DomainError("at least one test must be selected")
+        if len(set(tests)) != len(tests):
+            raise DomainError("duplicate test ids in selection")
+        object.__setattr__(self, "tests", tests)
+        object.__setattr__(self, "band_coefficient", check_real(
+            "band_coefficient", self.band_coefficient, 0, math.inf, "()"))
+
+
+@dataclass(frozen=True)
 class ProportionBand:
     """Acceptance band (1-alpha) +/- c*sqrt(alpha*(1-alpha)/m).
 
@@ -77,7 +97,8 @@ class ProportionBand:
         return self.lower < proportion <= self.upper
 
 
-def proportion_band(alpha: float, m: int, coefficient: float = 3.0) -> ProportionBand:
+def proportion_band(alpha: float, m: int,
+                    coefficient: float = SuiteConfig.band_coefficient) -> ProportionBand:
     """Acceptance band for the proportion of passed samples.
 
     The default coefficient 3 is the customary choice; 2.6 is a published
@@ -115,26 +136,6 @@ def uniformity_check(p_values):
     chi2 = float(((counts - expected) ** 2).sum() / expected)
     p = upper_igamc(9.0 / 2.0, chi2 / 2.0)
     return chi2, p, p >= UNIFORMITY_ALPHA
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Test selection, the tests' parameters and the proportion band's coefficient; the
-    uniformity level is the fixed ``UNIFORMITY_ALPHA``, which the report writes with them."""
-
-    params: TestParams = field(default_factory=TestParams)
-    tests: tuple[TestId, ...] = ALL_TESTS
-    band_coefficient: float = 3.0
-
-    def __post_init__(self):
-        tests = tuple(TestId(t) for t in self.tests)
-        if not tests:
-            raise DomainError("at least one test must be selected")
-        if len(set(tests)) != len(tests):
-            raise DomainError("duplicate test ids in selection")
-        object.__setattr__(self, "tests", tests)
-        object.__setattr__(self, "band_coefficient", check_real(
-            "band_coefficient", self.band_coefficient, 0, math.inf, "()"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -434,7 +434,7 @@ class TestSaveSampleSet:
 
 
 WRITERS = ["write_report_json", "write_results_csv", "write_entropy_csv",
-           "write_deviation_csv", "save_manifest", "save_plan"]
+           "write_deviation_csv", "write_band_json", "save_manifest", "save_plan"]
 
 
 @pytest.fixture(scope="module")
@@ -453,6 +453,8 @@ def writers():
         "write_results_csv": lambda path: rs.write_results_csv(report, path),
         "write_entropy_csv": lambda path: rs.write_entropy_csv(series, path),
         "write_deviation_csv": lambda path: rs.write_deviation_csv(deviation, path),
+        "write_band_json": lambda path: rs.write_band_json(
+            {sample_set.source_id: rs.ones_band(sample_set, 0.01)}, 0.01, path),
         "save_manifest": lambda path: save_manifest(manifest, path),
         "save_plan": lambda path: rs.save_plan(plan, path),
     }

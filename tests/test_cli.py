@@ -372,6 +372,45 @@ class TestUsageErrors:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    # A sample file that does not decode is named, and keeps its error type.
+    @pytest.mark.parametrize("content,error,message", [
+        (b"zz", rs.InvalidCharacter, "unexpected character 'z' in hex input"),
+        (b"", rs.EmptyInput, "no bits decoded from hex input")])
+    def test_bad_sample_file_is_named(self, tmp_path, capsys, content, error, message):
+        (tmp_path / "good.hex").write_text("ab")
+        (tmp_path / "bad.hex").write_bytes(content)
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": 8, "source_id": "s", "entries": [
+                {"path": "good.hex", "encoding": "hex", "sample_index": 0},
+                {"path": "bad.hex", "encoding": "hex", "sample_index": 1}]}))
+        code = main(["test", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--no-min-length-enforcement"])
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.hex'}: {message}\n"
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(error):
+            rs.load_sample_set(rs.load_manifest(tmp_path / "manifest.json"))
+
+    # A declared length beyond 63 bits is rejected with the manifest; a
+    # shorter one that no file matches fails on the first file, before the
+    # samples' matrix of the declared size is allocated.
+    @pytest.mark.parametrize("declared,with_file,message", [
+        (10 ** 20, True, f"declared_length must be a 63-bit value, got {10 ** 20}"),
+        (4 * 10 ** 12, True, "a.hex: decoded 8 bits but 4000000000000 were declared"),
+        (10 ** 20, False, f"declared_length must be a 63-bit value, got {10 ** 20}")])
+    def test_huge_declared_length(self, tmp_path, capsys, declared, with_file, message):
+        (tmp_path / "a.hex").write_text("ab")
+        entries = [{"path": "a.hex", "encoding": "hex", "sample_index": 0}] * with_file
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": declared, "source_id": "s", "entries": entries}))
+        code = main(["entropy", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{message}\n")
+        assert not (tmp_path / "out").exists()
+
     # The seed is checked before the plan is read, with with_seed's message.
     def test_seed_checked_before_a_missing_plan(self, tmp_path, capsys):
         code = main(["simulate", "--plan", str(tmp_path / "missing.json"),
@@ -489,6 +528,39 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, shots):
         digests[f"data/qubit-0{q}/sample_*"] = _sha256(sorted(data.glob(f"qubit-0{q}/sample_*")))
     digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
     assert digests == OUTPUT_PINS[shots]
+
+
+# Recorded from the code before the band.json rows moved from the CLI into
+# randsuite.entropy.
+STABILITY_OPTION_PINS = {
+    "band.json": "6fa6985db9f6b901644b6dfe1d2a6be3d62af0253d71d55913e1c83c57635715",
+    "deviation_qubit-00.csv": "e07bc658b3386eef9d04ebdd529de87721541acc142f276d023efbff605bb734",
+    "deviation_qubit-01.csv": "9721e3f398c880e6e41bbbd8b34fe399ba064115602adb8e090b1dca7050c097",
+    "deviation_qubit-02.csv": "d7303188300b88f2249b69c56bd76a23ffccae0743e73d8652ab048bc34b9126",
+    "deviation_qubit-03.csv": "a4cd620fe3cae0dd7f3d29ef41dca5c776d6ca5c9641490aab2fca0343aa5d9e",
+    "deviation_qubit-04.csv": "66dc35045dd0f03668b7c6cb7b17091786e2d3c3cc689c92c504eebecce43d5f",
+    "stdout": "292eb70d1969725de729436122ddd609bb656bb04641ff8c587f2e750f43ee99",
+}
+
+
+def test_stability_options_match_pinned_digests(tmp_path, capsys, desk_data):
+    """stability at a non-default --alpha and --stride writes the pinned bytes."""
+    manifests = sorted(str(p) for p in desk_data.glob("qubit-*/manifest.json"))
+    out = tmp_path / "out"
+    code = main(["stability", "--manifest", *manifests, "--out", str(out),
+                 "--alpha", "0.05", "--stride", "1000"])
+    assert code == 1
+    digests = {p.name: _sha256([p]) for p in out.iterdir()}
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == STABILITY_OPTION_PINS
+
+
+def test_cli_leaves_file_formats_to_the_library():
+    """The CLI parses options, calls the library's analyses and writers, and
+    prints: it binds no JSON writer and no band formula of its own."""
+    assert {"json", "write_json", "atomic_write",
+            "proportion_band_for_length"}.isdisjoint(vars(sys.modules["randsuite.cli"]))
 
 
 def test_benchmark_wrapped_names_are_called(tmp_path, monkeypatch):

@@ -35,8 +35,9 @@ class TestMinEntropy:
         assert min_entropy(seq_with_ones(5, 10)) == 1.0
 
     def test_degenerate_is_zero(self):
-        assert min_entropy(seq_with_ones(10, 10)) == 0.0
-        assert min_entropy(seq_with_ones(0, 10)) == 0.0
+        # repr tells 0.0 from -0.0, which compare equal
+        assert repr(min_entropy(seq_with_ones(10, 10))) == "0.0"
+        assert repr(min_entropy(seq_with_ones(0, 10))) == "0.0"
 
     def test_point_six(self):
         # independent oracle: -log2(0.6) at high precision
@@ -97,9 +98,11 @@ class TestEntropySeries:
         assert all(hm <= hs + 1e-15 for hm, hs in
                    zip(series.min_entropies, series.shannon_entropies))
 
-    def test_single_degenerate_sample(self):
+    def test_single_degenerate_sample(self, tmp_path):
         series = entropy_series(SampleSet([seq_with_ones(8, 8, sample_index=0)]))
         assert series.min_entropies == (0.0,)
+        rs.write_entropy_csv(series, tmp_path / "entropy.csv")
+        assert (tmp_path / "entropy.csv").read_bytes().splitlines()[1] == b"0,,0.0,0.0"
 
     def test_empty_set(self):
         with pytest.raises(EmptySet):
@@ -164,6 +167,19 @@ class TestProportionBandForLength:
                 seq = seq_with_ones(ones, n)
                 p = frequency_test(seq, rs.TestParams(enforce_min_length=False)).p_value
                 assert (p > alpha) == (lower < ones / n < upper), (n, ones)
+
+    # At n = 400 and alpha = 0.01 the band's upper edge lies between 225 and 226 ones.
+    @pytest.mark.parametrize("extra", [0, 25, 26, 30])
+    def test_ones_band_is_the_joined_frequency_test(self, extra):
+        sample_set = SampleSet([seq_with_ones(50 + extra * (i == 3), 100, sample_index=i)
+                                for i in range(4)])
+        lower, upper = proportion_band_for_length(400, 0.01)
+        p = frequency_test(rs.concat_chronological(sample_set)).p_value
+        assert rs.ones_band(sample_set, 0.01) == {
+            "n": 400, "proportion_of_ones": (200 + extra) / 400, "band_lower": lower,
+            "band_upper": upper, "inside": p > 0.01}
+        with pytest.raises(EmptySet):
+            rs.ones_band(SampleSet([], declared_length=8), 0.01)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -277,8 +277,15 @@ class TestApproxEntropy:
 
     def test_pattern_too_long(self):
         seq = seeded_bits(128, seed=2)
-        with pytest.raises(PatternTooLong):
+        with pytest.raises(PatternTooLong) as exc:
             approx_entropy_test(seq, TestParams(pattern_len_m=6))  # floor(log2(128))-1 = 6
+        assert str(exc.value) == ("pattern length 6 is too long for meaningful results at "
+                                  "n=128 (need m < floor(log2(n)) - 1)")
+        # 2^17 patterns exceed max(n, 2^16) too; the minimum-length rule is named first.
+        with pytest.raises(PatternTooLong) as exc:
+            approx_entropy_test(seeded_bits(8192, seed=2), TestParams(pattern_len_m=16))
+        assert str(exc.value) == ("pattern length 16 is too long for meaningful results at "
+                                  "n=8192 (need m < floor(log2(n)) - 1)")
         approx_entropy_test(seq, TestParams(pattern_len_m=6, enforce_min_length=False))
         with pytest.raises(PatternTooLong):
             approx_entropy_test(seq, TestParams(pattern_len_m=128, enforce_min_length=False))
@@ -477,11 +484,17 @@ class TestBatchKernels:
             classes = np.clip(reference_longest_runs(blocks) - edge, 0, k)
             assert out.params["class_counts"] == np.bincount(classes, minlength=k + 1).tolist()
 
-    # From m = 16 at n = 1001 the windows are counted by sorting their codes.
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 24])
+    # m = 5 and 6 straddle the switch from byte keys to bit-by-bit counting,
+    # and m = 15 is the largest accepted at n = 1001: 2^16 patterns.  From
+    # m = 16 the 2^(m+1) patterns exceed max(n, 2^16).
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 15, 16, 24])
     def test_approx_entropy_pattern_lengths(self, m):
         sample_set, _ = equivalence_set(1001)
         params = TestParams(enforce_min_length=False, pattern_len_m=m)
+        if m >= 16:
+            with pytest.raises(PatternTooLong, match=r"exceed max\(n, 2\^16\)"):
+                approx_entropy_test(sample_set[2], params)
+            return
         assert_batch_matches_single(sample_set, params, tests=(TestId.APPROX_ENTROPY,))
         seq = sample_set[2]
         vals = list(seq.asarray())
@@ -770,12 +783,17 @@ class TestBytewiseApproximateEntropy:
         assert counts.sum(axis=1).tolist() == [n] * 8
         assert np.array_equal(counts, reference_pattern_counts(bits, m))
 
-    def test_long_patterns_take_memory_bounded_by_n(self):
-        # With 2^25 bins per row, the dense count of m = 24 peaked near 1 GB.
+    def test_longest_accepted_pattern_takes_bounded_memory(self):
         import tracemalloc
 
         packed = np.packbits(seeded_bits(130, seed=9).asarray().reshape(2, 65), axis=1)
-        params = TestParams(pattern_len_m=24, enforce_min_length=False)
+        with pytest.raises(PatternTooLong) as exc:
+            R.run_batch(packed, 65, (TestId.APPROX_ENTROPY,),
+                        TestParams(pattern_len_m=24, enforce_min_length=False))
+        assert str(exc.value) == ("pattern length 24 is too long at n=65: its 2^(m+1) = "
+                                  "33554432 patterns exceed max(n, 2^16)")
+        # m = 15 counts 2^16 patterns per row, the most accepted at any n <= 2^16.
+        params = TestParams(pattern_len_m=15, enforce_min_length=False)
         R.run_batch(packed, 65, (TestId.APPROX_ENTROPY,), params)  # SciPy loads here
         tracemalloc.start()
         try:
@@ -784,12 +802,12 @@ class TestBytewiseApproximateEntropy:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 8 << 20
         for row, phi_m, phi_m1 in zip(np.unpackbits(packed, axis=1, count=65),
                                       batch[TestId.APPROX_ENTROPY].record["phi_m"],
                                       batch[TestId.APPROX_ENTROPY].record["phi_m1"]):
-            assert phi_m == pytest.approx(apen_phi_oracle(list(row), 24), rel=1e-12)
-            assert phi_m1 == pytest.approx(apen_phi_oracle(list(row), 25), rel=1e-12)
+            assert phi_m == pytest.approx(apen_phi_oracle(list(row), 15), rel=1e-12)
+            assert phi_m1 == pytest.approx(apen_phi_oracle(list(row), 16), rel=1e-12)
 
     def test_window_table(self):
         table = R._window_table(2)
