@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePath
@@ -64,6 +63,9 @@ _EXTENSIONS = {"ascii01": "txt", "packed-msb": "bin", "hex": "hex"}
 ENCODINGS = tuple(_EXTENSIONS)
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+
+# numpy holds array sizes and bit offsets as int64: the largest bit count or byte size.
+MAX_SIZE = 2 ** 63 - 1
 
 # _LEADING_POPCOUNT[r, b]: one bits among the r most significant bits of b.
 _LEADING_POPCOUNT = np.stack([np.bitwise_count(np.arange(256) >> (8 - r)) for r in range(9)])
@@ -299,7 +301,7 @@ class SampleSet:
             if not samples:
                 raise EmptySet("declared_length is required for an empty sample set")
             declared_length = samples[0].n
-        declared_length = check_int("declared_length", declared_length, 1)
+        declared_length = check_int("declared_length", declared_length, 1, MAX_SIZE)
         seen = set()
         for s in samples:
             if s.n != declared_length:
@@ -426,9 +428,8 @@ class Manifest:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "base_dir", Path(self.base_dir))
-        # numpy holds the packed width and the bit offsets as int64.
         object.__setattr__(self, "declared_length", check_int(
-            "declared_length", self.declared_length, 1, 2 ** 63 - 1, error=ManifestError))
+            "declared_length", self.declared_length, 1, MAX_SIZE, error=ManifestError))
         if not isinstance(self.source_id, str) or {"/", "\0"} & set(self.source_id):
             raise ManifestError(f"source_id {self.source_id!r} must be a string without '/' "
                                 f"or NUL: it names output files")
@@ -494,28 +495,21 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"manifest {path} is malformed: {exc}") from exc
 
 
-def _new_file_mode() -> int:
-    """The mode open() gives a new file: 0o666 less the process umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
 def atomic_write(path, text: str) -> None:
     """Commit ``text`` to ``path``: write a temp file beside it, then rename it into place.
 
     Readers see the old file or the whole new one, never a part of it.  The
-    temp file is created private (0600) and gets the normal new-file mode
-    before the rename, so outputs match files written in place.  The text is
-    written as UTF-8 with no newline translation.
+    temp file has an unpredictable name and is created as open() creates a
+    file, 0o666 less the umask, so outputs match files written in place.  The
+    text is written as UTF-8 with no newline translation.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -561,7 +555,7 @@ def save_sample_set(sample_set: SampleSet, directory, encoding: str = "packed-ms
 
 
 def load_sample_set(manifest: Manifest) -> SampleSet:
-    """Load and validate every file a manifest declares, each decoded straight into its row.
+    """Load and validate every file a manifest declares, each parsed and copied into its row.
 
     Raises
     ------

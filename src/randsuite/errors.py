@@ -7,6 +7,24 @@ because they signal bad input values.
 
 import numbers
 
+__all__ = [
+    "RandsuiteError",
+    "InvalidCharacter",
+    "EmptyInput",
+    "LengthMismatch",
+    "DuplicateIndex",
+    "ManifestError",
+    "EmptySet",
+    "EmptySequence",
+    "SampleTooShort",
+    "BlockTooLarge",
+    "PatternTooLong",
+    "TooFewSamples",
+    "DomainError",
+    "NonFiniteInput",
+    "IndexOutOfRange",
+]
+
 
 class RandsuiteError(Exception):
     """Base class for all errors raised by randsuite."""

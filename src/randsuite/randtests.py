@@ -788,9 +788,10 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
 
     ``packed`` needs at least one row of ceil(n/8) bytes, else DomainError,
     and zero padding bits, as a SampleSet's matrix has.  It is taken in
-    chunks of about ``_CHUNK_BITS`` bits; every chunk is unpacked once for
-    all the kernels, the chunks share one workspace, and the p-values are
-    computed once over all rows.  Entry i of each result belongs to row i.
+    chunks of about ``_CHUNK_BITS`` bits, which the kernels read packed;
+    only the spectral test unpacks a chunk to bits.  The chunks share one
+    workspace, and the p-values are computed once over all rows.  Entry i
+    of each result belongs to row i.
 
     Raises
     ------
@@ -798,6 +799,7 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
         For the first test, in selection order, that cannot run on n-bit
         samples; raised before any test runs.
     """
+    n = check_int("n", n, 0)
     if not len(packed) or packed.shape[1:] != (-(-n // 8),):
         raise DomainError(f"packed needs shape (rows >= 1, {-(-n // 8)}), got {packed.shape}")
     tests = tuple(TestId(t) for t in tests)

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitseq import BitSequence, SampleSet, parse_timestamp, read_json, save_sample_set, write_json
+from .bitseq import (MAX_SIZE, BitSequence, SampleSet, parse_timestamp, read_json,
+                     save_sample_set, write_json)
 from .errors import DomainError, IndexOutOfRange, ManifestError, check_int, check_real
 
 __all__ = [
@@ -242,6 +243,7 @@ def generate_sample(model: QubitNoiseModel, sample_index: int, shots: int,
     as row ``sample_index`` of the qubit's set from :func:`generate_experiment`.
     """
     shots = check_int("shots", shots, 1)
+    check_int("ceil(shots / 8)", -(-shots // 8), 1, MAX_SIZE)
     check_seed(master_seed)
     [row] = _draw_rows(model, (sample_index,), shots, master_seed)
     return BitSequence._from_packed(row, shots, source_id=model.source_id,
@@ -266,6 +268,10 @@ class ExperimentPlan:
                master_seed=check_seed(self.master_seed),
                sample_interval_s=check_real("sample_interval_s", self.sample_interval_s,
                                             0, math.inf, "[)"))
+        # The packed bytes of one qubit's samples, checked before generate_experiment
+        # builds their indices or numpy is asked for their matrix.
+        check_int("samples_per_qubit * ceil(shots_per_sample / 8)",
+                  self.samples_per_qubit * -(-self.shots_per_sample // 8), 1, MAX_SIZE)
         if not self.qubit_models:
             raise DomainError("a plan needs at least one qubit model")
         if len({m.qubit_id for m in self.qubit_models}) != len(self.qubit_models):
@@ -292,8 +298,10 @@ def generate_experiment(plan: ExperimentPlan) -> list[SampleSet]:
             for m in plan.qubit_models]
 
 
-def unbiased_plan(num_qubits: int = 20, samples_per_qubit: int = 579,
-                  shots_per_sample: int = 8192, master_seed: int = 42) -> ExperimentPlan:
+def unbiased_plan(num_qubits: int = 20,
+                  samples_per_qubit: int = ExperimentPlan.samples_per_qubit,
+                  shots_per_sample: int = ExperimentPlan.shots_per_sample,
+                  master_seed: int = 42) -> ExperimentPlan:
     """Ideal reference plan: every qubit reads a fair coin, no readout error."""
     models = tuple(QubitNoiseModel(qubit_id=q, epochs=(Epoch(0, 0.5),))
                    for q in range(check_int("num_qubits", num_qubits, 1)))
@@ -301,8 +309,10 @@ def unbiased_plan(num_qubits: int = 20, samples_per_qubit: int = 579,
                           shots_per_sample=shots_per_sample, master_seed=master_seed)
 
 
-def biased_demo_plan(num_qubits: int = 20, samples_per_qubit: int = 579,
-                     shots_per_sample: int = 8192, master_seed: int = 42,
+def biased_demo_plan(num_qubits: int = 20,
+                     samples_per_qubit: int = ExperimentPlan.samples_per_qubit,
+                     shots_per_sample: int = ExperimentPlan.shots_per_sample,
+                     master_seed: int = 42,
                      anomaly_qubit: int | None = None) -> ExperimentPlan:
     """Plan with per-qubit effective biases spread over [0.47, 0.50].
 

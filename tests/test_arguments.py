@@ -156,6 +156,9 @@ ARGUMENTS = [
      DomainError),
     ("generate_sample.master_seed", COUNT, 3, lambda v: rs.generate_sample(_MODEL, 0, 64, v),
      DomainError),
+    ("run_batch.n", COUNT, 8, lambda v: rs.run_batch(
+        np.zeros((1, 1), np.uint8), v, ("frequency",), TestParams(enforce_min_length=False)),
+     DomainError),
     ("effective_bias.sample_index", COUNT, 3, lambda v: rs.effective_bias(_MODEL, v),
      DomainError),
     ("BitSequence.sample_index", COUNT, 3, lambda v: BitSequence([0, 1], sample_index=v),

@@ -53,7 +53,8 @@ class TestParseBits:
         assert list(seq.asarray()) == [1, 1, 1, 1, 0, 0, 0, 0]
         assert parse_bits("f0", "hex") == seq
 
-    @pytest.mark.parametrize("raw,encoding", [("10021", "ascii01"), ("FG", "hex")])
+    @pytest.mark.parametrize("raw,encoding", [("10021", "ascii01"), ("FG", "hex"),
+                                              ("01\u00e9", "ascii01")])
     def test_invalid_character(self, raw, encoding):
         with pytest.raises(InvalidCharacter):
             parse_bits(raw, encoding)
@@ -168,6 +169,17 @@ class TestSampleSetAndConcat:
         seq = bits("10110")
         joined = concat_chronological(SampleSet([seq]))
         assert joined == seq
+
+    def test_empty_set_needs_a_declared_length(self):
+        with pytest.raises(EmptySet, match="declared_length is required"):
+            SampleSet([])
+
+    # The bound a Manifest puts on the same field, with its message.
+    def test_declared_length_is_a_63_bit_value(self):
+        assert SampleSet([], declared_length=2 ** 63 - 1).declared_length == 2 ** 63 - 1
+        with pytest.raises(DomainError, match=f"declared_length must be a 63-bit value, "
+                                              f"got {10 ** 20}"):
+            SampleSet([], declared_length=10 ** 20)
 
     def test_concat_empty_set(self):
         with pytest.raises(EmptySet):
@@ -481,6 +493,24 @@ def test_writer_commits_atomically_with_normal_mode(tmp_path, monkeypatch, write
         writers[name](path)
     assert path.read_bytes() == b"previous contents\n"
     assert os.listdir(path.parent) == ["file"]
+
+
+# The umask is process-wide: a writer that set it, even for a moment, would
+# change the mode of a file that another thread creates meanwhile.
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_leaves_the_umask_alone(tmp_path, monkeypatch, writers, name):
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    old_umask = os.umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", umask)
+        writers[name](tmp_path / "file")
+    finally:
+        monkeypatch.undo()
+        os.umask(old_umask)
+    assert stat.S_IMODE((tmp_path / "file").stat().st_mode) == 0o644
+    assert os.listdir(tmp_path) == ["file"]
 
 
 class TestOnesBefore:

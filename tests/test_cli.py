@@ -411,6 +411,23 @@ class TestUsageErrors:
         assert err.endswith(f"{message}\n")
         assert not (tmp_path / "out").exists()
 
+    # A plan whose samples numpy could not hold as one matrix per qubit is
+    # rejected when it is read, before any sample is generated.
+    @pytest.mark.parametrize("shots", [2 ** 70, 2 ** 63])
+    def test_huge_plan_shape(self, tmp_path, capsys, shots):
+        doc = json.loads(DESK_PLAN.read_text())
+        doc["shots_per_sample"] = shots
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        packed = doc["samples_per_qubit"] * -(-shots // 8)
+        assert err.endswith("samples_per_qubit * ceil(shots_per_sample / 8) must be a "
+                            f"63-bit value, got {packed}\n")
+        assert not (tmp_path / "out").exists()
+
     # The seed is checked before the plan is read, with with_seed's message.
     def test_seed_checked_before_a_missing_plan(self, tmp_path, capsys):
         code = main(["simulate", "--plan", str(tmp_path / "missing.json"),

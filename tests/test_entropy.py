@@ -54,6 +54,10 @@ class TestShannonEntropy:
     def test_uniform_is_one(self):
         assert shannon_entropy(seq_with_ones(50, 100)) == 1.0
 
+    def test_empty(self):
+        with pytest.raises(EmptySequence):
+            shannon_entropy(BitSequence([]))
+
     def test_degenerate_is_zero(self):
         assert shannon_entropy(seq_with_ones(100, 100)) == 0.0
         assert shannon_entropy(seq_with_ones(0, 100)) == 0.0

@@ -1,0 +1,69 @@
+"""The public API is declared once, in each library module's ``__all__``; the package
+re-exports those lists."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import randsuite
+
+PACKAGE = Path(randsuite.__file__).parent
+# Every module except the package's own and the command line's, which
+# ``import randsuite`` does not load.
+LIBRARY = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if path.stem not in ("__init__", "cli"))
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def _defined(name):
+    """Names that module ``name`` binds at top level by def, class or assignment."""
+    names = set()
+    for node in _tree(name).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _declared(name):
+    return importlib.import_module(f"randsuite.{name}").__all__
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_each_library_module_declares_what_it_defines(name):
+    module = importlib.import_module(f"randsuite.{name}")
+    assert isinstance(getattr(module, "__all__", None), list), f"{name} has no __all__"
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert set(module.__all__) <= _defined(name) - {"__all__"}
+
+
+def test_no_name_is_declared_by_two_modules():
+    owners = {}
+    for name in LIBRARY:
+        for public in _declared(name):
+            owners.setdefault(public, []).append(name)
+    assert {public: names for public, names in owners.items() if len(names) > 1} == {}
+
+
+def test_package_star_imports_each_library_module_and_names_nothing():
+    body = _tree("__init__").body
+    imports = [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1
+               and [alias.name for alias in node.names] == ["*"] for node in imports)
+    assert sorted(node.module for node in imports) == LIBRARY
+    assert _defined("__init__") == {"__version__"}
+
+
+def test_public_names_are_the_union_of_the_lists():
+    public = {name for name, value in vars(randsuite).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {public for name in LIBRARY for public in _declared(name)}

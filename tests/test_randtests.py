@@ -27,6 +27,7 @@ from randsuite import (
 from randsuite.errors import (
     BlockTooLarge,
     DomainError,
+    EmptySequence,
     PatternTooLong,
     SampleTooShort,
 )
@@ -67,6 +68,10 @@ class TestFrequency:
         with pytest.raises(SampleTooShort):
             frequency_test(bits("1" * 99))
         frequency_test(bits("1" * 99), RELAXED)  # allowed when relaxed
+
+    def test_empty_sequence_when_relaxed(self):
+        with pytest.raises(EmptySequence, match="frequency needs a non-empty sequence"):
+            frequency_test(BitSequence([]), RELAXED)
 
 
 class TestBlockFrequency:

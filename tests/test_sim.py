@@ -100,6 +100,11 @@ class TestEffectiveBias:
 
 
 class TestGenerateSample:
+    def test_a_row_numpy_cannot_hold_is_rejected(self):
+        with pytest.raises(DomainError,
+                           match=rf"ceil\(shots / 8\) must be a 63-bit value, got {2 ** 67}"):
+            generate_sample(fair_model(), 0, 2 ** 70, 0)
+
     def test_deterministic_regeneration(self):
         a = generate_sample(fair_model(), 3, 8192, master_seed=99)
         b = generate_sample(fair_model(), 3, 8192, master_seed=99)
@@ -309,6 +314,25 @@ class TestGenerateExperiment:
 
 
 class TestPlans:
+    def test_factories_default_to_the_plans_shape(self):
+        for plan in (rs.unbiased_plan(), rs.biased_demo_plan()):
+            assert (plan.samples_per_qubit, plan.shots_per_sample) == (579, 8192)
+
+    # One qubit's packed samples must be an array numpy can represent; the
+    # plans are only built, never generated.
+    @pytest.mark.parametrize("samples,shots", [(100, 2 ** 63), (579, 2 ** 70), (2 ** 70, 8)])
+    def test_a_shape_numpy_cannot_hold_is_rejected(self, samples, shots):
+        message = (r"samples_per_qubit \* ceil\(shots_per_sample / 8\) must be a 63-bit value, "
+                   f"got {samples * -(-shots // 8)}")
+        with pytest.raises(DomainError, match=message):
+            ExperimentPlan((fair_model(),), samples_per_qubit=samples, shots_per_sample=shots,
+                           sample_interval_s=0)
+
+    def test_the_largest_shape_is_accepted(self):
+        plan = ExperimentPlan((fair_model(),), samples_per_qubit=2 ** 63 - 1, shots_per_sample=8,
+                              sample_interval_s=0)
+        assert plan.samples_per_qubit == 2 ** 63 - 1
+
     def test_biased_demo_plan_bias_range(self):
         plan = rs.biased_demo_plan(num_qubits=20, samples_per_qubit=579)
         effs = []

@@ -85,6 +85,10 @@ class TestErfcInv:
         for p in (0.01, 0.2, 0.9):
             assert erfc_inv(p) == pytest.approx(bisect_inv(p), abs=1e-12)
 
+    def test_rejects_nan(self):
+        with pytest.raises(NonFiniteInput):
+            erfc_inv(math.nan)
+
     def test_domain(self):
         for bad in (0.0, 2.0, -1.0, 2.5):
             with pytest.raises(DomainError):

@@ -63,7 +63,7 @@ class TestProportionBand:
 
     @pytest.mark.parametrize("knobs", [
         {"band_coefficient": math.nan}, {"band_coefficient": math.inf},
-        {"band_coefficient": 0.0}])
+        {"band_coefficient": 0.0}, {"tests": ("frequency", "frequency")}])
     def test_suite_config_domain_checks(self, knobs):
         with pytest.raises(DomainError):
             SuiteConfig(**knobs)
