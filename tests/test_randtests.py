@@ -508,9 +508,21 @@ class TestBatchKernels:
         assert out.params["phi_m1"] == pytest.approx(apen_phi_oracle(vals, m + 1), rel=1e-12)
 
 
+def workspace(rows, n):
+    """A workspace as run_batch sizes it for chunks of ``rows`` n-bit rows."""
+    return R._Workspace(rows, n, R._four_step_split(n))
+
+
 def chunk_rows(samples, n):
     """One kernel chunk of every sample in ``samples``."""
-    return R._Rows(np.stack([s.packed for s in samples]), n, R._Workspace(len(samples), n))
+    return R._Rows(np.stack([s.packed for s in samples]), n, workspace(len(samples), n))
+
+
+def structured_rows(n):
+    """Rows whose energy sits in a few bins: constant, periodic and single-run ones."""
+    j = np.arange(n)
+    return np.array([np.zeros(n), np.ones(n), j % 2, j % 3 == 0,
+                     j % 16 < 8, j % 64 < 32], dtype=np.uint8)
 
 
 class TestPackedDomainKernels:
@@ -653,7 +665,7 @@ class TestPackedDomainKernels:
             return direct(rows, work, limit)
 
         monkeypatch.setattr(R, "_dft_direct", spy)
-        n_obs = R._dft_n_obs(bits, R._Workspace(3, n), limit)
+        n_obs = R._dft_n_obs(bits, workspace(3, n), limit)
         assert n_obs.tolist() == np.count_nonzero(moduli < limit, axis=1).tolist()
         assert recounted == [1]
 
@@ -665,28 +677,60 @@ class TestPackedDomainKernels:
         bits = (rng.random((4, n)) < 0.5).astype(np.uint8)
         n2, limit = R._four_step_split(n), 0.5 * R._dft_threshold(n)
         for chunk in (bits[:2], bits[2:]):
-            n_obs, unsure = R._dft_four_step(chunk, R._Workspace(2, n), limit, n2)
+            n_obs, unsure = R._dft_four_step(chunk, workspace(2, n), limit, n2)
             assert not unsure.any()
-            assert n_obs.tolist() == R._dft_direct(chunk, R._Workspace(2, n), limit).tolist()
+            expected = R._dft_direct(chunk, R._Workspace(2, n, None), limit)
+            assert n_obs.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("n,n1", [(1 << 17, 512), (144000, 375)])
-    def test_twiddles_are_laid_out_as_the_transposed_input(self, n, n1):
-        table = R._twiddles(n, n1)
-        n2 = n // n1
-        assert table.shape == (n1, n2 // 2 + 1)
-        assert not table.flags.writeable
-        b, c = np.meshgrid(np.arange(n1), np.arange(n2 // 2 + 1), indexing="ij")
-        assert np.allclose(table, np.exp(-2j * np.pi * b * c / n), rtol=0, atol=1e-12)
+    # n1 = 512 is four blocks, 375 ends in a partial one, 1024 is eight.
+    @pytest.mark.parametrize("n,n1", [(1 << 17, 512), (144000, 375), (1 << 20, 1024)])
+    def test_twiddle_factors_multiply_to_the_transposed_input_table(self, n, n1):
+        outer, inner = R._twiddle_factors(n, n1)
+        block, width = R._FOUR_STEP_BLOCK, n // n1 // 2 + 1
+        assert outer.shape == (-(-n1 // block), width) and inner.shape == (block, width)
+        assert not outer.flags.writeable and not inner.flags.writeable
+        b, c = np.meshgrid(np.arange(n1), np.arange(width), indexing="ij")
+        products = outer[b // block, c] * inner[b % block, c]
+        assert np.allclose(products, np.exp(-2j * np.pi * b * c / n), rtol=0, atol=1e-12)
+
+    # Periodic, constant and single-run rows put their energy in a few bins.
+    # From 2^17 on they take the four-step transform, in run_batch's chunks:
+    # two rows per chunk at 2^17 (n1 = 512), a partial last block at 144000
+    # (n1 = 375), and 10^6.
+    @pytest.mark.parametrize("n", [1001, 8190, 8192, R._FLOAT32_MAX_N, 1 << 15, 1 << 16,
+                                   1 << 17, 144000, 10 ** 6])
+    def test_structured_rows_count_as_the_single_transform(self, n):
+        bits = structured_rows(n)
+        limit = 0.5 * R._dft_threshold(n)
+        expected = R._dft_direct(bits, R._Workspace(len(bits), n, None), limit)
+        moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0, axis=1)[:, :n // 2])
+        assert expected.tolist() == np.count_nonzero(
+            moduli < math.sqrt(n * math.log(20.0)), axis=1).tolist()
+        step = max(1, R._CHUNK_BITS // n)
+        work = workspace(step, n)
+        n_obs = [R._dft_n_obs(bits[i:i + step], work, limit) for i in range(0, len(bits), step)]
+        assert np.concatenate(n_obs).tolist() == expected.tolist()
+
+    def test_one_mbit_spectral_count_takes_bounded_memory(self):
+        import tracemalloc
+
+        n = 1 << 20
+        packed = np.packbits(seeded_bits(n, seed=10).asarray())[None]
+        R.run_batch(packed, n, (TestId.DFT,))  # the twiddle factors are cached here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            R.run_batch(packed, n, (TestId.DFT,))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # The bits (1 byte per bit) and the whole spectrum (8) are needed;
+        # one block of the transposed input is about 1 more.
+        assert peak < 12 * n
 
 
 class TestFloat32Spectrum:
     """The float32 transform's guarded counts against the float64 single transform."""
-
-    @staticmethod
-    def structured_rows(n):
-        j = np.arange(n)
-        return np.array([np.zeros(n), np.ones(n), j % 2, j % 3 == 0,
-                         j % 16 < 8, j % 64 < 32], dtype=np.uint8)
 
     def test_guarded_count_flags_moduli_inside_the_band(self):
         g, limit = 1e-3, 10.0
@@ -720,7 +764,7 @@ class TestFloat32Spectrum:
         limit = 0.5 * (m32[1, k] + m64[1, k])
         assert (m32[1, k] < limit) != (m64[1, k] < limit)
         assert abs(m32[1, k] - limit) > 1e-6 * limit  # outside a 100 times narrower guard
-        _, unsure = R._dft_float32(bits, R._Workspace(3, n), limit)
+        _, unsure = R._dft_float32(bits, workspace(3, n), limit)
         assert unsure[1]
         direct, recounted = R._dft_direct, []
 
@@ -729,20 +773,9 @@ class TestFloat32Spectrum:
             return direct(rows, work, limit)
 
         monkeypatch.setattr(R, "_dft_direct", spy)
-        n_obs = R._dft_n_obs(bits, R._Workspace(3, n), limit)
+        n_obs = R._dft_n_obs(bits, workspace(3, n), limit)
         assert n_obs.tolist() == np.count_nonzero(m64 < limit, axis=1).tolist()
         assert recounted == [unsure.sum()]
-
-    @pytest.mark.parametrize("n", [1001, 8190, 8192, R._FLOAT32_MAX_N, 1 << 15, 1 << 16])
-    def test_structured_rows_count_as_the_single_transform(self, n):
-        bits = self.structured_rows(n)
-        limit = 0.5 * R._dft_threshold(n)
-        expected = R._dft_direct(bits, R._Workspace(len(bits), n), limit)
-        moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0, axis=1)[:, :n // 2])
-        assert expected.tolist() == np.count_nonzero(
-            moduli < math.sqrt(n * math.log(20.0)), axis=1).tolist()
-        assert R._dft_n_obs(bits, R._Workspace(len(bits), n), limit).tolist() == \
-            expected.tolist()
 
     @pytest.mark.parametrize("n,path", [
         (1001, "float32"), (8192, "float32"), (R._FLOAT32_MAX_N, "float32"),
@@ -759,7 +792,7 @@ class TestFloat32Spectrum:
             monkeypatch.setattr(R, f"_dft_{name}", spy)
         rng = np.random.Generator(np.random.PCG64(n + 6))
         bits = (rng.random((2, n)) < 0.5).astype(np.uint8)
-        R._dft_n_obs(bits, R._Workspace(2, n), 0.5 * R._dft_threshold(n))
+        R._dft_n_obs(bits, workspace(2, n), 0.5 * R._dft_threshold(n))
         # A fast transform's flagged rows add a call to the direct one.
         assert calls in ([[path]] if path == "direct" else [[path], [path, "direct"]])
 

@@ -1,6 +1,7 @@
 """Three-step protocol: proportion banding, p-value uniformity, aggregation."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -260,3 +261,31 @@ class TestReportSerialization:
                     agg.p_values.tolist(), agg.passed.tolist()):
                 writer.writerow([test_id.value, idx, repr(statistic), repr(p_value), passed])
         assert path.read_bytes() == expected.getvalue().encode()
+
+
+# SHA-256 of report.json and results.csv per long-sample shape, recorded from
+# the code before the spectral test's four-step transform was blocked and its
+# twiddle table factored.  2^17 bits is the four-step cutoff (n1 = 512, two
+# rows per kernel chunk); 2^20 is the classic 1-Mbit shape, read through the
+# hex codec.
+LONG_SAMPLE_PINS = {(1 << 17, "packed-msb"): {
+    "report.json": "8917adb691057389dda8fd6611a754e0f5598ae5f6b263e1d724ac9b3fcac822",
+    "results.csv": "93d9167c0da3a124cb491722092a967d94d8e30e0910b75a421e5cfab9984aec",
+}, (1 << 20, "hex"): {
+    "report.json": "147867c5e1e01634d44e1f6758558ae0e5ac9a3d6742f777f44672eafdc01299",
+    "results.csv": "c56062201eb3f695bc1073c9cacb16c6254841d2f163138bf264b67b96fa455c",
+}}
+
+
+@pytest.mark.parametrize("shots, encoding", sorted(LONG_SAMPLE_PINS))
+def test_long_samples_match_pinned_digests(tmp_path, shots, encoding):
+    """Four long samples, saved, loaded, run and written, give the pinned bytes."""
+    plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=4, shots_per_sample=shots,
+                            master_seed=22)
+    manifest = rs.save_sample_set(rs.generate_experiment(plan)[0], tmp_path / "q", encoding)
+    report = run_suite(rs.load_sample_set(rs.load_manifest(manifest)))
+    rs.write_report_json(report, tmp_path / "report.json")
+    rs.write_results_csv(report, tmp_path / "results.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in LONG_SAMPLE_PINS[shots, encoding]}
+    assert digests == LONG_SAMPLE_PINS[shots, encoding]
