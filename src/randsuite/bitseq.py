@@ -67,8 +67,9 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 # numpy holds array sizes and bit offsets as int64: the largest bit count or byte size.
 MAX_SIZE = 2 ** 63 - 1
 
-# _LEADING_POPCOUNT[r, b]: one bits among the r most significant bits of b.
-_LEADING_POPCOUNT = np.stack([np.bitwise_count(np.arange(256) >> (8 - r)) for r in range(9)])
+# _LEADING_MASKS[s]: the first s bits, in stream order, of 8 packed bytes
+# read as a little-endian 64-bit word.
+_LEADING_MASKS = np.packbits(np.arange(64) < np.arange(65)[:, None], axis=1).view("<u8")[:, 0]
 
 # Hex codec tables: character code -> nibble value (0xFF marks a character
 # outside the alphabet), and byte value -> its two lower-case hex digits.
@@ -366,23 +367,25 @@ def ones_before(packed: np.ndarray, positions) -> np.ndarray:
 
     ``packed`` is ``(rows, bytes)``; ``positions`` is a non-decreasing 1-D
     array of bit offsets in ``[0, 8 * bytes]``.  The result is
-    ``(rows, len(positions))`` int64: the whole bytes between consecutive
-    positions are popcounted segment by segment and the segment sums
-    accumulated, and the bits of the byte a position falls in come from a
-    leading-bits popcount table (a position at the very end counts all 8
-    bits of the last byte).
+    ``(rows, len(positions))`` int64.  Each row is read as 64-bit words
+    (zero-padded to a whole word), whose popcounts are summed cumulatively
+    in place, in the narrowest unsigned type that holds the row's ones: for
+    rows under 512 MB, half a byte per packed byte.  The ones before t are
+    those of the words up to t's word, less that word's bits from t on.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    width = packed.shape[1]
-    byte = np.minimum(positions // 8, width - 1)
-    bit = positions - 8 * byte
-    starts = np.concatenate([[0], byte])
-    # reduceat sums starts[i]:starts[i+1]; for an empty segment it returns
-    # the element at starts[i] instead, so those are zeroed.
-    segments = np.add.reduceat(np.bitwise_count(packed), starts, axis=1,
-                               dtype=np.int64)[:, :-1]
-    segments[:, starts[1:] == starts[:-1]] = 0
-    return np.cumsum(segments, axis=1) + _LEADING_POPCOUNT[bit, packed[:, byte]]
+    rows, width = packed.shape
+    count = -(-width // 8)
+    if width % 8 or not packed.flags.c_contiguous:
+        padded = np.zeros((rows, 8 * count), dtype=np.uint8)
+        padded[:, :width] = packed
+        packed = padded
+    words = packed.view("<u8")
+    ones = np.bitwise_count(words, out=np.empty((rows, count), np.min_scalar_type(8 * width)))
+    np.cumsum(ones, axis=1, out=ones)
+    word = np.minimum(positions // 64, count - 1)
+    after = ~_LEADING_MASKS[positions - 64 * word]
+    return (ones[:, word] - np.bitwise_count(words[:, word] & after)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -179,16 +179,15 @@ class _Workspace:
 
     For the single transform, ``scratch`` holds 8 bytes per bit of the
     chunk and serves, in turn, as the input and its moduli, float64 or
-    float32; ``spectrum`` holds the chunk's float64 Fourier coefficients and
-    then the moduli's comparisons with the threshold.  The float32
-    transform's complex64 coefficients are SciPy's own allocation, half a
-    float64 spectrum's size.  For the four-step transform, ``scratch`` holds
-    one block of _FOUR_STEP_BLOCK rows of each sample's transposed (n1, n2)
-    view, and in turn that block's moduli and their comparisons;
-    ``spectrum`` holds the chunk's whole spectrum, 8 bytes per bit.  Fresh
-    multi-MB temporaries per chunk would be faulted in page by page every
-    time.  ``np.empty`` writes nothing, so a buffer that no selected kernel
-    touches never has a page faulted in.
+    float32; ``spectrum`` holds the chunk's Fourier coefficients, complex128
+    or complex64, and then the moduli's comparisons with the threshold.  The
+    four-step transform takes one sample at a time: ``scratch`` holds one
+    block of _FOUR_STEP_BLOCK rows of the sample's transposed (n1, n2) view,
+    and in turn that block's moduli and their comparisons; ``spectrum``
+    holds the sample's whole spectrum, 8 bytes per bit.  Every transform
+    writes into these buffers: fresh multi-MB temporaries per chunk would
+    be faulted in page by page every time.  ``np.empty`` writes nothing, so
+    a buffer that no selected kernel touches never has a page faulted in.
     """
 
     def __init__(self, rows: int, n: int, n2: int | None):
@@ -197,8 +196,8 @@ class _Workspace:
             self.spectrum = np.empty(rows * (n // 2 + 1), dtype=np.complex128)
         else:
             n1 = n // n2
-            self.scratch = np.empty(rows * min(n1, _FOUR_STEP_BLOCK) * n2, dtype=np.float64)
-            self.spectrum = np.empty(rows * n1 * (n2 // 2 + 1), dtype=np.complex128)
+            self.scratch = np.empty(min(n1, _FOUR_STEP_BLOCK) * n2, dtype=np.float64)
+            self.spectrum = np.empty(n1 * (n2 // 2 + 1), dtype=np.complex128)
 
 
 class _Rows:
@@ -578,7 +577,7 @@ def _dft_float32(bits: np.ndarray, work: _Workspace,
     half = n // 2
     x = _as_buffer(work.scratch, np.float32, (r, n))
     np.subtract(bits, np.float32(0.5), out=x)
-    spectrum = _scipy_fft()(x)
+    spectrum = _scipy_fft()(x, out=_as_buffer(work.spectrum, np.complex64, (r, half + 1)))
     moduli = _as_buffer(work.scratch, np.float32, (r, half))
     np.abs(spectrum[:, :half], out=moduli)
     below = _as_buffer(work.spectrum, np.bool_, (r, half))
@@ -602,7 +601,16 @@ def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
     bins.  X_0 and X_{n/2} are their own conjugates and every other bin
     pairs with one in 1..n/2-1, so full is [X_0] + [X_{n/2}] plus twice the
     count over 1..n/2-1, and (full + [X_0]) // 2 is the count over 0..n/2-1.
+    The samples are taken one at a time, so that the workspace holds one
+    sample's spectrum.
     """
+    counts = [_four_step_sample(row[None], work, limit, n2) for row in bits]
+    return tuple(np.concatenate(values) for values in zip(*counts))
+
+
+def _four_step_sample(bits: np.ndarray, work: _Workspace, limit: float,
+                      n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_dft_four_step` of the one row of ``bits``."""
     r, n = bits.shape
     n1 = n // n2
     block = min(n1, _FOUR_STEP_BLOCK)

@@ -6,6 +6,7 @@ pinned master seeds (they are deterministic for a given numpy Philox
 stream, which numpy guarantees to be stable).
 """
 
+import hashlib
 import math
 import time
 
@@ -144,14 +145,15 @@ def test_c09_uniformity_golden():
     ])
 
 
-def _pipeline_checks(num_qubits, samples, seeds, budget_s, min_clear):
+def _pipeline_checks(num_qubits, samples, seeds, budget_s, min_clear, render=None):
     """Shared body of the experiment-scale criterion at either scale.
 
     For every pinned seed, at least ``min_clear`` of the qubits must clear
     the proportion bar (the band's lower edge at the actual sample count;
     0.977595 at 579 samples) on every test.  The companion biased plan must
     show the failure signature: qubits below the bar, with the frequency
-    and cumulative-sums tests failing hardest.
+    and cumulative-sums tests failing hardest.  ``render``, when given, is
+    called with every sample set and its report, in that order.
     """
     t0 = time.time()
     bar = rs.proportion_band(0.01, samples).lower
@@ -163,6 +165,8 @@ def _pipeline_checks(num_qubits, samples, seeds, budget_s, min_clear):
         worst = 1.0
         for sample_set in rs.generate_experiment(plan):
             report = rs.run_suite(sample_set)
+            if render:
+                render(sample_set, report)
             props = [a.pass_proportion for a in report.per_test.values()]
             worst = min(worst, min(props))
             clear += all(p > bar for p in props)
@@ -176,6 +180,8 @@ def _pipeline_checks(num_qubits, samples, seeds, budget_s, min_clear):
     below = 0
     for sample_set in rs.generate_experiment(biased):
         report = rs.run_suite(sample_set)
+        if render:
+            render(sample_set, report)
         below += any(not a.pass_proportion > bar for a in report.per_test.values())
         for t, agg in report.per_test.items():
             mean_props[t].append(agg.pass_proportion)
@@ -198,13 +204,37 @@ def test_c10_desk_scale_pipeline():
     check("C10-desk", f"desk-scale pipeline ({elapsed:.1f}s)", checks)
 
 
+# SHA-256 over the rendered report.json, results.csv and deviation_<source>.csv
+# of the 120 sources of the experiment-scale run, in run order, recorded from
+# the code before ones_before summed 64-bit word popcounts and the float32
+# spectral transform wrote into the workspace.  It covers the 8192-bit
+# float32 spectral path with its float64 recounts, and ones_before at the
+# deviation series' stride of 8192 over 579 * 8192 bits.
+EXPERIMENT_SCALE_PIN = "9805e4252be41818ce8437cc891f2a600387c3174c1ecb1606febcfe3012bac3"
+
+
 @pytest.mark.slow
-def test_c10_experiment_scale_pipeline():
+def test_c10_experiment_scale_pipeline(tmp_path):
+    digest = hashlib.sha256()
+
+    def render(sample_set, report):
+        source = sample_set.source_id
+        paths = [tmp_path / "report.json", tmp_path / "results.csv",
+                 tmp_path / f"deviation_{source}.csv"]
+        rs.write_report_json(report, paths[0])
+        rs.write_results_csv(report, paths[1])
+        rs.write_deviation_csv(rs.deviation_series(rs.concat_chronological(sample_set)),
+                               paths[2])
+        for path in paths:
+            digest.update(path.read_bytes())
+
     checks, elapsed = _pipeline_checks(num_qubits=20, samples=579,
                                        seeds=FULL_SCALE_SEEDS, budget_s=600,
-                                       min_clear=19)
+                                       min_clear=19, render=render)
     bar = rs.proportion_band(0.01, 579).lower
     checks.append(("bar equals 0.977595", abs(bar - 0.977595) <= 1e-6, f"bar={bar!r}"))
+    checks.append(("120 sources' outputs match the pin",
+                   digest.hexdigest() == EXPERIMENT_SCALE_PIN, digest.hexdigest()))
     check("C10-full", f"experiment-scale pipeline ({elapsed:.1f}s)", checks)
 
 

@@ -531,3 +531,62 @@ class TestOnesBefore:
         # repeated positions, the very start and the very end
         positions = np.array([0, 0, 1, n // 2, n // 2, n, n])
         assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+
+    # All-ones rows whose counts reach 2^8 and 2^16 and pass them by 8: the
+    # cumulative counts take the narrowest unsigned type that holds a row's
+    # ones.  The strides put positions inside words and bytes.
+    @pytest.mark.parametrize("n", [248, 256, 264, 2 ** 16 - 8, 2 ** 16, 2 ** 16 + 8,
+                                   2 ** 16 + 13])
+    @pytest.mark.parametrize("stride", [1, 7, 64, 8192])
+    def test_exact_at_count_type_edges(self, n, stride):
+        packed = np.packbits(np.ones((2, n), dtype=np.uint8), axis=1)
+        positions = np.concatenate([np.arange(0, n + 1, stride), [n]])
+        expected = np.broadcast_to(positions, (2, len(positions)))
+        assert np.array_equal(ones_before(packed, positions), expected)
+
+    def test_one_segment_of_over_2_16_bits(self):
+        n = 2 ** 16 + 4099
+        rng = np.random.Generator(np.random.PCG64(16))
+        bits = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+        bits[1] = 1
+        positions = np.array([n])
+        result = ones_before(np.packbits(bits, axis=1), positions)
+        assert result.tolist() == [[int(bits[0].sum())], [n]]
+
+    def test_empty_segments(self):
+        bits = np.random.Generator(np.random.PCG64(17)).integers(0, 2, size=(3, 1001),
+                                                                 dtype=np.uint8)
+        reference = np.concatenate(
+            [np.zeros((3, 1), np.int64), np.cumsum(bits, axis=1, dtype=np.int64)], axis=1)
+        packed = np.packbits(bits, axis=1)
+        for positions in ([], [0], [0, 0, 0], [500, 500, 1001, 1001], [1001] * 4):
+            positions = np.array(positions, dtype=np.int64)
+            assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+
+    def test_strided_rows_equal_contiguous_ones(self):
+        bits = np.random.Generator(np.random.PCG64(18)).integers(0, 2, size=(6, 640),
+                                                                 dtype=np.uint8)
+        packed = np.packbits(bits, axis=1)
+        positions = np.arange(0, 513, 24)
+        assert np.array_equal(ones_before(packed[::2, 8:72], positions),
+                              ones_before(np.ascontiguousarray(packed[::2, 8:72]), positions))
+
+    def test_deviation_shape_takes_bounded_memory(self):
+        """One experiment-scale source's deviation series, 579 * 8192 bits at
+        stride 8192: the cumulative word counts take half a byte per packed
+        byte, where a cast of every byte's count to int64 took 9."""
+        import tracemalloc
+
+        width = 579 * 1024
+        packed = np.random.Generator(np.random.PCG64(19)).integers(
+            0, 256, size=(1, width), dtype=np.uint8)
+        positions = np.arange(8192, 8 * width + 1, 8192)
+        ones_before(packed, positions)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ones_before(packed, positions)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < width

@@ -711,11 +711,13 @@ class TestPackedDomainKernels:
         n_obs = [R._dft_n_obs(bits[i:i + step], work, limit) for i in range(0, len(bits), step)]
         assert np.concatenate(n_obs).tolist() == expected.tolist()
 
-    def test_one_mbit_spectral_count_takes_bounded_memory(self):
+    # At 2^17 a chunk holds two samples, and a block of 128 of the 512 rows
+    # of a sample's transposed view is 2 bytes per bit of the sample.
+    @pytest.mark.parametrize("n,rows,block", [(1 << 20, 1, 1), (1 << 17, 2, 2)])
+    def test_spectral_count_takes_bounded_memory(self, n, rows, block):
         import tracemalloc
 
-        n = 1 << 20
-        packed = np.packbits(seeded_bits(n, seed=10).asarray())[None]
+        packed = np.packbits(seeded_bits(rows * n, seed=10).asarray().reshape(rows, n), axis=1)
         R.run_batch(packed, n, (TestId.DFT,))  # the twiddle factors are cached here
         tracemalloc.start()
         try:
@@ -724,9 +726,12 @@ class TestPackedDomainKernels:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # The bits (1 byte per bit) and the whole spectrum (8) are needed;
-        # one block of the transposed input is about 1 more.
-        assert peak < 12 * n
+        # The chunk's bits (1 byte per bit) and one sample's spectrum (8 per
+        # bit of a sample) are needed, and one block of the sample's
+        # transposed input; numpy's buffer for the broadcast twiddle product
+        # is 128 KB.  Holding both samples' spectra took 23 bytes per bit of
+        # a sample at 2^17.
+        assert peak < rows * n + (9 + block) * n + (1 << 18)
 
 
 class TestFloat32Spectrum:

@@ -176,50 +176,106 @@ class TestAsProbability:
 
 # The packages that the direct loads of SciPy's compiled modules stand in for.
 STOOD_IN = ("scipy.special", "scipy.fft", "scipy.fft._pocketfft")
-UFUNCS = ("erfc", "erfcinv", "gammainc", "gammaincc", "ndtr")
+# The ufuncs that randsuite uses; all but the last are in _special_ufuncs.
+UFUNCS = ("erfc", "gammainc", "gammaincc", "ndtr", "erfcinv")
+SPECIAL_UFUNCS, UFUNCS_MODULE = "scipy.special._special_ufuncs", "scipy.special._ufuncs"
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json"
 
-# Loads both accessors in a fresh interpreter, the direct load made to fail
-# once a stand-in is in place when argv[1] is "fail", then imports the public
-# packages.  Prints, as its last line, the stand-ins present when a load
-# raised, the stand-ins and other modules beneath them left in sys.modules
-# afterwards, and whether the public packages work and give the accessors'
-# functions.
+# Loads every ufunc, in the order given as argv[3], and the transform in a
+# fresh interpreter, the direct load made to fail once a stand-in is in
+# place when argv[1] is "fail", then imports the public packages.  Prints,
+# as its last line, the modules loaded directly, in order, the stand-ins
+# present when a load raised, the stand-ins and other modules beneath them
+# left in sys.modules afterwards, and whether the public packages work and
+# give the accessors' functions.
 _LOADER_PROBE = """
 import json, sys
 import numpy as np
 from randsuite import special
 STOOD_IN = tuple(json.loads(sys.argv[2]))
+UFUNCS = json.loads(sys.argv[3])
 def stand_ins():
     return [p for p in STOOD_IN if p in sys.modules and not hasattr(sys.modules[p], "__file__")]
-stood_in = []
+stood_in, loads = [], []
 if sys.argv[1] == "fail":
-    def failing(name):
+    def load(name):
         stood_in.extend(stand_ins())
         raise ImportError(name)
-    special.import_module = failing
-ufuncs, rfft = special._scipy_special(), special._scipy_fft()
+else:
+    def load(name, real=special.import_module):
+        loads.append(name)
+        return real(name)
+special.import_module = load
+ufuncs, rfft = [special._scipy_ufunc(f) for f in UFUNCS], special._scipy_fft()
 left = stand_ins()
 beneath = [m for m in sys.modules if m.startswith(STOOD_IN)]
 import scipy.special, scipy.fft
 with scipy.special.errstate(all="raise"):
     pass
 x = np.linspace(-0.5, 0.5, 2 * 1001, dtype=np.float32).reshape(2, 1001)
+out = np.empty((2, 501), dtype=np.complex64)
 print(json.dumps({
-    "ufuncs": ufuncs.__name__, "stood_in": stood_in, "left": left, "beneath": beneath,
-    "same": [getattr(ufuncs, f) is getattr(scipy.special, f) for f in json.loads(sys.argv[3])],
-    "rfft": rfft(x).tobytes() == scipy.fft.rfft(x, axis=1).tobytes()}))
+    "loads": loads, "stood_in": sorted(set(stood_in)), "left": left, "beneath": beneath,
+    "same": [u is getattr(scipy.special, f) for u, f in zip(ufuncs, UFUNCS)],
+    "rfft": rfft(x, out=out) is out
+            and out.tobytes() == scipy.fft.rfft(x, axis=1).tobytes()}))
 """
+
+# Runs each CLI command of argv[1] in turn in a fresh interpreter and prints,
+# as its last line, which of SciPy's compiled ufunc modules are mapped into
+# the process after each one.  The accessors take what they load back out of
+# sys.modules, so the mapped shared objects are what shows a module loaded.
+_MAPPED_PROBE = """
+import json, sys
+from randsuite.cli import main
+def mapped():
+    with open("/proc/self/maps") as maps:
+        names = {line.rsplit("/", 1)[-1].split(".")[0] for line in maps}
+    return sorted(names & {"_special_ufuncs", "_ufuncs"})
+stages = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) in (0, 1), argv
+    stages.append(mapped())
+print(json.dumps(stages))
+"""
+
+
+def fresh_process(script, *args):
+    """The last line of ``script``'s output, run with ``args`` in a fresh interpreter, as JSON."""
+    env = dict(os.environ)
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def clear_loaders():
+    for accessor in (special._compiled, special._scipy_ufunc, special._scipy_fft):
+        accessor.cache_clear()
 
 
 @pytest.fixture
 def fresh_loaders():
     """The accessors' caches cleared before and after the test."""
-    special._scipy_special.cache_clear()
-    special._scipy_fft.cache_clear()
+    clear_loaders()
     yield
-    special._scipy_special.cache_clear()
-    special._scipy_fft.cache_clear()
+    clear_loaders()
+
+
+@pytest.fixture
+def desk_report(tmp_path):
+    """``report(out)``: the report.json and results.csv bytes of ``test`` on
+    the desk plan's first qubit, written to ``tmp_path / out``."""
+    data = tmp_path / "data"
+    assert main(["simulate", "--plan", str(DESK_PLAN), "--out", str(data)]) == 0
+    manifest = str(data / "qubit-00" / "manifest.json")
+
+    def report(out):
+        assert main(["test", "--manifest", manifest, "--out", str(tmp_path / out)]) == 1
+        return [(tmp_path / out / f).read_bytes() for f in ("report.json", "results.csv")]
+    return report
 
 
 def stand_ins():
@@ -227,24 +283,28 @@ def stand_ins():
     return [p for p in STOOD_IN if p in sys.modules and not hasattr(sys.modules[p], "__file__")]
 
 
-def fail_direct_loads(monkeypatch):
-    """Makes each direct load raise once its stand-ins are in place.
+def fail_direct_loads(monkeypatch, failing=None):
+    """Makes each direct load of a module in ``failing`` (every module when
+    None) raise once its stand-ins are in place, and records the others.
 
     The packages stood in for, and the modules beneath them, are hidden
     from ``sys.modules`` for the test, so that stand-ins are made even where
     SciPy is already imported.  Returns the list that collects the
-    stand-ins present when a load raised.
+    stand-ins present when a load raised, and the list of modules loaded.
     """
-    stood_in = []
+    stood_in, loaded = [], []
     for name in list(sys.modules):
         if name.startswith(STOOD_IN):
             monkeypatch.delitem(sys.modules, name)
 
-    def failing(name):
-        stood_in.extend(stand_ins())
-        raise ImportError(f"direct load of {name} made to fail")
-    monkeypatch.setattr(special, "import_module", failing)
-    return stood_in
+    def load(name, real=special.import_module):
+        if failing is None or name in failing:
+            stood_in.extend(stand_ins())
+            raise ImportError(f"direct load of {name} made to fail")
+        loaded.append(name)
+        return real(name)
+    monkeypatch.setattr(special, "import_module", load)
+    return stood_in, loaded
 
 
 class TestScipyLoaders:
@@ -253,53 +313,67 @@ class TestScipyLoaders:
 
     @staticmethod
     def probe(mode):
-        env = dict(os.environ)
-        src = str(Path(rs.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        done = subprocess.run(
-            [sys.executable, "-c", _LOADER_PROBE, mode, json.dumps(STOOD_IN),
-             json.dumps(UFUNCS)], env=env, capture_output=True, text=True, check=True)
-        return json.loads(done.stdout.splitlines()[-1])
+        return fresh_process(_LOADER_PROBE, mode, json.dumps(STOOD_IN), json.dumps(UFUNCS))
 
     def test_direct_load_in_a_fresh_process(self):
-        assert self.probe("direct") == {"ufuncs": "scipy.special._ufuncs", "stood_in": [],
-                                        "left": [], "beneath": [], "same": [True] * 5,
-                                        "rfft": True}
+        assert self.probe("direct") == {
+            "loads": [SPECIAL_UFUNCS, UFUNCS_MODULE, POCKETFFT], "stood_in": [],
+            "left": [], "beneath": [], "same": [True] * 5, "rfft": True}
 
     def test_failed_direct_load_in_a_fresh_process(self):
         found = self.probe("fail")
         del found["beneath"]  # the public packages' own modules
-        assert found == {"ufuncs": "scipy.special", "left": [], "same": [True] * 5,
-                         "rfft": True, "stood_in": list(STOOD_IN)}
+        assert found == {"loads": [], "left": [], "same": [True] * 5, "rfft": True,
+                         "stood_in": sorted(STOOD_IN)}
 
-    @pytest.mark.parametrize("shape", [(32, 8192), (1, 1001), (16, 16384)])
-    def test_direct_rfft_equals_scipy_fft_bit_for_bit(self, fresh_loaders, shape):
-        import scipy.fft
-        from scipy.fft._pocketfft import pypocketfft
-        rfft = special._scipy_fft()
-        assert rfft.func is pypocketfft.r2c
-        rng = np.random.default_rng(sum(shape))
-        x = rng.integers(0, 2, shape).astype(np.float32) - np.float32(0.5)
-        ours, public = rfft(x), scipy.fft.rfft(x, axis=1)
-        assert ours.dtype == public.dtype == np.complex64
-        assert ours.tobytes() == public.tobytes()
-
-    def test_fallback_writes_the_same_reports(self, tmp_path, fresh_loaders, monkeypatch):
-        data = tmp_path / "data"
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="reads the process's mapped shared objects")
+    def test_only_stability_loads_ufuncs(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
         assert main(["simulate", "--plan", str(DESK_PLAN), "--out", str(data)]) == 0
         manifest = str(data / "qubit-00" / "manifest.json")
+        assert fresh_process(_MAPPED_PROBE, json.dumps([
+            ["test", "--manifest", manifest, "--out", str(out)],
+            ["stability", "--manifest", manifest, "--out", str(out)],
+        ])) == [["_special_ufuncs"], ["_special_ufuncs", "_ufuncs"]]
 
-        def report(out):
-            assert main(["test", "--manifest", manifest, "--out", str(tmp_path / out)]) == 1
-            return [(tmp_path / out / f).read_bytes() for f in ("report.json", "results.csv")]
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("shape", [(32, 8192), (1, 1001), (16, 16384)])
+    def test_direct_rfft_equals_scipy_fft_bit_for_bit(self, fresh_loaders, monkeypatch,
+                                                      shape, fallback):
+        import scipy.fft
+        from scipy.fft._pocketfft import pypocketfft
+        if fallback:
+            fail_direct_loads(monkeypatch)
+        rfft = special._scipy_fft()
+        assert (getattr(rfft, "func", None) is pypocketfft.r2c) is not fallback
+        rng = np.random.default_rng(sum(shape))
+        x = rng.integers(0, 2, shape).astype(np.float32) - np.float32(0.5)
+        out = np.empty((shape[0], shape[1] // 2 + 1), dtype=np.complex64)
+        public = scipy.fft.rfft(x, axis=1)
+        assert rfft(x, out=out) is out
+        assert public.dtype == np.complex64
+        assert out.tobytes() == public.tobytes()
 
-        direct = report("direct")
-        assert special._scipy_special().__name__ == "scipy.special._ufuncs"
+    def test_fallback_writes_the_same_reports(self, desk_report, fresh_loaders, monkeypatch):
+        _, loaded = fail_direct_loads(monkeypatch, failing=())
+        direct = desk_report("direct")
+        assert sorted(loaded) == [POCKETFFT, SPECIAL_UFUNCS]
         assert special._scipy_fft().func.__name__ == "r2c"
-        special._scipy_special.cache_clear()
-        special._scipy_fft.cache_clear()
-        stood_in = fail_direct_loads(monkeypatch)
-        assert report("public") == direct
-        assert stood_in and stand_ins() == []
-        assert special._scipy_special().__name__ == "scipy.special"
-        assert special._scipy_fft().func.__name__ == "rfft"
+        clear_loaders()
+        stood_in, loaded = fail_direct_loads(monkeypatch)
+        assert desk_report("public") == direct
+        assert stood_in and stand_ins() == [] and loaded == []
+        assert special._scipy_fft().__name__ == "rfft"
+
+    def test_without_special_ufuncs_writes_the_same_reports(self, desk_report, fresh_loaders,
+                                                            monkeypatch):
+        """A SciPy without _special_ufuncs gives every ufunc from _ufuncs."""
+        direct = desk_report("direct")
+        clear_loaders()
+        stood_in, loaded = fail_direct_loads(monkeypatch, failing=(SPECIAL_UFUNCS,))
+        assert desk_report("older") == direct
+        assert set(stood_in) == {"scipy.special"} and stand_ins() == []
+        assert sorted(loaded) == [POCKETFFT, UFUNCS_MODULE]
+        import scipy.special
+        assert all(special._scipy_ufunc(f) is getattr(scipy.special, f) for f in UFUNCS)
