@@ -10,8 +10,11 @@ Three file encodings are supported:
     Each byte contributes 8 bits, most significant first; trailing padding
     bits are zero and are dropped on read using the declared length.
 ``hex``
-    Each hex character contributes 4 bits, most significant first;
-    whitespace ignored.
+    Each hex character, either case, contributes 4 bits, most significant
+    first; whitespace ignored.  Written in lower case.
+
+The text encodings check their characters with ``bytes.translate``, and hex
+goes through :mod:`binascii` both ways.
 
 Every input format lives here: :func:`save_sample_set` writes a source's sample
 files and manifest and :func:`load_sample_set` reads them back, :func:`read_json`
@@ -21,6 +24,7 @@ and :func:`write_json` read and write manifests and plans, and
 
 from __future__ import annotations
 
+import binascii
 import json
 import operator
 import os
@@ -58,9 +62,15 @@ __all__ = [
     "atomic_write",
 ]
 
-# Each encoding and the extension of the sample files written in it.
-_EXTENSIONS = {"ascii01": "txt", "packed-msb": "bin", "hex": "hex"}
-ENCODINGS = tuple(_EXTENSIONS)
+# Each encoding: the extension of the sample files written in it, the bits
+# each character (each byte, for packed-msb) holds, and a text encoding's
+# alphabet.  An encoder pads a stream with fewer zero bits than one unit holds.
+_FORMATS = {
+    "ascii01": ("txt", 1, b"01"),
+    "packed-msb": ("bin", 8, None),
+    "hex": ("hex", 4, b"0123456789abcdefABCDEF"),
+}
+ENCODINGS = tuple(_FORMATS)
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -70,14 +80,6 @@ MAX_SIZE = 2 ** 63 - 1
 # _LEADING_MASKS[s]: the first s bits, in stream order, of 8 packed bytes
 # read as a little-endian 64-bit word.
 _LEADING_MASKS = np.packbits(np.arange(64) < np.arange(65)[:, None], axis=1).view("<u8")[:, 0]
-
-# Hex codec tables: character code -> nibble value (0xFF marks a character
-# outside the alphabet), and byte value -> its two lower-case hex digits.
-_HEX_VALUES = np.full(256, 0xFF, dtype=np.uint8)
-_HEX_VALUES[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
-_HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
-_HEX_DIGIT_PAIRS = np.frombuffer(
-    "".join(f"{b:02x}" for b in range(256)).encode("ascii"), dtype=np.uint8).reshape(256, 2)
 
 
 class BitSequence:
@@ -180,38 +182,29 @@ class BitSequence:
                 f"source_id={self.source_id!r}, sample_index={self.sample_index})")
 
 
+def _format(encoding) -> tuple[str, int, bytes | None]:
+    """The ``_FORMATS`` row of ``encoding``; ManifestError for any other value."""
+    # Membership in the tuple, not the dict: an unhashable value such as a
+    # JSON list is unknown, not a TypeError.
+    if encoding not in ENCODINGS:
+        raise ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    return _FORMATS[encoding]
+
+
 def _decode(raw: bytes, encoding: str) -> tuple[np.ndarray, int]:
     """Packed MSB-first bytes of a stream, zero-padded to a whole byte, and its bit count."""
-    if encoding == "ascii01":
-        payload = raw.translate(None, _WHITESPACE)
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        bad = (arr != ord("0")) & (arr != ord("1"))
-        if bad.any():
-            ch = chr(int(arr[np.argmax(bad)]))
-            raise InvalidCharacter(f"unexpected character {ch!r} in ascii01 input")
-        return np.packbits(arr - ord("0")), arr.size
-    if encoding == "packed-msb":
-        packed = np.frombuffer(raw, dtype=np.uint8)
-        return packed, 8 * packed.size
+    _, unit, alphabet = _format(encoding)
+    if alphabet is None:
+        return np.frombuffer(raw, dtype=np.uint8), unit * len(raw)
+    payload = raw.translate(None, _WHITESPACE)
+    # What the alphabet leaves is the outside characters, in stream order.
+    outside = payload.translate(None, alphabet)
+    if outside:
+        raise InvalidCharacter(f"unexpected character {chr(outside[0])!r} in {encoding} input")
     if encoding == "hex":
-        arr = np.frombuffer(raw.translate(None, _WHITESPACE), dtype=np.uint8)
-        nibbles = _HEX_VALUES[arr]
-        bad = nibbles > 0xF
-        if bad.any():
-            ch = chr(int(arr[np.argmax(bad)]))
-            raise InvalidCharacter(f"unexpected character {ch!r} in hex input")
-        if nibbles.size % 2:
-            nibbles = np.append(nibbles, np.uint8(0))
-        return (nibbles[0::2] << 4) | nibbles[1::2], 4 * arr.size
-    raise _unknown_encoding(encoding)
-
-
-def _unknown_encoding(encoding) -> ManifestError:
-    return ManifestError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
-
-
-# Zero bits an encoder may pad a stream with: up to a byte or a nibble.
-_PADDING_PER_UNIT = {"ascii01": 0, "packed-msb": 7, "hex": 3}
+        packed = binascii.unhexlify(payload + b"0" * (len(payload) % 2))
+        return np.frombuffer(packed, dtype=np.uint8), unit * len(payload)
+    return np.packbits(np.frombuffer(payload, dtype=np.uint8) - ord("0")), len(payload)
 
 
 def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) -> BitSequence:
@@ -247,12 +240,11 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) ->
         raise EmptyInput(f"no bits decoded from {encoding} input")
     if length is not None:
         length = check_int("length", length, 1)
-        pad = n - length
-        if pad < 0 or pad > _PADDING_PER_UNIT[encoding]:
+        if not 0 <= n - length < _format(encoding)[1]:
             raise LengthMismatch(
                 f"decoded {n} bits but {length} were declared",
                 declared=length, actual=n)
-        # Padding of at most 7 bits leaves ceil(length/8) bytes; every bit
+        # Padding of under a byte leaves ceil(length/8) bytes; every bit
         # of the last byte after the declared length must be zero.
         if packed[-1] & ((1 << (8 * packed.size - length)) - 1):
             raise LengthMismatch(
@@ -264,13 +256,12 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) ->
 
 def _encode(packed: np.ndarray, n: int, encoding: str) -> bytes:
     """The file bytes of the n-bit stream packed MSB-first in ``packed``; inverse of _decode."""
-    if encoding == "ascii01":
-        return (np.unpackbits(packed, count=n) + ord("0")).tobytes()
-    if encoding == "packed-msb":
+    _, unit, alphabet = _format(encoding)
+    if alphabet is None:
         return packed.tobytes()
     if encoding == "hex":
-        return _HEX_DIGIT_PAIRS[packed].reshape(-1)[:-(-n // 4)].tobytes()
-    raise _unknown_encoding(encoding)
+        return binascii.hexlify(packed)[:-(-n // unit)]
+    return (np.unpackbits(packed, count=n) + ord("0")).tobytes()
 
 
 def serialize_bits(seq: BitSequence, encoding: str) -> bytes:
@@ -366,15 +357,18 @@ def ones_before(packed: np.ndarray, positions) -> np.ndarray:
     """Ones among the first t bits of each packed row, for every t in ``positions``.
 
     ``packed`` is ``(rows, bytes)``; ``positions`` is a non-decreasing 1-D
-    array of bit offsets in ``[0, 8 * bytes]``.  The result is
-    ``(rows, len(positions))`` int64.  Each row is read as 64-bit words
-    (zero-padded to a whole word), whose popcounts are summed cumulatively
-    in place, in the narrowest unsigned type that holds the row's ones: for
-    rows under 512 MB, half a byte per packed byte.  The ones before t are
-    those of the words up to t's word, less that word's bits from t on.
+    array of bit offsets in ``[0, 8 * bytes]``, else DomainError.  The
+    result is ``(rows, len(positions))`` int64.  Each row is read as 64-bit
+    words (zero-padded to a whole word), whose popcounts are summed
+    cumulatively in place, in the narrowest unsigned type that holds the
+    row's ones: for rows under 512 MB, half a byte per packed byte.  The ones
+    before t are those of the words up to t's word, less that word's bits
+    from t on.
     """
     positions = np.asarray(positions, dtype=np.int64)
     rows, width = packed.shape
+    if positions.size and not 0 <= positions.min() <= positions.max() <= 8 * width:
+        raise DomainError(f"positions must lie in [0, {8 * width}]")
     count = -(-width // 8)
     if width % 8 or not packed.flags.c_contiguous:
         padded = np.zeros((rows, 8 * count), dtype=np.uint8)
@@ -541,11 +535,10 @@ def save_sample_set(sample_set: SampleSet, directory, encoding: str = "packed-ms
     written, and it is the commit point: the old one is removed first and the
     new one written last, so a write that stops part-way leaves no manifest.
     """
-    if encoding not in ENCODINGS:
-        raise _unknown_encoding(encoding)
+    extension = _format(encoding)[0]
     n = sample_set.declared_length
     manifest = Manifest(n, sample_set.source_id, [
-        ManifestEntry(f"sample_{index:05d}.{_EXTENSIONS[encoding]}", encoding, index, timestamp)
+        ManifestEntry(f"sample_{index:05d}.{extension}", encoding, index, timestamp)
         for index, timestamp in zip(sample_set.sample_indices, sample_set.timestamps)])
     directory = Path(directory)
     manifest_path = directory / "manifest.json"

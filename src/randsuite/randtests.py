@@ -542,14 +542,13 @@ def _guarded_count(moduli: np.ndarray, below: np.ndarray, limit: float,
 
     If no modulus of a row is farther than ``guard * limit`` from the exact
     value, the row's count below ``limit`` is the count returned unless the
-    row is flagged.  ``below``, a bool array of ``moduli``'s shape, is left
-    holding the comparisons with the lower edge.
+    row is flagged.  ``below``, a bool array of the 2-D ``moduli``'s shape,
+    is left holding the comparisons with the lower edge.
     """
-    axes = tuple(range(1, moduli.ndim))
     np.less(moduli, (1.0 + guard) * limit, out=below)
-    upper = np.count_nonzero(below, axis=axes)
+    upper = np.count_nonzero(below, axis=1)
     np.less(moduli, (1.0 - guard) * limit, out=below)
-    lower = np.count_nonzero(below, axis=axes)
+    lower = np.count_nonzero(below, axis=1)
     return lower, upper != lower
 
 
@@ -584,10 +583,11 @@ def _dft_float32(bits: np.ndarray, work: _Workspace,
     return _guarded_count(moduli, below, limit, _FLOAT32_GUARD)
 
 
-def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
-                   n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_dft_direct`'s counts by the four-step transform, and the rows
-    with a modulus too close to ``limit`` for the count to be trusted.
+def _dft_four_step(row: np.ndarray, work: _Workspace, limit: float,
+                   n2: int) -> tuple[int, bool]:
+    """:func:`_dft_direct`'s count for one row of bits by the four-step
+    transform, and whether a modulus is too close to ``limit`` for the
+    count to be trusted.
 
     With j = b + n1 * a and k = c + n2 * d, the row viewed as an (n2, n1)
     array is written transposed, as an (n1, n2) array, so that its real
@@ -601,44 +601,35 @@ def _dft_four_step(bits: np.ndarray, work: _Workspace, limit: float,
     bins.  X_0 and X_{n/2} are their own conjugates and every other bin
     pairs with one in 1..n/2-1, so full is [X_0] + [X_{n/2}] plus twice the
     count over 1..n/2-1, and (full + [X_0]) // 2 is the count over 0..n/2-1.
-    The samples are taken one at a time, so that the workspace holds one
-    sample's spectrum.
     """
-    counts = [_four_step_sample(row[None], work, limit, n2) for row in bits]
-    return tuple(np.concatenate(values) for values in zip(*counts))
-
-
-def _four_step_sample(bits: np.ndarray, work: _Workspace, limit: float,
-                      n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_dft_four_step` of the one row of ``bits``."""
-    r, n = bits.shape
+    n = row.size
     n1 = n // n2
     block = min(n1, _FOUR_STEP_BLOCK)
     starts = range(0, n1, block)
-    spectrum = _as_buffer(work.spectrum, np.complex128, (r, n1, n2 // 2 + 1))
-    columns = bits.reshape(r, n2, n1).transpose(0, 2, 1)
+    spectrum = _as_buffer(work.spectrum, np.complex128, (n1, n2 // 2 + 1))
+    columns = row.reshape(n2, n1).T
     outer, inner = _twiddle_factors(n, n1)
     for start, factors in zip(starts, outer):
-        x = _as_buffer(work.scratch, np.float64, (r, min(block, n1 - start), n2))
+        x = _as_buffer(work.scratch, np.float64, (min(block, n1 - start), n2))
         # The transposing copy costs less than a transform along strided data.
-        np.subtract(columns[:, start:start + block], 0.5, out=x)
-        part = spectrum[:, start:start + block]
-        np.fft.rfft(x, axis=2, out=part)
-        part *= inner[:x.shape[1]]
+        np.subtract(columns[start:start + block], 0.5, out=x)
+        part = spectrum[start:start + block]
+        np.fft.rfft(x, axis=1, out=part)
+        part *= inner[:len(x)]
         part *= factors
-    np.fft.fft(spectrum, axis=1, out=spectrum)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
     full, unsure = 0, False
     for start in starts:
-        part = spectrum[:, start:start + block]
+        part = spectrum[start:start + block]
         moduli = _as_buffer(work.scratch, np.float64, part.shape)
         np.abs(part, out=moduli)
         below = _as_buffer(work.scratch[moduli.size:], np.bool_, part.shape)
         lower, flagged = _guarded_count(moduli, below, limit, _FOUR_STEP_GUARD)
-        full = (full + 2 * lower - np.count_nonzero(below[:, :, 0], axis=1)
-                - np.count_nonzero(below[:, :, -1], axis=1))
-        unsure = unsure | flagged
+        full += (2 * int(lower.sum()) - np.count_nonzero(below[:, 0])
+                 - np.count_nonzero(below[:, -1]))
+        unsure = unsure or bool(flagged.any())
         if not start:
-            x0 = below[:, 0, 0].copy()
+            x0 = int(below[0, 0])
     return (full + x0) // 2, unsure
 
 
@@ -654,7 +645,9 @@ def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
     n = bits.shape[1]
     n2 = _four_step_split(n)
     if n2 is not None:
-        n_obs, unsure = _dft_four_step(bits, work, limit, n2)
+        # One sample at a time, so that the workspace holds one sample's spectrum.
+        counts = [_dft_four_step(row, work, limit, n2) for row in bits]
+        n_obs, unsure = (np.array(values) for values in zip(*counts))
     elif n <= _FLOAT32_MAX_N:
         n_obs, unsure = _dft_float32(bits, work, limit)
     else:
@@ -835,8 +828,9 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
               params: TestParams = TestParams()) -> dict[TestId, Batch]:
     """Run the selected tests over each n-bit row of a packed ``(rows, ceil(n/8))`` matrix.
 
-    ``packed`` needs at least one row of ceil(n/8) bytes, else DomainError,
-    and zero padding bits, as a SampleSet's matrix has.  It is taken in
+    ``packed`` must be a uint8 ndarray of at least one row of ceil(n/8)
+    bytes, with zero padding bits, as a SampleSet's matrix is; anything else
+    raises DomainError.  It is taken in
     chunks of about ``_CHUNK_BITS`` bits, which the kernels read packed;
     only the spectral test unpacks a chunk to bits.  The chunks share one
     workspace, and the p-values are computed once over all rows.  Entry i
@@ -849,8 +843,13 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
         samples; raised before any test runs.
     """
     n = check_int("n", n, 0)
-    if not len(packed) or packed.shape[1:] != (-(-n // 8),):
+    if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
+        what = getattr(packed, "dtype", type(packed).__name__)
+        raise DomainError(f"packed must be a uint8 ndarray, got {what}")
+    if packed.ndim != 2 or not len(packed) or packed.shape[1] != -(-n // 8):
         raise DomainError(f"packed needs shape (rows >= 1, {-(-n // 8)}), got {packed.shape}")
+    if n % 8 and (packed[:, -1] & (0xFF >> n % 8)).any():
+        raise DomainError(f"packed has nonzero padding bits after bit {n}")
     tests = tuple(TestId(t) for t in tests)
     for test_id in tests:
         _check(test_id, n, params)

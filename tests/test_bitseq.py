@@ -1,7 +1,9 @@
 """Bit-sequence parsing, serialization, sample sets, and manifests."""
 
+import hashlib
 import json
 import os
+import re
 import stat
 from datetime import datetime, timezone
 
@@ -104,6 +106,45 @@ class TestParseBits:
             parse_bits(bytes([0xFF, 0xFF]), "packed-msb", length=4)
         with pytest.raises(LengthMismatch):
             parse_bits("101", "ascii01", length=4)
+
+    @pytest.mark.parametrize("encoding, alphabet, width", [
+        ("ascii01", "01", 1), ("hex", "0123456789abcdefABCDEF", 4)], ids=["ascii01", "hex"])
+    def test_decodes_as_each_character_does(self, encoding, alphabet, width):
+        """Every length up to 40 characters, in mixed case with whitespace
+        between them, decodes to each character's int() value, MSB first.
+        With characters from outside the alphabet, bytes >= 0x80 included,
+        the first of them is named."""
+        whitespace = " \t\r\n\x0b\x0c"
+        outside = [chr(b) for b in range(256) if chr(b) not in alphabet + whitespace]
+        rng = np.random.Generator(np.random.PCG64(width))
+        for length in range(1, 41):
+            for _ in range(5):
+                chars = rng.choice(list(alphabet), size=length).tolist()
+                spaced = [c + "".join(rng.choice(list(whitespace), size=rng.integers(3)))
+                          for c in chars]
+                expected = [int(bit) for c in chars
+                            for bit in format(int(c, 2 ** width), f"0{width}b")]
+                seq = parse_bits("".join(spaced).encode("latin-1"), encoding)
+                assert (seq.n, seq.asarray().tolist()) == (len(expected), expected)
+                # Indices, not rng.choice: numpy strings drop a trailing NUL.
+                bad = [outside[i] for i in rng.integers(len(outside), size=2)]
+                first, second = sorted(rng.integers(len(spaced) + 1, size=2).tolist())
+                spaced.insert(second, bad[1])
+                spaced.insert(first, bad[0])
+                with pytest.raises(InvalidCharacter, match=re.escape(repr(bad[0]))):
+                    parse_bits("".join(spaced).encode("latin-1"), encoding)
+
+    @pytest.mark.parametrize("encoding", ["bogus", ["hex"]])
+    def test_unknown_encoding_is_a_manifest_error(self, tmp_path, encoding):
+        # A list is unhashable: the encoding is looked up by membership.
+        message = re.escape(f"unknown encoding {encoding!r}; expected one of {rs.ENCODINGS}")
+        with pytest.raises(ManifestError, match=message):
+            parse_bits(b"01", encoding)
+        with pytest.raises(ManifestError, match=message):
+            serialize_bits(BitSequence([0, 1]), encoding)
+        with pytest.raises(ManifestError, match=message):
+            rs.save_sample_set(SampleSet([BitSequence([0, 1])]), tmp_path / "q", encoding)
+        assert not (tmp_path / "q").exists()
 
 
 class TestRoundTrip:
@@ -385,7 +426,49 @@ class TestManifest:
             load_manifest(path)
 
 
+# SHA-256 over the manifest and sample files that save_sample_set writes for
+# three seeded samples (see _pinned_set), file by file in name order; recorded
+# from the writer whose hex and ascii01 codecs were numpy lookup tables,
+# before bytes.translate and binascii replaced them.  At 1001 and 1002 bits a
+# hex file ends in a partial nibble, at 1004 it has an odd nibble count with
+# no partial one, and at 1024 neither; 1001 pads the last packed byte, 1024
+# does not.
+SAMPLE_FILE_PINS = {
+    (1001, "ascii01"): "8178867571dbe469edd2d011a0b3c83fbb75754cd21b8b46d56d44f8a66092af",
+    (1001, "packed-msb"): "93ff6eda3fcd60d7cb3f648f4693ec364f2f2ea3a13425630ce08846fb7a8bc4",
+    (1001, "hex"): "de5d10a6e6a56272e467e34fac6d838f165bc35aad116f55e8f9c3174fb0d55b",
+    (1002, "ascii01"): "3f0fb6acf7761eab08a901489379e0abb4e46435d62bfb45b18a396c8d99c96e",
+    (1002, "packed-msb"): "7ac9495fc135fbfc049642e947d6fcaf946693d917f2ecd3e0ee8063fff1ec4d",
+    (1002, "hex"): "f855794df9c484757783131a907b3bba8765ff6e68c27e3cd2b1bd27de46e7fc",
+    (1004, "ascii01"): "8a27e0f510ca2d381a96d68dfee540467f029e3ef485dfa3c86b31168dca9d9a",
+    (1004, "packed-msb"): "6e6f3a37b25fffec0911c3e52deb3020532afb3456d5643a15ccd237cee7b60c",
+    (1004, "hex"): "2215da9c7471a7dd7e992be8f09f38bfa60d96768153366c4c9cf2f4ad6017eb",
+    (1024, "ascii01"): "3a54efd9cb73fae3473bb9eadb443cfc3c13f3ae10fae898ab9068e93ba89814",
+    (1024, "packed-msb"): "f6d250a5aa29ab986531db70bfa88a152008d8e0b0ddc07932ef476de49e1c1c",
+    (1024, "hex"): "5307d55391f2253f9c4b61f02eebbcf7fddf92fcd11e76d192126cc7b7ec9137",
+}
+
+
+def _pinned_set(n):
+    """Three seeded n-bit samples with aware and missing timestamps."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    packed = np.packbits(rng.integers(0, 2, size=(3, n), dtype=np.uint8), axis=1)
+    start = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
+    return SampleSet._from_rows(packed, (0, 4, 100000), (start, None, start.replace(hour=12)),
+                                "qubit-07", n)
+
+
 class TestSaveSampleSet:
+    @pytest.mark.parametrize("n, encoding", sorted(SAMPLE_FILE_PINS))
+    def test_sample_files_match_pinned_digests(self, tmp_path, n, encoding):
+        saved = _pinned_set(n)
+        manifest = rs.save_sample_set(saved, tmp_path / "q", encoding)
+        digest = hashlib.sha256()
+        for path in sorted(manifest.parent.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == SAMPLE_FILE_PINS[n, encoding]
+        assert np.array_equal(load_sample_set(load_manifest(manifest)).packed, saved.packed)
+
     @pytest.mark.parametrize("encoding", ["ascii01", "packed-msb", "hex"])
     @pytest.mark.parametrize("n", [1001, 8190, 8192])
     @pytest.mark.parametrize("aware", [False, True])
@@ -562,6 +645,13 @@ class TestOnesBefore:
         for positions in ([], [0], [0, 0, 0], [500, 500, 1001, 1001], [1001] * 4):
             positions = np.array(positions, dtype=np.int64)
             assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+
+    @pytest.mark.parametrize("positions", [[-1], [0, 129], [129]])
+    def test_positions_outside_the_row_are_rejected(self, positions):
+        packed = np.full((1, 16), 0xFF, dtype=np.uint8)
+        with pytest.raises(DomainError, match=r"positions must lie in \[0, 128\]"):
+            ones_before(packed, positions)
+        assert ones_before(packed, [0, 128]).tolist() == [[0, 128]]
 
     def test_strided_rows_equal_contiguous_ones(self):
         bits = np.random.Generator(np.random.PCG64(18)).integers(0, 2, size=(6, 640),

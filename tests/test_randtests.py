@@ -624,9 +624,26 @@ class TestPackedDomainKernels:
 
     def test_run_batch_rejects_a_matrix_of_another_shape(self):
         packed = np.zeros((3, 1024), dtype=np.uint8)
-        for bad in (packed[:, 1:], np.zeros((3, 1025), np.uint8), packed[:0], packed[0]):
+        for bad in (packed[:, 1:], np.zeros((3, 1025), np.uint8), packed[:0], packed[0],
+                    packed[None], np.array(0, np.uint8)):
             with pytest.raises(DomainError, match="packed needs shape"):
                 R.run_batch(bad, 8192)
+
+    def test_run_batch_rejects_what_it_cannot_count(self):
+        zeros = np.zeros((1, 126), dtype=np.uint8)
+        for bad in (zeros.astype(np.int64), zeros.astype(bool), zeros.astype(np.int8),
+                    zeros.astype(np.float64), zeros.tolist()):
+            with pytest.raises(DomainError, match="packed must be a uint8 ndarray"):
+                R.run_batch(bad, 1001)
+        # A 1001-bit row ends in 7 padding bits; each one is checked.
+        for bit in range(7):
+            padded = zeros.copy()
+            padded[0, -1] = 1 << bit
+            with pytest.raises(DomainError, match="nonzero padding bits after bit 1001"):
+                R.run_batch(padded, 1001)
+        zeros[0, -1] = 0x80  # bit 1000, the row's last
+        batch = R.run_batch(zeros, 1001, (TestId.FREQUENCY,))[TestId.FREQUENCY]
+        assert batch.record["partial_sum"].tolist() == [2 - 1001]
 
     # Up to the four-step cutoff, from it, at 2^20 and 10^6 (n1 = 1024 and
     # 1000), and at 144000 = 375 * 384 (odd n1).
@@ -671,16 +688,18 @@ class TestPackedDomainKernels:
 
     @pytest.mark.parametrize("n", [R._FOUR_STEP_MIN_N, 144000])
     def test_four_step_multi_row_chunks_equal_single_transform(self, n):
-        # Two rows per chunk, as run_batch stacks them at 2^17; 144000 has
-        # the odd n1 = 375.  No random row comes near the guard band.
+        # Two rows per chunk, as run_batch stacks them at 2^17, each row
+        # transformed in the chunk's workspace; 144000 has the odd n1 = 375.
+        # No random row comes near the guard band.
         rng = np.random.Generator(np.random.PCG64(n + 4))
         bits = (rng.random((4, n)) < 0.5).astype(np.uint8)
         n2, limit = R._four_step_split(n), 0.5 * R._dft_threshold(n)
         for chunk in (bits[:2], bits[2:]):
-            n_obs, unsure = R._dft_four_step(chunk, workspace(2, n), limit, n2)
-            assert not unsure.any()
+            work = workspace(2, n)
+            counts = [R._dft_four_step(row, work, limit, n2) for row in chunk]
+            assert [unsure for _, unsure in counts] == [False, False]
             expected = R._dft_direct(chunk, R._Workspace(2, n, None), limit)
-            assert n_obs.tolist() == expected.tolist()
+            assert [n_obs for n_obs, _ in counts] == expected.tolist()
 
     # n1 = 512 is four blocks, 375 ends in a partial one, 1024 is eight.
     @pytest.mark.parametrize("n,n1", [(1 << 17, 512), (144000, 375), (1 << 20, 1024)])
@@ -746,10 +765,6 @@ class TestFloat32Spectrum:
         lower, unsure = R._guarded_count(moduli, np.empty(moduli.shape, bool), limit, g)
         assert lower.tolist() == [2, 1, 1, 2]
         assert unsure.tolist() == [False, True, True, False]
-        # The four-step passes (rows, n1, n2/2+1) moduli.
-        lower, unsure = R._guarded_count(moduli.reshape(2, 2, 3), np.empty((2, 2, 3), bool),
-                                         limit, g)
-        assert lower.tolist() == [3, 3] and unsure.tolist() == [True, True]
 
     def test_guard_recounts_a_float32_ambiguous_row(self, monkeypatch):
         import scipy.fft
@@ -798,8 +813,10 @@ class TestFloat32Spectrum:
         rng = np.random.Generator(np.random.PCG64(n + 6))
         bits = (rng.random((2, n)) < 0.5).astype(np.uint8)
         R._dft_n_obs(bits, workspace(2, n), 0.5 * R._dft_threshold(n))
-        # A fast transform's flagged rows add a call to the direct one.
-        assert calls in ([[path]] if path == "direct" else [[path], [path, "direct"]])
+        # A fast transform's flagged rows add a call to the direct one.  The
+        # four-step transform takes each of the two rows in its own call.
+        fast = [path] * (2 if path == "four_step" else 1)
+        assert calls in ([[path]] if path == "direct" else [fast, fast + ["direct"]])
 
 
 def reference_pattern_counts(bits, m):
