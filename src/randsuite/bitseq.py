@@ -200,7 +200,12 @@ def _decode(raw: bytes, encoding: str) -> tuple[np.ndarray, int]:
     # What the alphabet leaves is the outside characters, in stream order.
     outside = payload.translate(None, alphabet)
     if outside:
-        raise InvalidCharacter(f"unexpected character {chr(outside[0])!r} in {encoding} input")
+        # A byte from 0x80 up is no character of any alphabet here (UTF-8
+        # makes one of several such bytes), so it is named by its value.
+        byte = outside[0]
+        what = (f"character {chr(byte)!r}" if byte < 0x80
+                else f"byte {byte:#04x} at offset {raw.index(byte)}")
+        raise InvalidCharacter(f"unexpected {what} in {encoding} input")
     if encoding == "hex":
         packed = binascii.unhexlify(payload + b"0" * (len(payload) % 2))
         return np.frombuffer(packed, dtype=np.uint8), unit * len(payload)
@@ -224,7 +229,10 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) ->
     ------
     InvalidCharacter
         Any character outside the encoding's alphabet (whitespace is
-        ignored in the text encodings).
+        ignored in the text encodings).  The message names the first one:
+        an ASCII character quoted, a byte from 0x80 up by its value and
+        offset (``0xc3 at offset 2``), a non-ASCII ``str`` character quoted
+        with its index.
     EmptyInput
         The stream decodes to zero bits.
     """
@@ -232,7 +240,9 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) ->
         try:
             raw = raw.encode("ascii")
         except UnicodeEncodeError as exc:
-            raise InvalidCharacter(f"non-ASCII character in {encoding} input") from exc
+            _decode(raw[:exc.start].encode("ascii"), encoding)  # names an earlier bad character
+            raise InvalidCharacter(f"unexpected character {raw[exc.start]!r} at index "
+                                   f"{exc.start} in {encoding} input") from exc
     else:
         raw = bytes(raw)  # immutable: a packed-msb sample keeps a view of it
     packed, n = _decode(raw, encoding)

@@ -52,7 +52,6 @@ __all__ = [
     "frequency_test",
     "block_frequency_test",
     "runs_test",
-    "longest_run_of_ones",
     "longest_run_test",
     "dft_test",
     "approx_entropy_test",
@@ -209,11 +208,6 @@ class _Rows:
         self.work = work
 
     @cached_property
-    def bits(self) -> np.ndarray:
-        """``(rows, n)`` uint8 matrix of 0/1 values, unpacked once."""
-        return np.unpackbits(self.packed, axis=1, count=self.n)
-
-    @cached_property
     def ones(self) -> np.ndarray:
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
 
@@ -353,14 +347,6 @@ def _runs_finish(values: dict, n: int, params: TestParams):
     p[ok] = erfc(np.abs(v_obs[ok] - 2.0 * n * q * (1 - q))
                  / (2.0 * math.sqrt(2.0 * n) * q * (1 - q)))
     return v_obs, p, {"n": n, "proportion_of_ones": pi, "prerequisite_ok": ok}
-
-
-def longest_run_of_ones(block: BitSequence) -> int:
-    """Length of the longest maximal run of ones; 0 for all-zero or empty."""
-    # With a zero on each side, the bit changes alternate between the start
-    # of a run and the position after its end.
-    edges = np.flatnonzero(np.diff(np.pad(block.asarray(), 1)))
-    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 # Block size selection and reference class probabilities for the
@@ -666,8 +652,10 @@ def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
 def _dft_count(rows: _Rows, params: TestParams) -> dict:
     # The bits are mapped to +/-1/2 rather than +/-1.  Halving is exact in
     # binary floating point, so every modulus is exactly half of its +/-1
-    # value and is compared with exactly half the threshold.
-    return {"n_obs": _dft_n_obs(rows.bits, rows.work, 0.5 * _dft_threshold(rows.n))}
+    # value and is compared with exactly half the threshold.  Only this test
+    # reads the bits unpacked, one byte each; they are freed on return.
+    bits = np.unpackbits(rows.packed, axis=1, count=rows.n)
+    return {"n_obs": _dft_n_obs(bits, rows.work, 0.5 * _dft_threshold(rows.n))}
 
 
 def _dft_finish(values: dict, n: int, params: TestParams):

@@ -6,8 +6,8 @@ in the tail).  All p-value producers in this package go through
 :func:`as_probability`, which rejects out-of-range values instead of
 clamping them.
 
-:func:`erfc`, :func:`upper_igamc`, :func:`lower_igamc`, :func:`normal_cdf`
-and :func:`as_probability` take a float or an array: a float comes back as
+:func:`erfc`, :func:`upper_igamc`, :func:`normal_cdf` and
+:func:`as_probability` take a float or an array: a float comes back as
 a float, an array as an array of the broadcast shape, with the same checks
 applied to every element.
 
@@ -18,12 +18,12 @@ transform.  Each loads the compiled module it needs without running the
 ``__init__`` of ``scipy.special`` or ``scipy.fft``, which would load SciPy's
 array-API layer (``scipy._lib._array_api``, ``numpy.testing``,
 ``numpy.f2py``).  A ufunc comes from the smallest compiled module that
-defines it: ``erfc``, ``gammainc``, ``gammaincc`` and ``ndtr`` from
+defines it: ``erfc``, ``gammaincc`` and ``ndtr`` from
 ``scipy.special._special_ufuncs``, and ``erfcinv``, which only
 :func:`erfc_inv` needs, from ``scipy.special._ufuncs``, which loads
 ``_special_ufuncs`` too.  Loaded into a fresh process, the first adds about
 1 MB of resident memory and the second about 3.5 MB.  The transform comes
-from ``scipy.fft._pocketfft.pypocketfft``.  In a fresh process the four
+from ``scipy.fft._pocketfft.pypocketfft``.  In a fresh process the three
 ufuncs and the transform load in about 21 ms and ``erfcinv`` in 8 ms more,
 where the public imports took about 0.32 s (medians of 9, 2-vCPU Xeon,
 scipy 1.17.1); 16 ms of the 21 is ``import scipy`` itself.  The ufuncs
@@ -52,7 +52,6 @@ from .errors import DomainError, NonFiniteInput
 __all__ = [
     "erfc",
     "erfc_inv",
-    "lower_igamc",
     "upper_igamc",
     "normal_cdf",
     "as_probability",
@@ -161,32 +160,19 @@ def erfc_inv(p: float) -> float:
     return float(_scipy_ufunc("erfcinv")(p))
 
 
-def _igamc_args(name: str, a, x):
+def upper_igamc(a, x):
+    """Regularized upper incomplete gamma Q(a, x), the integral of
+    t^(a-1) e^(-t) from x to infinity over Gamma(a), for a > 0 and x >= 0."""
     a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
     bad = np.isnan(a) | np.isnan(x) | np.isinf(a)
     if bad.any():
-        raise DomainError(f"{name} requires finite a and non-NaN x, got "
+        raise DomainError("upper_igamc requires finite a and non-NaN x, got "
                           f"a={_first(a, bad)!r}, x={_first(x, bad)!r}")
     if (a <= 0.0).any():
-        raise DomainError(f"{name} requires a > 0, got a={_first(a, a <= 0.0)!r}")
+        raise DomainError(f"upper_igamc requires a > 0, got a={_first(a, a <= 0.0)!r}")
     if (x < 0.0).any():
-        raise DomainError(f"{name} requires x >= 0, got x={_first(x, x < 0.0)!r}")
-    return a, x
-
-
-def lower_igamc(a, x):
-    """Regularized lower incomplete gamma P(a, x) in [0, 1].
-
-    Increasing in x with P(a, 0) = 0.  The upper companion
-    :func:`upper_igamc` should be preferred when the interesting mass sits
-    in the tail, to avoid cancellation in ``1 - P``.
-    """
-    return _result(_scipy_ufunc("gammainc")(*_igamc_args("lower_igamc", a, x)))
-
-
-def upper_igamc(a, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    return _result(_scipy_ufunc("gammaincc")(*_igamc_args("upper_igamc", a, x)))
+        raise DomainError(f"upper_igamc requires x >= 0, got x={_first(x, x < 0.0)!r}")
+    return _result(_scipy_ufunc("gammaincc")(a, x))
 
 
 def normal_cdf(x):

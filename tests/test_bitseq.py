@@ -55,11 +55,25 @@ class TestParseBits:
         assert list(seq.asarray()) == [1, 1, 1, 1, 0, 0, 0, 0]
         assert parse_bits("f0", "hex") == seq
 
-    @pytest.mark.parametrize("raw,encoding", [("10021", "ascii01"), ("FG", "hex"),
-                                              ("01\u00e9", "ascii01")])
-    def test_invalid_character(self, raw, encoding):
-        with pytest.raises(InvalidCharacter):
+    # The first bad character is named: an ASCII one quoted, a byte from
+    # 0x80 up by its value and offset in the bytes (whitespace counted),
+    # and a non-ASCII str character quoted with its index.
+    @pytest.mark.parametrize("raw,encoding,named", [
+        ("10021", "ascii01", "character '2'"),
+        ("FG", "hex", "character 'G'"),
+        ("01\u00e9", "ascii01", "character '\u00e9' at index 2"),
+        (b"01\xc3\xa9", "ascii01", "byte 0xc3 at offset 2"),
+        (b"0 1\n\xff0", "ascii01", "byte 0xff at offset 4"),
+        (b"01z\xc3\xa9", "ascii01", "character 'z'"),
+        ("z01\u00e9", "ascii01", "character 'z'"),
+        (b"ab \xc3\xa9", "hex", "byte 0xc3 at offset 3"),
+        ("a\u20acg", "hex", "character '\u20ac' at index 1"),
+        (b"a\x80", "hex", "byte 0x80 at offset 1"),
+    ])
+    def test_invalid_character(self, raw, encoding, named):
+        with pytest.raises(InvalidCharacter) as err:
             parse_bits(raw, encoding)
+        assert str(err.value) == f"unexpected {named} in {encoding} input"
 
     def test_invalid_hex_character_is_named(self):
         with pytest.raises(InvalidCharacter, match="'g'"):
@@ -113,7 +127,8 @@ class TestParseBits:
         """Every length up to 40 characters, in mixed case with whitespace
         between them, decodes to each character's int() value, MSB first.
         With characters from outside the alphabet, bytes >= 0x80 included,
-        the first of them is named."""
+        the first of them is named: an ASCII character quoted, a byte from
+        0x80 up by its value and offset."""
         whitespace = " \t\r\n\x0b\x0c"
         outside = [chr(b) for b in range(256) if chr(b) not in alphabet + whitespace]
         rng = np.random.Generator(np.random.PCG64(width))
@@ -131,8 +146,11 @@ class TestParseBits:
                 first, second = sorted(rng.integers(len(spaced) + 1, size=2).tolist())
                 spaced.insert(second, bad[1])
                 spaced.insert(first, bad[0])
-                with pytest.raises(InvalidCharacter, match=re.escape(repr(bad[0]))):
-                    parse_bits("".join(spaced).encode("latin-1"), encoding)
+                text = "".join(spaced)
+                named = (repr(bad[0]) if bad[0] < "\x80"
+                         else f"byte {ord(bad[0]):#04x} at offset {text.index(bad[0])}")
+                with pytest.raises(InvalidCharacter, match=re.escape(named)):
+                    parse_bits(text.encode("latin-1"), encoding)
 
     @pytest.mark.parametrize("encoding", ["bogus", ["hex"]])
     def test_unknown_encoding_is_a_manifest_error(self, tmp_path, encoding):
@@ -355,6 +373,14 @@ class TestManifest:
         assert "sample_1.txt" in str(err.value)
         assert err.value.declared == 8
         assert err.value.actual == 7
+
+    def test_invalid_byte_reports_path_and_offset(self, tmp_path):
+        manifest = self._write_fixture(tmp_path, [b"10101010", "0101010\u00e9".encode()],
+                                       declared_length=8)
+        with pytest.raises(InvalidCharacter) as err:
+            load_sample_set(manifest)
+        assert str(err.value) == (f"{tmp_path / 'sample_1.txt'}: "
+                                  "unexpected byte 0xc3 at offset 7 in ascii01 input")
 
     def test_duplicate_index_rejected(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"10101010")

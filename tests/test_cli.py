@@ -391,6 +391,21 @@ class TestUsageErrors:
         with pytest.raises(error):
             rs.load_sample_set(rs.load_manifest(tmp_path / "manifest.json"))
 
+    # A UTF-8 character in an ascii01 file is named by its first byte and
+    # that byte's offset, not as the Latin-1 character of the byte.
+    @pytest.mark.parametrize("command", ["entropy", "test"])
+    def test_non_ascii_sample_file_is_named_by_byte(self, tmp_path, capsys, command):
+        (tmp_path / "s0.txt").write_text("01\u00e9", encoding="utf-8")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "declared_length": 3, "source_id": "s", "entries": [
+                {"path": "s0.txt", "encoding": "ascii01", "sample_index": 0}]}))
+        code = main([command, "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 's0.txt'}: unexpected byte 0xc3 at offset 2 in ascii01 input\n")
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     # A declared length beyond 63 bits is rejected with the manifest; a
     # shorter one that no file matches fails on the first file, before the
     # samples' matrix of the declared size is allocated.

@@ -19,7 +19,6 @@ from randsuite import (
     cusum_test,
     dft_test,
     frequency_test,
-    longest_run_of_ones,
     longest_run_test,
     run_test,
     runs_test,
@@ -130,18 +129,24 @@ class TestRuns:
 
 
 class TestLongestRun:
-    def test_longest_run_of_ones_basics(self, bits):
-        assert longest_run_of_ones(bits("11110000")) == 4
-        assert longest_run_of_ones(bits("00000000")) == 0
-        assert longest_run_of_ones(bits("10110111")) == 3
-        assert longest_run_of_ones(bits("1")) == 1
-        assert longest_run_of_ones(bits("0111111111")) == 9
+    def test_reference_longest_runs_basics(self):
+        def longest(text):
+            return reference_longest_runs(np.array([[int(c) for c in text]], np.uint8))[0]
+
+        assert longest("11110000") == 4
+        assert longest("00000000") == 0
+        assert longest("10110111") == 3
+        assert longest("1") == 1
+        assert longest("0111111111") == 9
         # runs that cross byte boundaries
-        assert longest_run_of_ones(bits("0" * 5 + "1" * 20 + "0" * 7)) == 20
-        assert longest_run_of_ones(bits("1" * 17)) == 17
-        assert longest_run_of_ones(bits("0000000111111110")) == 8
-        assert longest_run_of_ones(BitSequence(np.ones(10**6, np.uint8))) == 10**6
-        assert longest_run_of_ones(BitSequence([])) == 0
+        assert longest("0" * 5 + "1" * 20 + "0" * 7) == 20
+        assert longest("1" * 17) == 17
+        assert longest("0000000111111110") == 8
+        assert longest("") == 0
+        assert reference_longest_runs(np.ones((1, 10**6), np.uint8)).tolist() == [10**6]
+        # Each row is a block of its own: a run does not continue into the next row.
+        blocks = np.array([[0, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0], [1, 0, 1, 1]], np.uint8)
+        assert reference_longest_runs(blocks).tolist() == [3, 2, 0, 2]
 
     def test_worked_example_statistic(self):
         chi2 = longest_run_statistic((6, 10, 10, 7, 7, 9), 128)
@@ -575,8 +580,7 @@ class TestPackedDomainKernels:
         counts = R._longest_run_count(chunk_rows(samples, n), RELAXED)["class_counts"]
         for row, seq in zip(counts, samples):
             blocks = seq.asarray()[:num_blocks * m].reshape(-1, m)
-            runs = np.array([longest_run_of_ones(BitSequence(b)) for b in blocks])
-            classes = np.clip(runs - edge, 0, k)
+            classes = np.clip(reference_longest_runs(blocks) - edge, 0, k)
             assert row.tolist() == np.bincount(classes, minlength=k + 1).tolist()
 
     @pytest.mark.parametrize("n", [100, 1001, 8192])
@@ -751,6 +755,27 @@ class TestPackedDomainKernels:
         # is 128 KB.  Holding both samples' spectra took 23 bytes per bit of
         # a sample at 2^17.
         assert peak < rows * n + (9 + block) * n + (1 << 18)
+
+    # One 2^20-bit row, a chunk of its own, and one full chunk of 32 rows of
+    # 8192 bits.  With all eight tests the peak is 10.43 and 19.03 bytes per
+    # bit: the spectral workspace is 9 bytes per bit at 2^20 (the spectrum
+    # and a block) and 16 at 8192 (the scratch and the spectrum).  Any other
+    # chunk-sized copy held across kernels, such as the unpacked bits at one
+    # byte per bit (11.43 and 20.03), exceeds the bounds.
+    @pytest.mark.parametrize("rows,n,per_bit", [(1, 1 << 20, 10.9), (32, 8192, 19.5)])
+    def test_battery_takes_bounded_memory(self, rows, n, per_bit):
+        import tracemalloc
+
+        packed = np.packbits(seeded_bits(rows * n, seed=12).asarray().reshape(rows, n), axis=1)
+        R.run_batch(packed, n)  # SciPy, the tables and the cusum p-values are cached here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            R.run_batch(packed, n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < per_bit * rows * n
 
 
 class TestFloat32Spectrum:
