@@ -9,15 +9,12 @@ at least 55 samples).
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .bitseq import SampleSet, atomic_write
+from .bitseq import SampleSet, atomic_write, write_json
 from .errors import DomainError, EmptySet, SampleTooShort, TooFewSamples, check_int, check_real
 from .randtests import (
     ALL_TESTS,
@@ -166,11 +163,6 @@ class TestAggregate:
         for name in ("statistics", "p_values", "passed"):
             getattr(self, name).setflags(write=False)
 
-    @cached_property
-    def _p_value_reprs(self) -> tuple[str, ...]:
-        """Each p-value's ``repr``, rendered once for both report writers."""
-        return tuple(map(repr, self.p_values.tolist()))
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -242,7 +234,11 @@ def _config_to_dict(config: SuiteConfig) -> dict:
 
 
 def report_to_dict(report: SuiteReport) -> dict:
-    """JSON-ready view of a report, conventions included for auditability."""
+    """JSON-ready view of a report's verdicts, conventions included for auditability.
+
+    It holds no per-sample list: the arrays stay on the report's aggregates,
+    and :func:`write_results_csv` writes them.
+    """
     tests = {}
     for test_id, agg in report.per_test.items():
         entry = {
@@ -256,8 +252,6 @@ def report_to_dict(report: SuiteReport) -> dict:
                 "coefficient": agg.band.coefficient,
                 "sample_count": agg.band.sample_count,
             },
-            "sample_indices": list(agg.sample_indices),
-            "p_values": agg.p_values.tolist(),
         }
         if agg.uniformity_ok is not None:
             entry["uniformity"] = {
@@ -281,39 +275,9 @@ def report_to_dict(report: SuiteReport) -> dict:
     }
 
 
-_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
-
-
-def _render_list(items) -> str:
-    """Rendered numbers as ``json.dumps(..., indent=2)`` writes a list of them at depth 3.
-
-    Each test's per-sample lists sit at that depth of report.json: items
-    indented by 8 spaces, the closing bracket by 6.
-    """
-    if not items:
-        return "[]"
-    return "[\n        " + ",\n        ".join(items) + "\n      ]"
-
-
 def write_report_json(report: SuiteReport, path) -> None:
-    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` plus a newline.
-
-    The encoder's indenting path is pure Python, so the per-sample lists,
-    nearly all of the file, are rendered with one join each and spliced in
-    where ``json.dumps`` wrote a placeholder string for them.  A float's
-    ``repr`` is what ``json.dumps`` writes for it.
-    """
-    doc = report_to_dict(report)
-    rendered = []
-    for test_id, agg in report.per_test.items():
-        entry = doc["tests"][test_id.value]
-        for key, items in (("p_values", agg._p_value_reprs),
-                           ("sample_indices", list(map(repr, entry["sample_indices"])))):
-            entry[key] = f"\0{len(rendered)}"
-            rendered.append(_render_list(items))
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    text = _PLACEHOLDER.sub(lambda match: rendered[int(match.group(1))], text)
-    atomic_write(path, text + "\n")
+    """Commit ``report_to_dict(report)`` by the package's one JSON rule."""
+    write_json(path, report_to_dict(report))
 
 
 def write_results_csv(report: SuiteReport, path) -> None:
@@ -326,8 +290,8 @@ def write_results_csv(report: SuiteReport, path) -> None:
     for test_id in report.config.tests:
         agg = report.per_test[test_id]
         name = test_id.value
-        lines += [f"{name},{idx},{statistic!r},{p_value},{passed}\r\n"
+        lines += [f"{name},{idx},{statistic!r},{p_value!r},{passed}\r\n"
                   for idx, statistic, p_value, passed in zip(
                       agg.sample_indices, agg.statistics.tolist(),
-                      agg._p_value_reprs, agg.passed.tolist())]
+                      agg.p_values.tolist(), agg.passed.tolist())]
     atomic_write(path, "".join(lines))

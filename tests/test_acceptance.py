@@ -205,17 +205,22 @@ def test_c10_desk_scale_pipeline():
 
 
 # SHA-256 over the rendered report.json, results.csv and deviation_<source>.csv
-# of the 120 sources of the experiment-scale run, in run order, recorded from
-# the code before ones_before summed 64-bit word popcounts and the float32
-# spectral transform wrote into the workspace.  It covers the 8192-bit
-# float32 spectral path with its float64 recounts, and ones_before at the
-# deviation series' stride of 8192 over 579 * 8192 bits.
-EXPERIMENT_SCALE_PIN = "9805e4252be41818ce8437cc891f2a600387c3174c1ecb1606febcfe3012bac3"
+# of the 120 sources of the experiment-scale run, in run order.  Re-recorded
+# when report.json stopped repeating the per-sample p-values and indices that
+# results.csv holds.
+EXPERIMENT_SCALE_PIN = "45f1133bfe787e68f154679eb195d70ca66fe4276b3d589099ab7cadddd01ac7"
+
+# SHA-256 over the results.csv and deviation_<source>.csv of the same sources,
+# in run order: the per-sample record, recorded from the code before that
+# report.json change, which left it unchanged.  It covers the 8192-bit float32
+# spectral path with its float64 recounts, and ones_before at the deviation
+# series' stride of 8192 over 579 * 8192 bits.
+EXPERIMENT_SCALE_RECORD_PIN = "ca8b56518ad45fc838251ff8aeef9f53004912291390f737a2023fccf078c8ee"
 
 
 @pytest.mark.slow
 def test_c10_experiment_scale_pipeline(tmp_path):
-    digest = hashlib.sha256()
+    digest, record = hashlib.sha256(), hashlib.sha256()
 
     def render(sample_set, report):
         source = sample_set.source_id
@@ -225,8 +230,11 @@ def test_c10_experiment_scale_pipeline(tmp_path):
         rs.write_results_csv(report, paths[1])
         rs.write_deviation_csv(rs.deviation_series(rs.concat_chronological(sample_set)),
                                paths[2])
-        for path in paths:
-            digest.update(path.read_bytes())
+        data = [path.read_bytes() for path in paths]
+        for part in data:
+            digest.update(part)
+        for part in data[1:]:
+            record.update(part)
 
     checks, elapsed = _pipeline_checks(num_qubits=20, samples=579,
                                        seeds=FULL_SCALE_SEEDS, budget_s=600,
@@ -235,6 +243,8 @@ def test_c10_experiment_scale_pipeline(tmp_path):
     checks.append(("bar equals 0.977595", abs(bar - 0.977595) <= 1e-6, f"bar={bar!r}"))
     checks.append(("120 sources' outputs match the pin",
                    digest.hexdigest() == EXPERIMENT_SCALE_PIN, digest.hexdigest()))
+    checks.append(("120 sources' results and deviations match the pin",
+                   record.hexdigest() == EXPERIMENT_SCALE_RECORD_PIN, record.hexdigest()))
     check("C10-full", f"experiment-scale pipeline ({elapsed:.1f}s)", checks)
 
 

@@ -200,6 +200,14 @@ class TestBitSequence:
         assert a != BitSequence([1, 0, 0])
         assert a != BitSequence([1, 0, 1, 0])
 
+    def test_hash_agrees_with_equality(self):
+        a = BitSequence([1, 0, 1], source_id="a", sample_index=0)
+        b = BitSequence([1, 0, 1], source_id="b", sample_index=9)
+        assert hash(a) == hash(b)
+        assert len({a, b, BitSequence([1, 0, 1, 0])}) == 2
+        assert a.__eq__("101") is NotImplemented
+        assert (a == "101") is False
+
     def test_indexing_and_counts(self):
         seq = BitSequence([1, 0, 0, 1, 1, 0, 0, 0, 1, 0])
         assert [seq[i] for i in range(10)] == [1, 0, 0, 1, 1, 0, 0, 0, 1, 0]

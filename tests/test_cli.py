@@ -29,6 +29,14 @@ def write_single_sequence_manifest(tmp_path, name, sequence):
     return path
 
 
+def child_env():
+    """The environment for a child Python that imports this randsuite."""
+    env = dict(os.environ)
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def read_results(out_dir):
     with open(out_dir / "results.csv", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -104,6 +112,22 @@ class TestCmdTest:
         code = main(["test", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out"), "--tests", "frequency"])
         assert code == 2
+
+    def test_module_run_passes_the_exit_code_to_the_shell(self, tmp_path):
+        # `python -m randsuite.cli` ends in sys.exit(main()).
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "randsuite.cli", *argv],
+                                  env=child_env(), capture_output=True, text=True)
+
+        missing = run("test", "--manifest", str(tmp_path / "nope.json"),
+                      "--out", str(tmp_path / "o1"))
+        lines = missing.stderr.splitlines()
+        assert missing.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("error: "), missing.stderr
+        manifest = write_single_sequence_manifest(tmp_path, "allones", "1" * 1024)
+        failing = run("test", "--manifest", str(manifest), "--out", str(tmp_path / "o2"),
+                      "--tests", "frequency")
+        assert (failing.returncode, failing.stderr) == (1, "")
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=60,
@@ -489,7 +513,8 @@ def _sha256(paths):
 
 # Per sample length, recorded from the code before the commands shared one
 # manifest-reading function (1001 bits) and before a sample set became one
-# packed matrix (1024 bits).
+# packed matrix (1024 bits); the report.json digests re-recorded when the
+# report stopped repeating the per-sample lists that results.csv holds.
 OUTPUT_PINS = {1001: {
     "data/qubit-00/manifest.json":
         "88d0c8910e66a921c17a580be116cb1b3d0c6234ee7a4afd108e143cf2e323d4",
@@ -504,9 +529,9 @@ OUTPUT_PINS = {1001: {
         "cae0307857b4e209e65c0156b247e1e9044bc71a301c183e3d119243bb37f883",
     "out/entropy_qubit-00.csv": "3992d7ae166d5024dbd884b642d60c15b7c7296e23db49de7384fad014001122",
     "out/entropy_qubit-01.csv": "e5fd40bedf1e5d995c5ff82b6aa35fe342cea8809d2ee71ac060f3c40805476f",
-    "out/qubit-00/report.json": "2ba8491819197a823cf385e8e5cba5b425becdfc7dacd2baf1fafc3889e7fa72",
+    "out/qubit-00/report.json": "f834f593d5d46da263d2ba40a1046ac44fe8ba237bf03e81a1480e46c98a7243",
     "out/qubit-00/results.csv": "dd64eb331349df9fbb77ed80d619af6d74be93d3ac88ba020dd5b7ad0ae9a5cc",
-    "out/qubit-01/report.json": "68f1d0cf4605a90dda7bc607ba7aebda93d87679f5da78c0af6416791c218395",
+    "out/qubit-01/report.json": "2970059e23b5c937e081a2d83ba2324ca656282ef15150936f917fe3e88ce63f",
     "out/qubit-01/results.csv": "e968ae0950e5ee10873d4b86a06f5845718c8b415c32702a341ae944ae1a3d93",
     "plan.json": "f4cb8c3f8a264c74576d13dcfa992eadd7585993371da7ce68ffec45e78839d1",
     "stdout": "c7ea84862392f58069a86b6874267d866b9fff03842810bed116cc71e18589b5",
@@ -524,9 +549,9 @@ OUTPUT_PINS = {1001: {
         "eb55fcf4f26f3eedff405ce4d9d4a8a718106a30ffa53102c44f1c600a51707f",
     "out/entropy_qubit-00.csv": "5c4b1d50490868533a3b5835c6a60ec8191ba1a62d9ffa8f521eca567caeb693",
     "out/entropy_qubit-01.csv": "ee3126c5db37e742e6b8b47f27c89a5f9e087c9c21c0f8d473b54c1c3a78b9ac",
-    "out/qubit-00/report.json": "7ca77379fe9f1098e1a8520041cfa8d7f72354358701fd39339cbf6bf66c2ab7",
+    "out/qubit-00/report.json": "85fd660ef51c130c83cb03381d83328f7c0dcbc996b5b50a8ca0da08bb332121",
     "out/qubit-00/results.csv": "e29e89ff75426de8135adfaf27b0e9949221cae2e382c864410ec839d8330651",
-    "out/qubit-01/report.json": "7d1f8e48a618c1a6004c37bb09a5692864cd59e2239bb2b1186b7bd8dc69a42c",
+    "out/qubit-01/report.json": "02c4106a8e1f3c61a06e450fa9452de2954d90e21e5aad23a5e54965cbaa0c6c",
     "out/qubit-01/results.csv": "a56bcf0a1fb69ca94af5082a08ead42d8a871aa6220d2978d17f8b966961976c",
     "plan.json": "f172741c483bad1b92acdd8b9b6344253ad1c2694c7dcbb5639cacd684219f3d",
     "stdout": "271f57d9f521fdbff7f637a865b4f403b4be840369e5e3d4d734a6d63ce34c94",
@@ -650,11 +675,8 @@ class TestScipyLoading:
 
     @staticmethod
     def probe(*commands):
-        env = dict(os.environ)
-        src = str(Path(rs.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=child_env(), capture_output=True, text=True, check=True)
         return json.loads(done.stdout.splitlines()[-1])
 
     def test_which_commands_load_scipy(self, tmp_path):

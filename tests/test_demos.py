@@ -14,8 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Each demo's SHA-256 digests: of its stdout, with the copy's directory written
 # as <dir>, and of each file it writes under output/.  Recorded from the code
-# before the package's public names moved into each module's __all__; a
-# deliberate change to a demo's output updates them and records why in CHANGES.md.
+# before the package's public names moved into each module's __all__, except
+# suite_report.json, re-recorded when the report stopped repeating the
+# per-sample lists that suite_results.csv holds; a deliberate change to a
+# demo's output updates them and records why in CHANGES.md.
 DEMOS = {
     "01_single_sequence_tests.py": {
         "stdout":
@@ -25,7 +27,7 @@ DEMOS = {
         "stdout":
             "8019d1f17609af6d35ffb199de45184be317490cbfce5f17a17c4f7ed26c038a",
         "suite_report.json":
-            "f0cb49d8230585f277e7ae1c2b124f70836368b9f88fbcd8dad499b226ac21d9",
+            "4652b532b392c38477014edb39d1dbb7258ed3424ea8566fbf8c87534ce617f8",
         "suite_results.csv":
             "9c0805640b2223046f4727b0831a3476c27c61f889ad562d0a8acef8e66d32b6",
     },

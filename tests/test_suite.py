@@ -207,18 +207,30 @@ class TestRunSuite:
 
 class TestReportSerialization:
     def test_json_structure_and_determinism(self, tmp_path):
-        report = run_suite(small_experiment())
-        doc = report_to_dict(report)
-        assert doc["sample_count"] == 60
-        assert set(doc["tests"]) == {t.value for t in TestId}
-        assert "conventions" in doc and "config" in doc
-        entry = doc["tests"]["frequency"]
-        assert {"pass_proportion", "proportion_ok", "band", "p_values",
-                "sample_indices", "uniformity"} <= set(entry)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        rs.write_report_json(report, p1)
-        rs.write_report_json(report, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        # report.json holds the verdicts; results.csv is the one per-sample
+        # record, one row per (test, sample) in selection order, each p-value
+        # the repr of the report's own array entry.
+        for tests in (ALL_TESTS, (TestId.RUNS, TestId.FREQUENCY)):
+            report = run_suite(small_experiment(), SuiteConfig(tests=tests))
+            doc = report_to_dict(report)
+            assert doc["sample_count"] == 60
+            assert set(doc["tests"]) == {t.value for t in tests}
+            assert "conventions" in doc and "config" in doc
+            for entry in doc["tests"].values():
+                assert set(entry) == {"pass_proportion", "proportion_ok", "band", "uniformity"}
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            rs.write_report_json(report, p1)
+            rs.write_report_json(report, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
+            rs.write_results_csv(report, tmp_path / "results.csv")
+            with open(tmp_path / "results.csv", newline="") as fh:
+                rows = [(row["test_id"], int(row["sample_index"]), row["p_value"])
+                        for row in csv.DictReader(fh)]
+            assert rows == [(t.value, idx, repr(p_value))
+                            for t in tests
+                            for idx, p_value in zip(report.per_test[t].sample_indices,
+                                                    report.per_test[t].p_values.tolist())]
 
     def test_csv_columns_and_rows(self, tmp_path):
         report = run_suite(small_experiment(num_samples=10),
@@ -267,12 +279,15 @@ class TestReportSerialization:
 # the code before the spectral test's four-step transform was blocked and its
 # twiddle table factored.  2^17 bits is the four-step cutoff (n1 = 512, two
 # rows per kernel chunk); 2^20 is the classic 1-Mbit shape, read through the
-# hex codec.
+# hex codec.  The report.json digests were re-recorded when the report stopped
+# repeating the per-sample lists; both 4-sample reports pass every test and
+# are now the same bytes, and their results.csv digests tell the shapes apart.
+LONG_SAMPLE_REPORT = "0de04347e6e4b4109fd0c7cf0b53b35550e3424316a028b14d67aacefc799a21"
 LONG_SAMPLE_PINS = {(1 << 17, "packed-msb"): {
-    "report.json": "8917adb691057389dda8fd6611a754e0f5598ae5f6b263e1d724ac9b3fcac822",
+    "report.json": LONG_SAMPLE_REPORT,
     "results.csv": "93d9167c0da3a124cb491722092a967d94d8e30e0910b75a421e5cfab9984aec",
 }, (1 << 20, "hex"): {
-    "report.json": "147867c5e1e01634d44e1f6758558ae0e5ac9a3d6742f777f44672eafdc01299",
+    "report.json": LONG_SAMPLE_REPORT,
     "results.csv": "c56062201eb3f695bc1073c9cacb16c6254841d2f163138bf264b67b96fa455c",
 }}
 
