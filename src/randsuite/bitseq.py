@@ -176,7 +176,7 @@ class BitSequence:
         return hash((self._n, self._packed.tobytes()))
 
     def __repr__(self):
-        head = "".join(str(b) for b in self.asarray()[:16])
+        head = "".join(map(str, np.unpackbits(self._packed[:2], count=min(self._n, 16))))
         dots = "..." if self._n > 16 else ""
         return (f"BitSequence(n={self._n}, bits={head}{dots}, "
                 f"source_id={self.source_id!r}, sample_index={self.sample_index})")

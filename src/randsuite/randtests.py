@@ -3,10 +3,9 @@
 Each test has one kernel over a stack of samples: a ``(rows, ceil(n/8))``
 uint8 matrix of packed samples in, one statistic and one p-value per row
 out.  :func:`run_batch` runs the selected kernels over a sample set's matrix;
-the single-sequence functions (:func:`frequency_test` and the rest) are its
-one-row case, returning a :class:`TestOutcome` with the observed statistic,
-the p-value, the pass/fail verdict at level ``alpha`` and a params
-record of the values behind them.
+:func:`run_test` is its one-row case, returning a :class:`TestOutcome` with
+the observed statistic, the p-value, the pass/fail verdict at level ``alpha``
+and a params record of the values behind them.
 
 Conventions that remedy known defects in circulating descriptions of these
 tests (both are recorded in every outcome's params so reports are
@@ -43,34 +42,19 @@ from .special import _scipy_fft, as_probability, erfc, normal_cdf, upper_igamc
 
 __all__ = [
     "TestId",
-    "CusumMode",
     "TestParams",
     "TestOutcome",
     "Batch",
     "MIN_LENGTH",
     "ALL_TESTS",
-    "frequency_test",
-    "block_frequency_test",
-    "runs_test",
-    "longest_run_test",
-    "dft_test",
-    "approx_entropy_test",
-    "cusum_test",
     "run_test",
     "run_batch",
 ]
 
 
-class _Choice(str, Enum):
-    """A string enum whose unknown values raise DomainError, naming the valid ones."""
+class TestId(str, Enum):
+    """A test of the battery; an unknown value raises DomainError, naming the valid ones."""
 
-    @classmethod
-    def _missing_(cls, value):
-        valid = ", ".join(member.value for member in cls)
-        raise DomainError(f"{value!r} is not a valid {cls.__name__}; valid values: {valid}")
-
-
-class TestId(_Choice):
     __test__ = False  # keep pytest from collecting this as a test class
 
     FREQUENCY = "frequency"
@@ -85,10 +69,10 @@ class TestId(_Choice):
     def __str__(self):
         return self.value
 
-
-class CusumMode(_Choice):
-    FORWARD = "forward"
-    BACKWARD = "backward"
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(member.value for member in cls)
+        raise DomainError(f"{value!r} is not a valid {cls.__name__}; valid values: {valid}")
 
 
 ALL_TESTS = tuple(TestId)
@@ -791,11 +775,11 @@ def _cusum_backward_count(rows: _Rows, params: TestParams) -> dict:
     return {"z": np.maximum(end - low, high - end)}
 
 
-def _cusum_finish(values: dict, n: int, params: TestParams, *, mode: CusumMode):
+def _cusum_finish(values: dict, n: int, params: TestParams, *, mode: str):
     # Each p-value is one sample's tail sum; the cache computes each (n, z) once.
     z = values["z"]
     p = np.array([_cusum_pvalue(n, v) for v in z.tolist()])
-    return z, p, {"n": n, "mode": mode.value}
+    return z, p, {"n": n, "mode": mode}
 
 
 _KERNELS = {
@@ -805,10 +789,8 @@ _KERNELS = {
     TestId.LONGEST_RUN: (_longest_run_count, _longest_run_finish),
     TestId.DFT: (_dft_count, _dft_finish),
     TestId.APPROX_ENTROPY: (_approx_entropy_count, _approx_entropy_finish),
-    TestId.CUSUM_FORWARD: (_cusum_forward_count,
-                           partial(_cusum_finish, mode=CusumMode.FORWARD)),
-    TestId.CUSUM_BACKWARD: (_cusum_backward_count,
-                            partial(_cusum_finish, mode=CusumMode.BACKWARD)),
+    TestId.CUSUM_FORWARD: (_cusum_forward_count, partial(_cusum_finish, mode="forward")),
+    TestId.CUSUM_BACKWARD: (_cusum_backward_count, partial(_cusum_finish, mode="backward")),
 }
 
 
@@ -865,8 +847,29 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
     return results
 
 
-def _one_row(test_id: TestId, seq: BitSequence, params: TestParams) -> TestOutcome:
-    """A test on one sample: the one-row case of :func:`run_batch`."""
+def run_test(test_id: TestId, seq: BitSequence,
+             params: TestParams = TestParams()) -> TestOutcome:
+    """Run one test on one sample: the one-row case of :func:`run_batch`.
+
+    ``test_id`` is a :class:`TestId` or its value:
+
+    * ``frequency``: the normalized absolute +/-1 sum of the bits against
+      the half-normal distribution;
+    * ``block_frequency``: the balance of ones within blocks of
+      ``block_size_m`` bits; trailing bits that fill no block are discarded;
+    * ``runs``: the number of maximal runs of identical bits; the p-value is
+      0 by definition unless the proportion of ones is within 2/sqrt(n) of 1/2;
+    * ``longest_run``: the longest run of ones within blocks of 8, 128 or
+      10000 bits, chosen by n; below 128 bits it raises SampleTooShort even
+      with ``enforce_min_length`` off;
+    * ``dft``: the count of the first floor(n/2) Fourier moduli under the
+      95 % peak-height threshold, against its expectation;
+    * ``approx_entropy``: the frequencies of the cyclic overlapping m-bit
+      against (m+1)-bit patterns, m being ``pattern_len_m``;
+    * ``cusum_forward`` and ``cusum_backward``: the largest absolute partial
+      +/-1 sum, of the first bits or of the last bits.
+    """
+    test_id = TestId(test_id)
     batch = run_batch(seq.packed[None], seq.n, (test_id,), params)[test_id]
     record = {key: value[0].tolist() if isinstance(value, np.ndarray) else value
               for key, value in batch.record.items()}
@@ -874,82 +877,3 @@ def _one_row(test_id: TestId, seq: BitSequence, params: TestParams) -> TestOutco
     return TestOutcome(test_id=test_id, statistic=float(batch.statistics[0]),
                        p_value=float(batch.p_values[0]), passed=bool(batch.passed[0]),
                        params=record)
-
-
-def frequency_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Overall balance of ones and zeros.
-
-    The bits are mapped to +/-1 and summed; the normalized absolute sum is
-    referred to the half-normal distribution.
-    """
-    return _one_row(TestId.FREQUENCY, seq, params)
-
-
-def block_frequency_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Balance of ones within fixed-size non-overlapping blocks.
-
-    Uses ``block_size_m`` bits per block; trailing bits that do not fill a
-    block are discarded (and reported in the outcome's params).
-    """
-    return _one_row(TestId.BLOCK_FREQUENCY, seq, params)
-
-
-def runs_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Number of maximal runs of identical bits.
-
-    Applicable only when the overall proportion of ones is roughly fair
-    (|pi - 1/2| < 2/sqrt(n)); otherwise the p-value is 0 by definition.
-    """
-    return _one_row(TestId.RUNS, seq, params)
-
-
-def longest_run_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Distribution of the longest run of ones within fixed blocks.
-
-    The block size is selected from the sequence length (8 / 128 / 10000);
-    exactly N reference blocks are used and the remaining bits discarded.
-    A sequence shorter than 128 bits has no defined block size, so the
-    minimum length is enforced regardless of ``enforce_min_length``.
-    """
-    return _one_row(TestId.LONGEST_RUN, seq, params)
-
-
-def dft_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Spectral test for periodic patterns.
-
-    The +/-1 sequence is Fourier transformed; the number of modulus values
-    (first floor(n/2) frequencies) under the 95 % peak-height threshold is
-    compared with its expectation.
-    """
-    return _one_row(TestId.DFT, seq, params)
-
-
-def approx_entropy_test(seq: BitSequence, params: TestParams = TestParams()) -> TestOutcome:
-    """Relative frequency of overlapping m-bit vs (m+1)-bit patterns.
-
-    Patterns wrap cyclically (the first block_len-1 bits are appended), so
-    each block length yields exactly n overlapping windows.  An m whose
-    2^(m+1) patterns exceed both n and 2^16 raises PatternTooLong, with the
-    minimum length relaxed too.
-    """
-    return _one_row(TestId.APPROX_ENTROPY, seq, params)
-
-
-def cusum_test(seq: BitSequence, mode: CusumMode | str = CusumMode.FORWARD,
-               params: TestParams = TestParams()) -> TestOutcome:
-    """Random-walk excursion test on cumulative +/-1 sums.
-
-    Forward mode walks the sequence as recorded; backward mode sums the
-    last i elements instead (equivalently, walks the reversed sequence).
-    The statistic z is the maximum absolute partial sum.
-    """
-    mode = CusumMode(mode)
-    test_id = (TestId.CUSUM_FORWARD if mode is CusumMode.FORWARD
-               else TestId.CUSUM_BACKWARD)
-    return _one_row(test_id, seq, params)
-
-
-def run_test(test_id: TestId, seq: BitSequence,
-             params: TestParams = TestParams()) -> TestOutcome:
-    """Dispatch a test by id."""
-    return _one_row(TestId(test_id), seq, params)

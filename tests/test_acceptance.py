@@ -16,7 +16,6 @@ import pytest
 import randsuite as rs
 from randsuite import (
     BitSequence,
-    CusumMode,
     TestId,
     TestParams,
 )
@@ -46,15 +45,15 @@ def seq(s):
 
 
 def test_c01_frequency_golden():
-    out = rs.frequency_test(seq("1001100010"), RELAXED)
+    out = rs.run_test(TestId.FREQUENCY, seq("1001100010"), RELAXED)
     check("C1", "frequency golden", [
         ("p", abs(out.p_value - 0.527089) <= 1e-6, f"p={out.p_value!r}"),
     ])
 
 
 def test_c02_block_frequency_golden():
-    out = rs.block_frequency_test(
-        seq("1001100010"), TestParams(enforce_min_length=False, block_size_m=3))
+    out = rs.run_test(TestId.BLOCK_FREQUENCY, seq("1001100010"),
+                      TestParams(enforce_min_length=False, block_size_m=3))
     check("C2", "block-frequency golden", [
         ("chi2 exact", out.statistic == 1.0, f"chi2={out.statistic!r}"),
         ("p", abs(out.p_value - 0.801252) <= 1e-6, f"p={out.p_value!r}"),
@@ -62,7 +61,7 @@ def test_c02_block_frequency_golden():
 
 
 def test_c03_runs_golden():
-    out = rs.runs_test(seq("1010110001"), RELAXED)
+    out = rs.run_test(TestId.RUNS, seq("1010110001"), RELAXED)
     check("C3", "runs golden", [
         ("V exact", out.statistic == 7.0, f"V={out.statistic!r}"),
         ("p", abs(out.p_value - 0.21) <= 0.005, f"p={out.p_value!r}"),
@@ -89,7 +88,7 @@ def test_c05_dft_golden():
     O(n^2) direct-summation oracle in the module tests agrees).  The values
     are asserted as published rather than weakened to match.
     """
-    out = rs.dft_test(seq("1001010011"), RELAXED)
+    out = rs.run_test(TestId.DFT, seq("1001010011"), RELAXED)
     n_ideal, n_obs = out.params["n_ideal"], out.params["n_obs"]
     check("C5", "dft golden", [
         ("N_ideal exact", n_ideal == 4.75, f"N_ideal={n_ideal!r}"),
@@ -99,8 +98,8 @@ def test_c05_dft_golden():
 
 
 def test_c06_approx_entropy_golden():
-    out = rs.approx_entropy_test(
-        seq("1011010010"), TestParams(enforce_min_length=False, pattern_len_m=3))
+    out = rs.run_test(TestId.APPROX_ENTROPY, seq("1011010010"),
+                      TestParams(enforce_min_length=False, pattern_len_m=3))
     phi_m, phi_m1 = out.params["phi_m"], out.params["phi_m1"]
     check("C6", "approximate-entropy golden (pins the ln-2 statistic)", [
         ("phi_3", abs(phi_m - (-1.643418)) <= 1e-6, f"phi_3={phi_m!r}"),
@@ -111,8 +110,8 @@ def test_c06_approx_entropy_golden():
 
 
 def test_c07_cusum_golden():
-    fwd = rs.cusum_test(seq("1011010010"), CusumMode.FORWARD, RELAXED)
-    bwd = rs.cusum_test(seq("1011010010"), CusumMode.BACKWARD, RELAXED)
+    fwd = rs.run_test(TestId.CUSUM_FORWARD, seq("1011010010"), RELAXED)
+    bwd = rs.run_test(TestId.CUSUM_BACKWARD, seq("1011010010"), RELAXED)
     check("C7", "cumulative-sums golden", [
         ("z fwd exact", fwd.statistic == 2.0, f"z={fwd.statistic!r}"),
         ("z bwd exact", bwd.statistic == 2.0, f"z={bwd.statistic!r}"),
@@ -255,7 +254,7 @@ def test_c11_property_battery():
     rng = np.random.Generator(np.random.PCG64(99))
     for trial in range(3):
         values = rng.integers(0, 2, size=1024, dtype=np.uint8)
-        out = rs.dft_test(BitSequence(values))
+        out = rs.run_test(TestId.DFT, BitSequence(values))
         x = values.astype(np.float64) * 2 - 1
         j, k = np.arange(512), np.arange(1024)
         moduli = np.abs(np.exp(-2j * np.pi * np.outer(j, k) / 1024) @ x)
@@ -266,8 +265,8 @@ def test_c11_property_battery():
     # brute-force overlapping-pattern counting vs the vectorized counter
     for m in (2, 3):
         values = rng.integers(0, 2, size=64, dtype=np.uint8)
-        out = rs.approx_entropy_test(
-            BitSequence(values), TestParams(enforce_min_length=False, pattern_len_m=m))
+        out = rs.run_test(TestId.APPROX_ENTROPY, BitSequence(values),
+                          TestParams(enforce_min_length=False, pattern_len_m=m))
         ext = list(values) + list(values[:m - 1])
         cnt = {}
         for i in range(64):
@@ -317,7 +316,7 @@ def test_c11_property_battery():
             if not 0 <= ones <= n_len:
                 continue
             s = BitSequence([1] * ones + [0] * (n_len - ones))
-            p = rs.frequency_test(s, RELAXED).p_value
+            p = rs.run_test(TestId.FREQUENCY, s, RELAXED).p_value
             if (p > 0.01) != (lower < ones / n_len < upper):
                 consistent = False
     checks.append(("band/frequency-test consistency", consistent, ""))

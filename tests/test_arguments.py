@@ -203,7 +203,7 @@ def test_the_same_call_succeeds_with_a_right_argument(call, value):
 
 def test_a_fractional_block_size_gives_no_p_value():
     with pytest.raises(DomainError, match="block_size_m must be an integer, got 128.5"):
-        rs.block_frequency_test(_seq(), TestParams(block_size_m=128.5))
+        rs.run_test(rs.TestId.BLOCK_FREQUENCY, _seq(), TestParams(block_size_m=128.5))
 
 
 def test_a_negative_sample_index_is_out_of_the_models_range():

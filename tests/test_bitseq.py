@@ -225,8 +225,38 @@ class TestBitSequence:
         with pytest.raises(DomainError, match="sample_index must be >= 0, got -1"):
             BitSequence([0, 1], sample_index=-1)
 
+    @pytest.mark.parametrize("n,shown", [(0, ""), (3, "100"), (16, "1001001001001001"),
+                                         (17, "1001001001001001...")])
+    def test_repr_shows_the_first_16_bits(self, n, shown):
+        seq = BitSequence(np.arange(n) % 3 == 0, source_id="qubit-00", sample_index=2)
+        assert repr(seq) == (f"BitSequence(n={n}, bits={shown}, "
+                             f"source_id='qubit-00', sample_index=2)")
+
+    def test_repr_unpacks_only_the_bits_it_shows(self):
+        import tracemalloc
+
+        seq = BitSequence(np.ones(1 << 20, np.uint8))
+        tracemalloc.start()
+        try:
+            text = repr(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.startswith(f"BitSequence(n={1 << 20}, bits={'1' * 16}...,")
+        # Unpacking the whole sequence would take a byte per bit.
+        assert peak < 1 << 14
+
 
 class TestSampleSetAndConcat:
+    def test_repr_and_immutability(self, bits):
+        s = SampleSet([bits("10", sample_index=4), bits("01", sample_index=1)],
+                      source_id="qubit-07")
+        assert repr(s) == "SampleSet(source_id='qubit-07', samples=2, declared_length=2)"
+        for name in ("source_id", "packed", "other"):
+            with pytest.raises(AttributeError, match="SampleSet is immutable"):
+                setattr(s, name, None)
+        assert s.source_id == "qubit-07"
+
     def test_concat_two_samples(self, bits):
         s = SampleSet([bits("10", sample_index=0), bits("01", sample_index=1)])
         joined = concat_chronological(s)

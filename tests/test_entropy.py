@@ -14,11 +14,12 @@ import randsuite as rs
 from randsuite import (
     BitSequence,
     SampleSet,
+    TestId,
     deviation_series,
     entropy_series,
-    frequency_test,
     min_entropy,
     proportion_band_for_length,
+    run_test,
     shannon_entropy,
 )
 from randsuite.errors import DomainError, EmptySequence, EmptySet
@@ -169,7 +170,8 @@ class TestProportionBandForLength:
                 if not 0 <= ones <= n:
                     continue
                 seq = seq_with_ones(ones, n)
-                p = frequency_test(seq, rs.TestParams(enforce_min_length=False)).p_value
+                p = run_test(TestId.FREQUENCY, seq,
+                             rs.TestParams(enforce_min_length=False)).p_value
                 assert (p > alpha) == (lower < ones / n < upper), (n, ones)
 
     # At n = 400 and alpha = 0.01 the band's upper edge lies between 225 and 226 ones.
@@ -178,7 +180,7 @@ class TestProportionBandForLength:
         sample_set = SampleSet([seq_with_ones(50 + extra * (i == 3), 100, sample_index=i)
                                 for i in range(4)])
         lower, upper = proportion_band_for_length(400, 0.01)
-        p = frequency_test(rs.concat_chronological(sample_set)).p_value
+        p = run_test(TestId.FREQUENCY, rs.concat_chronological(sample_set)).p_value
         assert rs.ones_band(sample_set, 0.01) == {
             "n": 400, "proportion_of_ones": (200 + extra) / 400, "band_lower": lower,
             "band_upper": upper, "inside": p > 0.01}
@@ -220,6 +222,7 @@ class TestDeviationSeries:
         seq = random_bits(100, seed=1)
         series = deviation_series(seq, stride=30)
         assert series.bit_indices.tolist() == [30, 60, 90, 100]
+        assert len(series) == 4
         series = deviation_series(seq, stride=25)
         assert series.bit_indices.tolist() == [25, 50, 75, 100]
 

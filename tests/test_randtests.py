@@ -9,20 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import randsuite as rs
 from randsuite import randtests as R
-from randsuite import (
-    BitSequence,
-    CusumMode,
-    TestId,
-    TestParams,
-    approx_entropy_test,
-    block_frequency_test,
-    cusum_test,
-    dft_test,
-    frequency_test,
-    longest_run_test,
-    run_test,
-    runs_test,
-)
+from randsuite import BitSequence, TestId, TestParams, run_test
 from randsuite.errors import (
     BlockTooLarge,
     DomainError,
@@ -44,19 +31,19 @@ def seeded_bits(n, seed=0, p1=0.5):
 
 class TestFrequency:
     def test_worked_example(self, bits):
-        out = frequency_test(bits("1001100010"), RELAXED)
+        out = run_test(TestId.FREQUENCY, bits("1001100010"), RELAXED)
         assert out.statistic == pytest.approx(0.632455, abs=1e-6)
         assert out.p_value == pytest.approx(0.527089, abs=1e-6)
         assert out.passed
 
     def test_perfectly_balanced(self, bits):
-        out = frequency_test(bits("01" * 50))
+        out = run_test(TestId.FREQUENCY, bits("01" * 50))
         assert out.statistic == 0.0
         assert out.p_value == 1.0
         assert out.passed
 
     def test_all_ones_fails(self, bits):
-        out = frequency_test(bits("1" * 100))
+        out = run_test(TestId.FREQUENCY, bits("1" * 100))
         assert out.statistic == 10.0
         oracle = float(mp.erfc(10 / mp.sqrt(2)))
         assert out.p_value == pytest.approx(oracle, rel=1e-10)
@@ -65,30 +52,31 @@ class TestFrequency:
 
     def test_min_length(self, bits):
         with pytest.raises(SampleTooShort):
-            frequency_test(bits("1" * 99))
-        frequency_test(bits("1" * 99), RELAXED)  # allowed when relaxed
+            run_test(TestId.FREQUENCY, bits("1" * 99))
+        run_test(TestId.FREQUENCY, bits("1" * 99), RELAXED)  # allowed when relaxed
 
     def test_empty_sequence_when_relaxed(self):
         with pytest.raises(EmptySequence, match="frequency needs a non-empty sequence"):
-            frequency_test(BitSequence([]), RELAXED)
+            run_test(TestId.FREQUENCY, BitSequence([]), RELAXED)
 
 
 class TestBlockFrequency:
     def test_worked_example(self, bits):
-        out = block_frequency_test(bits("1001100010"),
-                                   TestParams(enforce_min_length=False, block_size_m=3))
+        out = run_test(TestId.BLOCK_FREQUENCY, bits("1001100010"),
+                       TestParams(enforce_min_length=False, block_size_m=3))
         assert out.statistic == 1.0  # exact
         assert out.p_value == pytest.approx(0.801252, abs=1e-6)
         assert out.params["num_blocks"] == 3
         assert out.params["discarded_bits"] == 1
 
     def test_alternating_blocks_balanced(self, bits):
-        out = block_frequency_test(bits("01" * 50), TestParams(block_size_m=10))
+        out = run_test(TestId.BLOCK_FREQUENCY, bits("01" * 50), TestParams(block_size_m=10))
         assert out.statistic == 0.0
         assert out.p_value == 1.0
 
     def test_half_ones_half_zeros_fails(self, bits):
-        out = block_frequency_test(bits("1" * 50 + "0" * 50), TestParams(block_size_m=10))
+        out = run_test(TestId.BLOCK_FREQUENCY, bits("1" * 50 + "0" * 50),
+                       TestParams(block_size_m=10))
         assert out.statistic == 100.0  # 4*10*(10*0.25)
         oracle = float(mp.gammainc(5, 50, mp.inf, regularized=True))
         assert out.p_value == pytest.approx(oracle, rel=1e-10)
@@ -96,24 +84,24 @@ class TestBlockFrequency:
 
     def test_block_too_large(self, bits):
         with pytest.raises(BlockTooLarge):
-            block_frequency_test(bits("1" * 100), TestParams(block_size_m=101))
+            run_test(TestId.BLOCK_FREQUENCY, bits("1" * 100), TestParams(block_size_m=101))
 
 
 class TestRuns:
     def test_worked_example(self, bits):
-        out = runs_test(bits("1010110001"), RELAXED)
+        out = run_test(TestId.RUNS, bits("1010110001"), RELAXED)
         assert out.statistic == 7.0
         assert out.p_value == pytest.approx(0.21, abs=0.005)
         assert out.passed
 
     def test_prerequisite_failure_is_exact_zero(self, bits):
-        out = runs_test(bits("1" * 100))
+        out = run_test(TestId.RUNS, bits("1" * 100))
         assert out.p_value == 0.0
         assert not out.passed
         assert out.params["prerequisite_ok"] is False
 
     def test_alternating_oscillates_too_much(self, bits):
-        out = runs_test(bits("01" * 50))
+        out = run_test(TestId.RUNS, bits("01" * 50))
         assert out.statistic == 100.0
         oracle = float(mp.erfc(50 / (2 * mp.sqrt(200) * mp.mpf("0.25"))))
         assert out.p_value == pytest.approx(oracle, rel=1e-10)
@@ -124,7 +112,7 @@ class TestRuns:
         n = 64
         ones = n // 2 + int(2 / math.sqrt(n) * n)  # pi = 0.5 + 0.25 at n=64
         seq = BitSequence([1] * ones + [0] * (n - ones))
-        out = runs_test(seq, RELAXED)
+        out = run_test(TestId.RUNS, seq, RELAXED)
         assert out.p_value == 0.0
 
 
@@ -159,13 +147,13 @@ class TestLongestRun:
 
     def test_classification_m8(self, bits):
         # sixteen blocks of "11000000": every longest run is 2 -> class v1
-        out = longest_run_test(bits("11000000" * 16))
+        out = run_test(TestId.LONGEST_RUN, bits("11000000" * 16))
         assert out.params["block_size_m"] == 8
         assert out.params["num_blocks"] == 16
         assert out.params["class_counts"] == [0, 16, 0, 0]
 
     def test_all_zeros_fails(self, bits):
-        out = longest_run_test(bits("0" * 6272))
+        out = run_test(TestId.LONGEST_RUN, bits("0" * 6272))
         assert out.params["block_size_m"] == 128
         assert out.params["class_counts"] == [49, 0, 0, 0, 0, 0]
         expected_chi2 = longest_run_statistic((49, 0, 0, 0, 0, 0), 128)
@@ -174,14 +162,14 @@ class TestLongestRun:
         assert not out.passed
 
     def test_sample_length_selects_m128_and_discards(self):
-        out = longest_run_test(seeded_bits(8192, seed=1))
+        out = run_test(TestId.LONGEST_RUN, seeded_bits(8192, seed=1))
         assert out.params["block_size_m"] == 128
         assert out.params["num_blocks"] == 49
         assert out.params["discarded_bits"] == 1920
 
     def test_too_short_even_when_relaxed(self, bits):
         with pytest.raises(SampleTooShort):
-            longest_run_test(bits("1" * 127), RELAXED)
+            run_test(TestId.LONGEST_RUN, bits("1" * 127), RELAXED)
 
 
 def dft_direct_oracle(bit_values):
@@ -203,7 +191,7 @@ class TestDft:
         # The procedure yields N_obs=5 (p=0.468160) on this classic sequence;
         # the value N_obs=4 (p~0.0318) that circulates with it is a known
         # erratum in its source and is not reproducible from the definition.
-        out = dft_test(bits("1001010011"), RELAXED)
+        out = run_test(TestId.DFT, bits("1001010011"), RELAXED)
         assert out.params["n_ideal"] == 4.75
         assert out.params["n_obs"] == 5
         assert out.p_value == pytest.approx(0.468160, abs=1e-6)
@@ -217,7 +205,7 @@ class TestDft:
 
     def test_alternating_has_nyquist_peak_only(self):
         seq = BitSequence(np.tile([1, 0], 512))
-        out = dft_test(seq)
+        out = run_test(TestId.DFT, seq)
         moduli, oracle_n_obs, oracle_p = dft_direct_oracle(seq.asarray())
         # all spectral mass sits at the (excluded) Nyquist bin
         assert np.all(moduli < 1e-6)
@@ -228,7 +216,7 @@ class TestDft:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_matches_direct_oracle_on_random_input(self, seed):
         seq = seeded_bits(1024, seed=seed)
-        out = dft_test(seq)
+        out = run_test(TestId.DFT, seq)
         moduli, oracle_n_obs, oracle_p = dft_direct_oracle(seq.asarray())
         fast = np.abs(np.fft.rfft(seq.asarray().astype(np.float64) * 2 - 1)[:512])
         assert np.allclose(fast, moduli, rtol=1e-9, atol=1e-9)
@@ -236,14 +224,14 @@ class TestDft:
         assert out.p_value == pytest.approx(oracle_p, rel=1e-9)
 
     def test_odd_length_uses_floor_half(self, bits):
-        out = dft_test(seeded_bits(1001, seed=9))
+        out = run_test(TestId.DFT, seeded_bits(1001, seed=9))
         assert out.params["n_ideal"] == 0.95 * 1001 / 2
         # floor(1001/2) = 500 moduli examined
         assert 0 <= out.params["n_obs"] <= 500
 
     def test_min_length(self):
         with pytest.raises(SampleTooShort):
-            dft_test(seeded_bits(999))
+            run_test(TestId.DFT, seeded_bits(999))
 
 
 def apen_phi_oracle(bit_values, block_len):
@@ -259,8 +247,8 @@ def apen_phi_oracle(bit_values, block_len):
 
 class TestApproxEntropy:
     def test_worked_example(self, bits):
-        out = approx_entropy_test(bits("1011010010"),
-                                  TestParams(enforce_min_length=False, pattern_len_m=3))
+        out = run_test(TestId.APPROX_ENTROPY, bits("1011010010"),
+                       TestParams(enforce_min_length=False, pattern_len_m=3))
         assert out.params["phi_m"] == pytest.approx(-1.643418, abs=1e-6)
         assert out.params["phi_m1"] == pytest.approx(-2.025326, abs=1e-6)
         assert out.statistic == pytest.approx(6.224774, abs=1e-6)
@@ -269,7 +257,7 @@ class TestApproxEntropy:
 
     def test_all_zeros_constant_pattern(self, bits):
         n = 100
-        out = approx_entropy_test(bits("0" * n))
+        out = run_test(TestId.APPROX_ENTROPY, bits("0" * n))
         assert out.params["phi_m"] == 0.0
         assert out.params["phi_m1"] == 0.0
         assert out.statistic == pytest.approx(2 * n * math.log(2), rel=1e-12)
@@ -280,7 +268,8 @@ class TestApproxEntropy:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_bruteforce_oracle(self, m, seed):
         seq = seeded_bits(64, seed=seed)
-        out = approx_entropy_test(seq, TestParams(enforce_min_length=False, pattern_len_m=m))
+        out = run_test(TestId.APPROX_ENTROPY, seq,
+                       TestParams(enforce_min_length=False, pattern_len_m=m))
         vals = list(seq.asarray())
         assert out.params["phi_m"] == pytest.approx(apen_phi_oracle(vals, m), rel=1e-12)
         assert out.params["phi_m1"] == pytest.approx(apen_phi_oracle(vals, m + 1), rel=1e-12)
@@ -288,30 +277,33 @@ class TestApproxEntropy:
     def test_pattern_too_long(self):
         seq = seeded_bits(128, seed=2)
         with pytest.raises(PatternTooLong) as exc:
-            approx_entropy_test(seq, TestParams(pattern_len_m=6))  # floor(log2(128))-1 = 6
+            # floor(log2(128)) - 1 = 6
+            run_test(TestId.APPROX_ENTROPY, seq, TestParams(pattern_len_m=6))
         assert str(exc.value) == ("pattern length 6 is too long for meaningful results at "
                                   "n=128 (need m < floor(log2(n)) - 1)")
         # 2^17 patterns exceed max(n, 2^16) too; the minimum-length rule is named first.
         with pytest.raises(PatternTooLong) as exc:
-            approx_entropy_test(seeded_bits(8192, seed=2), TestParams(pattern_len_m=16))
+            run_test(TestId.APPROX_ENTROPY, seeded_bits(8192, seed=2),
+                     TestParams(pattern_len_m=16))
         assert str(exc.value) == ("pattern length 16 is too long for meaningful results at "
                                   "n=8192 (need m < floor(log2(n)) - 1)")
-        approx_entropy_test(seq, TestParams(pattern_len_m=6, enforce_min_length=False))
+        run_test(TestId.APPROX_ENTROPY, seq, TestParams(pattern_len_m=6, enforce_min_length=False))
         with pytest.raises(PatternTooLong):
-            approx_entropy_test(seq, TestParams(pattern_len_m=128, enforce_min_length=False))
+            run_test(TestId.APPROX_ENTROPY, seq,
+                     TestParams(pattern_len_m=128, enforce_min_length=False))
 
 
 class TestCusum:
     def test_worked_example_both_modes(self, bits):
-        fwd = cusum_test(bits("1011010010"), CusumMode.FORWARD, RELAXED)
-        bwd = cusum_test(bits("1011010010"), CusumMode.BACKWARD, RELAXED)
+        fwd = run_test(TestId.CUSUM_FORWARD, bits("1011010010"), RELAXED)
+        bwd = run_test(TestId.CUSUM_BACKWARD, bits("1011010010"), RELAXED)
         assert fwd.statistic == 2.0
         assert bwd.statistic == 2.0
         assert fwd.p_value == pytest.approx(0.941740, abs=1e-6)
         assert bwd.p_value == pytest.approx(0.941740, abs=1e-6)
 
     def test_all_ones_maximal_excursion(self, bits):
-        out = cusum_test(bits("1" * 100))
+        out = run_test(TestId.CUSUM_FORWARD, bits("1" * 100))
         assert out.statistic == 100.0
         assert out.p_value < 1e-20
         assert not out.passed
@@ -327,8 +319,8 @@ class TestCusum:
     def test_walk_that_never_leaves_one(self, bits):
         # z = 1: the series alone exceeds 1 for n = 3..48
         for seq in (bits("0110100101101001"), bits("01" * 8), bits("10" * 500)):
-            for mode in CusumMode:
-                out = cusum_test(seq, mode, RELAXED)
+            for test_id in (TestId.CUSUM_FORWARD, TestId.CUSUM_BACKWARD):
+                out = run_test(test_id, seq, RELAXED)
                 assert (out.statistic, out.p_value) == (1.0, 1.0)
         assert all(_cusum_pvalue(n, 1) == 1.0 for n in range(1, 64))
 
@@ -336,8 +328,8 @@ class TestCusum:
     @settings(max_examples=60, deadline=None)
     def test_forward_equals_backward_of_reversed(self, data):
         values = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        fwd = cusum_test(BitSequence(values), CusumMode.FORWARD, RELAXED)
-        bwd = cusum_test(BitSequence(values[::-1]), CusumMode.BACKWARD, RELAXED)
+        fwd = run_test(TestId.CUSUM_FORWARD, BitSequence(values), RELAXED)
+        bwd = run_test(TestId.CUSUM_BACKWARD, BitSequence(values[::-1]), RELAXED)
         assert fwd.statistic == bwd.statistic
         assert fwd.p_value == bwd.p_value
 
@@ -376,6 +368,10 @@ class TestSharedInvariants:
         b = run_test(test_id, BitSequence(seq.asarray()))
         assert a == b
 
+    def test_test_id_prints_as_its_value(self):
+        assert str(TestId.DFT) == f"{TestId.DFT}" == "dft"
+        assert [str(test_id) for test_id in TestId] == [test_id.value for test_id in TestId]
+
     def test_passed_flag_matches_alpha(self):
         seq = seeded_bits(4096, seed=12)
         for test_id in TestId:
@@ -393,7 +389,7 @@ class TestSharedInvariants:
             passes = 0
             for _ in range(500):
                 seq = BitSequence((rng.random(8192) < p1).astype(np.uint8))
-                passes += frequency_test(seq).passed
+                passes += run_test(TestId.FREQUENCY, seq).passed
             proportions.append(passes / 500)
         assert all(b <= a for a, b in zip(proportions, proportions[1:])), proportions
 
@@ -487,7 +483,7 @@ class TestBatchKernels:
     def test_longest_run_classes_match_reference(self, n):
         sample_set, per_chunk = equivalence_set(n)
         for seq in list(sample_set)[:4] + list(sample_set)[per_chunk - 2:]:
-            out = longest_run_test(seq, RELAXED)
+            out = run_test(TestId.LONGEST_RUN, seq, RELAXED)
             m, k = out.params["block_size_m"], out.params["num_classes_k"]
             blocks = seq.asarray()[:out.params["num_blocks"] * m].reshape(-1, m)
             edge = {8: 1, 128: 4, 10000: 10}[m]
@@ -503,12 +499,12 @@ class TestBatchKernels:
         params = TestParams(enforce_min_length=False, pattern_len_m=m)
         if m >= 16:
             with pytest.raises(PatternTooLong, match=r"exceed max\(n, 2\^16\)"):
-                approx_entropy_test(sample_set[2], params)
+                run_test(TestId.APPROX_ENTROPY, sample_set[2], params)
             return
         assert_batch_matches_single(sample_set, params, tests=(TestId.APPROX_ENTROPY,))
         seq = sample_set[2]
         vals = list(seq.asarray())
-        out = approx_entropy_test(seq, params)
+        out = run_test(TestId.APPROX_ENTROPY, seq, params)
         assert out.params["phi_m"] == pytest.approx(apen_phi_oracle(vals, m), rel=1e-12)
         assert out.params["phi_m1"] == pytest.approx(apen_phi_oracle(vals, m + 1), rel=1e-12)
 
@@ -533,11 +529,13 @@ def structured_rows(n):
 class TestPackedDomainKernels:
     """The byte-at-a-time kernels against references over unpacked bits."""
 
-    @pytest.mark.parametrize("n", [100, 1001, 8191, 8192, 40000])
+    # The all-ones row walks to S_n = n: the int16 maximum at 32767, one
+    # past it at 32768.
+    @pytest.mark.parametrize("n", [100, 1001, 8191, 8192, 32767, 32768, 40000])
     def test_packed_walk_equals_unpacked_cumsum(self, n):
         rng = np.random.Generator(np.random.PCG64(n))
         rows = (rng.random((6, n)) < 0.5).astype(np.uint8)
-        rows[1] = 1  # S_n = n: past int16 when n = 40000
+        rows[1] = 1
         rows[2] = 0
         rows[3, -1] = 1  # the last bit: in a partly filled byte unless 8 divides n
         rows[4] = (rng.random(n) < 0.55)
@@ -549,6 +547,12 @@ class TestPackedDomainKernels:
         assert np.array_equal(end, sums[:, -1])
         assert np.array_equal(low, sums.min(axis=1))
         assert np.array_equal(high, sums.max(axis=1))
+
+    def test_walk_accumulator_is_the_narrowest_that_holds_n(self):
+        assert R._accumulator(2 ** 15 - 1) is np.int16
+        assert R._accumulator(2 ** 15) is np.int32
+        assert R._accumulator(2 ** 31 - 1) is np.int32
+        assert R._accumulator(2 ** 31) is np.int64
 
     @pytest.mark.parametrize("n,block", [(1000, 8), (8192, 128), (750000, 10000)])
     def test_and_shift_classes_equal_per_block_longest_runs(self, n, block):

@@ -193,7 +193,7 @@ class TestRunSuite:
         assert list(report.per_test) == [TestId.RUNS, TestId.CUSUM_FORWARD]
         seq = bits("01" * 64)
         for unknown in (lambda: SuiteConfig(tests=("bogus",)), lambda: rs.run_test("bogus", seq),
-                        lambda: rs.cusum_test(seq, "sideways")):
+                        lambda: rs.run_test("cusum_sideways", seq)):
             with pytest.raises(DomainError, match="valid values: "):
                 unknown()
 
