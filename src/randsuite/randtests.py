@@ -437,16 +437,27 @@ _FOUR_STEP_GUARD = 1e-9
 _FOUR_STEP_BLOCK = 128
 
 # Samples of at most this many bits take their moduli from a float32
-# transform (see _dft_float32).  A row has about 0.3 * g * n moduli inside
-# a guard band of relative width g, and every flagged row is transformed
-# again in float64: at 24576 and 2^15 bits those recounts cancel what
-# single precision saves, and at 2^15 structured rows err by more than a
-# tenth of the guard below.
+# transform.  A row has about 0.3 * g * n moduli inside a guard band of
+# relative width g, and every flagged row is transformed again in float64:
+# at 24576 and 2^15 bits those recounts cancel what single precision saves,
+# and at 2^15 structured rows err by more than a tenth of the guard below.
 _FLOAT32_MAX_N = 1 << 14
 
 # Relative distance from the threshold within which a float32 modulus might
-# fall on the other side of it than the float64 modulus of the same bin:
-# 10 times the largest difference measured (see _dft_float32).
+# fall on the other side of it than the float64 modulus of the same bin.
+# The input's +/-1/2 values are exact in float32.  The transform's rounding
+# error scales with the input's norm, which by Parseval is
+# ||x||_2 = sqrt(n)/2 whatever the row, as the half threshold sqrt(n ln 20)/2
+# does; so on random rows the error relative to the threshold hardly
+# depends on n.  A structured row, whose energy sits in a few large bins,
+# spreads more error into the others, and more as n grows.  Measured
+# against the float64 moduli, over bins below twice the threshold, at
+# n = 1001, 8190, 8192, 12288, 16382 and 16384: at most 8.1e-7 of the
+# threshold on 10^4 random rows at each n, and at most 4.1e-6 on about
+# 2,300 structured rows at each n (periodic with many periods, duties and
+# phases, single runs, sparse, biased and noisy periodic rows).  The guard
+# is more than 10 times that.  The moduli are compared in float32: rounding
+# the band's edges moves them by 6e-8 of the threshold, far inside the band.
 _FLOAT32_GUARD = 5e-5
 
 
@@ -489,22 +500,6 @@ def _unit_powers(n: int, rows: np.ndarray, width: int) -> np.ndarray:
     return table
 
 
-def _dft_direct(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
-    """Each row's moduli below ``limit`` in bins 0..floor(n/2)-1, from one real FFT."""
-    r, n = bits.shape
-    half = n // 2
-    x = _as_buffer(work.scratch, np.float64, (r, n))
-    np.subtract(bits, 0.5, out=x)
-    spectrum = np.fft.rfft(x, axis=1,
-                           out=_as_buffer(work.spectrum, np.complex128, (r, half + 1)))
-    moduli = _as_buffer(work.scratch, np.float64, (r, half))
-    np.abs(spectrum[:, :half], out=moduli)
-    # The spectrum is spent; its memory takes the comparison.
-    below = _as_buffer(work.spectrum, np.bool_, (r, half))
-    np.less(moduli, limit, out=below)
-    return np.count_nonzero(below, axis=1)
-
-
 def _guarded_count(moduli: np.ndarray, below: np.ndarray, limit: float,
                    guard: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row's count of ``moduli`` below ``(1 - guard) * limit``, and the
@@ -522,42 +517,35 @@ def _guarded_count(moduli: np.ndarray, below: np.ndarray, limit: float,
     return lower, upper != lower
 
 
-def _dft_float32(bits: np.ndarray, work: _Workspace,
-                 limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_dft_direct`'s counts from a float32 transform, and the rows
-    with a modulus too close to ``limit`` for the count to be trusted.
+def _dft_single(bits: np.ndarray, work: _Workspace, limit: float, dtype,
+                guard: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's count of moduli below ``limit`` in bins 0..floor(n/2)-1,
+    from one real FFT in ``dtype``, and the rows with a modulus within
+    ``guard`` of ``limit``, relative to it, whose count is not to be trusted.
 
-    The input's +/-1/2 values are exact in float32.  The transform's
-    rounding error scales with the input's norm, which by Parseval is
-    ||x||_2 = sqrt(n)/2 whatever the row, as the half threshold
-    sqrt(n ln 20)/2 does; so on random rows the error relative to the
-    threshold hardly depends on n.  A structured row, whose energy sits in
-    a few large bins, spreads more error into the others, and more as n
-    grows.  Measured against the float64 moduli, over bins below twice the
-    threshold, at n = 1001, 8190, 8192, 12288, 16382 and 16384: at most
-    8.1e-7 of the threshold on 10^4 random rows at each n, and at most
-    4.1e-6 on about 2,300 structured rows at each n (periodic with many
-    periods, duties and phases, single runs, sparse, biased and noisy
-    periodic rows).  _FLOAT32_GUARD is more than 10 times that.  The moduli
-    are compared in float32: rounding the band's edges moves them by 6e-8
-    of the threshold, far inside the band.
+    In float64 with guard 0 this is the exact count, which every faster
+    transform's flagged rows are counted again by; in float32 with
+    _FLOAT32_GUARD it is the fast one.
     """
     r, n = bits.shape
     half = n // 2
-    x = _as_buffer(work.scratch, np.float32, (r, n))
-    np.subtract(bits, np.float32(0.5), out=x)
-    spectrum = _scipy_fft()(x, out=_as_buffer(work.spectrum, np.complex64, (r, half + 1)))
-    moduli = _as_buffer(work.scratch, np.float32, (r, half))
+    x = _as_buffer(work.scratch, dtype, (r, n))
+    np.subtract(bits, dtype(0.5), out=x)
+    # complex64 for float32, complex128 for float64.
+    spectrum = _as_buffer(work.spectrum, np.result_type(dtype, np.complex64), (r, half + 1))
+    _scipy_fft()(x, out=spectrum)
+    moduli = _as_buffer(work.scratch, dtype, (r, half))
     np.abs(spectrum[:, :half], out=moduli)
+    # The spectrum is spent; its memory takes the comparisons.
     below = _as_buffer(work.spectrum, np.bool_, (r, half))
-    return _guarded_count(moduli, below, limit, _FLOAT32_GUARD)
+    return _guarded_count(moduli, below, limit, guard)
 
 
 def _dft_four_step(row: np.ndarray, work: _Workspace, limit: float,
                    n2: int) -> tuple[int, bool]:
-    """:func:`_dft_direct`'s count for one row of bits by the four-step
-    transform, and whether a modulus is too close to ``limit`` for the
-    count to be trusted.
+    """The exact count (see :func:`_dft_single`) for one row of bits by the
+    four-step transform, and whether a modulus is too close to ``limit``
+    for the count to be trusted.
 
     With j = b + n1 * a and k = c + n2 * d, the row viewed as an (n2, n1)
     array is written transposed, as an (n1, n2) array, so that its real
@@ -604,13 +592,13 @@ def _dft_four_step(row: np.ndarray, work: _Workspace, limit: float,
 
 
 def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
-    """:func:`_dft_direct`'s counts, by a faster transform where n allows.
+    """The exact counts (see :func:`_dft_single`), by a faster transform where n allows.
 
-    Up to _FLOAT32_MAX_N bits the float32 transform counts, from
+    Up to _FLOAT32_MAX_N bits the float32 single transform counts, from
     _FOUR_STEP_MIN_N bits the four-step one, and in between (or where n
     has no four-step split) the float64 single transform.  The two fast
     transforms flag the rows with a modulus near ``limit``; the float64
-    single transform, the reference, counts those rows again.
+    single transform counts those rows again.
     """
     n = bits.shape[1]
     n2 = _four_step_split(n)
@@ -619,9 +607,9 @@ def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
         counts = [_dft_four_step(row, work, limit, n2) for row in bits]
         n_obs, unsure = (np.array(values) for values in zip(*counts))
     elif n <= _FLOAT32_MAX_N:
-        n_obs, unsure = _dft_float32(bits, work, limit)
+        n_obs, unsure = _dft_single(bits, work, limit, np.float32, _FLOAT32_GUARD)
     else:
-        return _dft_direct(bits, work, limit)
+        n_obs, unsure = _dft_single(bits, work, limit, np.float64, 0.0)
     if unsure.any():
         # The single transform rebuilds these rows' input from the bits.  A
         # four-step workspace holds blocks, not whole rows, so the rare
@@ -629,7 +617,7 @@ def _dft_n_obs(bits: np.ndarray, work: _Workspace, limit: float) -> np.ndarray:
         flagged = bits[unsure]
         if n2 is not None:
             work = _Workspace(len(flagged), n, None)
-        n_obs[unsure] = _dft_direct(flagged, work, limit)
+        n_obs[unsure] = _dft_single(flagged, work, limit, np.float64, 0.0)[0]
     return n_obs
 
 

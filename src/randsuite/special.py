@@ -13,9 +13,10 @@ applied to every element.
 
 The package reaches SciPy only through this module's two accessors, on first
 use: a ``scipy.special`` ufunc at the first call that needs it,
-``scipy.fft``'s real transform at the spectral test's first single-precision
-transform.  Each loads the compiled module it needs without running the
-``__init__`` of ``scipy.special`` or ``scipy.fft``, which would load SciPy's
+``scipy.fft``'s real transform at the spectral test's first single (not
+four-step) transform, float32 or float64, recounts included.  Each loads
+the compiled module it needs without running the ``__init__`` of
+``scipy.special`` or ``scipy.fft``, which would load SciPy's
 array-API layer (``scipy._lib._array_api``, ``numpy.testing``,
 ``numpy.f2py``).  A ufunc comes from the smallest compiled module that
 defines it: ``erfc``, ``gammaincc`` and ``ndtr`` from
@@ -117,7 +118,12 @@ def _scipy_ufunc(name: str):
 @cache
 def _scipy_fft():
     """``scipy.fft.rfft(x, axis=1)`` as a function ``rfft(x, out)`` of the 2-D
-    real array ``x`` that writes the transform into ``out`` and returns it."""
+    real array ``x`` that writes the transform into ``out`` and returns it.
+
+    It is the spectral test's single transform, in float32 (``out``
+    complex64) or in float64 (``out`` complex128).  Both run pocketfft: in
+    float64 its spectra are bit-identical to ``numpy.fft.rfft``'s.
+    """
     try:
         # The call scipy.fft.rfft makes, without its argument handling.
         return partial(_compiled("scipy.fft._pocketfft.pypocketfft").r2c, axes=(1,),

@@ -21,6 +21,8 @@ from randsuite import (
 )
 from randsuite.randtests import _cusum_pvalue, longest_run_statistic
 
+import reference
+
 RELAXED = TestParams(enforce_min_length=False)
 
 # Pinned master seeds for the statistical acceptance runs.
@@ -255,10 +257,7 @@ def test_c11_property_battery():
     for trial in range(3):
         values = rng.integers(0, 2, size=1024, dtype=np.uint8)
         out = rs.run_test(TestId.DFT, BitSequence(values))
-        x = values.astype(np.float64) * 2 - 1
-        j, k = np.arange(512), np.arange(1024)
-        moduli = np.abs(np.exp(-2j * np.pi * np.outer(j, k) / 1024) @ x)
-        n_obs = int(np.count_nonzero(moduli < math.sqrt(1024 * math.log(20))))
+        _, n_obs, _ = reference.dft_direct(values)
         checks.append((f"dft oracle #{trial}", out.params["n_obs"] == n_obs,
                        f"{out.params['n_obs']} vs {n_obs}"))
 
@@ -267,12 +266,7 @@ def test_c11_property_battery():
         values = rng.integers(0, 2, size=64, dtype=np.uint8)
         out = rs.run_test(TestId.APPROX_ENTROPY, BitSequence(values),
                           TestParams(enforce_min_length=False, pattern_len_m=m))
-        ext = list(values) + list(values[:m - 1])
-        cnt = {}
-        for i in range(64):
-            key = tuple(ext[i:i + m])
-            cnt[key] = cnt.get(key, 0) + 1
-        phi = sum((c / 64) * math.log(c / 64) for c in cnt.values())
+        phi = reference.apen_phi(values, m)
         checks.append((f"apen oracle m={m}",
                        abs(out.params["phi_m"] - phi) < 1e-12,
                        f"{out.params['phi_m']} vs {phi}"))

@@ -35,6 +35,8 @@ from randsuite.errors import (
     ManifestError,
 )
 
+import reference
+
 
 class TestParseBits:
     def test_ascii01_worked_sequence(self):
@@ -671,13 +673,12 @@ class TestOnesBefore:
         bits[1] = 1  # every segment full
         bits[2, : n // 2] = 0  # leading empty segments
         packed = np.packbits(bits, axis=1)
-        reference = np.concatenate(
-            [np.zeros((3, 1), np.int64), np.cumsum(bits, axis=1, dtype=np.int64)], axis=1)
+        expected = reference.ones_before(bits)
         positions = np.arange(0, n + 1, block)
-        assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+        assert np.array_equal(ones_before(packed, positions), expected[:, positions])
         # repeated positions, the very start and the very end
         positions = np.array([0, 0, 1, n // 2, n // 2, n, n])
-        assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+        assert np.array_equal(ones_before(packed, positions), expected[:, positions])
 
     # All-ones rows whose counts reach 2^8 and 2^16 and pass them by 8: the
     # cumulative counts take the narrowest unsigned type that holds a row's
@@ -703,12 +704,11 @@ class TestOnesBefore:
     def test_empty_segments(self):
         bits = np.random.Generator(np.random.PCG64(17)).integers(0, 2, size=(3, 1001),
                                                                  dtype=np.uint8)
-        reference = np.concatenate(
-            [np.zeros((3, 1), np.int64), np.cumsum(bits, axis=1, dtype=np.int64)], axis=1)
+        expected = reference.ones_before(bits)
         packed = np.packbits(bits, axis=1)
         for positions in ([], [0], [0, 0, 0], [500, 500, 1001, 1001], [1001] * 4):
             positions = np.array(positions, dtype=np.int64)
-            assert np.array_equal(ones_before(packed, positions), reference[:, positions])
+            assert np.array_equal(ones_before(packed, positions), expected[:, positions])
 
     @pytest.mark.parametrize("positions", [[-1], [0, 129], [129]])
     def test_positions_outside_the_row_are_rejected(self, positions):
