@@ -42,6 +42,7 @@ from .errors import (
     InvalidCharacter,
     LengthMismatch,
     ManifestError,
+    RandsuiteError,
     check_int,
 )
 
@@ -251,15 +252,11 @@ def parse_bits(raw: bytes | str, encoding: str, *, length: int | None = None) ->
     if length is not None:
         length = check_int("length", length, 1)
         if not 0 <= n - length < _format(encoding)[1]:
-            raise LengthMismatch(
-                f"decoded {n} bits but {length} were declared",
-                declared=length, actual=n)
+            raise LengthMismatch(f"decoded {n} bits but {length} were declared")
         # Padding of under a byte leaves ceil(length/8) bytes; every bit
         # of the last byte after the declared length must be zero.
         if packed[-1] & ((1 << (8 * packed.size - length)) - 1):
-            raise LengthMismatch(
-                f"nonzero padding bits after declared length {length}",
-                declared=length, actual=n)
+            raise LengthMismatch(f"nonzero padding bits after declared length {length}")
         n = length
     return BitSequence._from_packed(packed, n)
 
@@ -308,8 +305,7 @@ class SampleSet:
         for s in samples:
             if s.n != declared_length:
                 raise LengthMismatch(
-                    f"sample {s.sample_index} has {s.n} bits, declared {declared_length}",
-                    declared=declared_length, actual=s.n)
+                    f"sample {s.sample_index} has {s.n} bits, declared {declared_length}")
             if s.sample_index in seen:
                 raise DuplicateIndex(f"duplicate sample_index {s.sample_index}")
             seen.add(s.sample_index)
@@ -444,10 +440,10 @@ class Manifest:
         indices = set()
         for e in self.entries:
             if e.path in paths:
-                raise ManifestError(f"duplicate path {e.path!r} in manifest")
+                raise ManifestError(f"duplicate path {e.path!r}")
             paths.add(e.path)
             if e.sample_index in indices:
-                raise DuplicateIndex(f"duplicate sample_index {e.sample_index} in manifest")
+                raise DuplicateIndex(f"duplicate sample_index {e.sample_index}")
             indices.add(e.sample_index)
 
 
@@ -484,7 +480,10 @@ def write_json(path, doc) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    """Read a manifest JSON file; entry paths resolve against its directory."""
+    """Read a manifest JSON file; entry paths resolve against its directory.
+
+    A :class:`~randsuite.errors.RandsuiteError` it raises starts with ``manifest <path>``.
+    """
     path = Path(path)
     doc = read_json(path, "manifest")
     try:
@@ -496,9 +495,9 @@ def load_manifest(path) -> Manifest:
         )
         return Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
                         entries=entries, base_dir=path.parent)
+    except RandsuiteError as exc:
+        raise type(exc)(f"manifest {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ManifestError | DuplicateIndex):
-            raise
         raise ManifestError(f"manifest {path} is malformed: {exc}") from exc
 
 
@@ -577,10 +576,7 @@ def load_sample_set(manifest: Manifest) -> SampleSet:
         file_path = manifest.base_dir / entry.path
         try:
             row = parse_bits(file_path.read_bytes(), entry.encoding, length=n).packed
-        except LengthMismatch as exc:
-            raise LengthMismatch(f"{file_path}: {exc}", path=str(file_path),
-                                 declared=exc.declared, actual=exc.actual) from exc
-        except (InvalidCharacter, EmptyInput) as exc:
+        except RandsuiteError as exc:
             raise type(exc)(f"{file_path}: {exc}") from exc
         if not i:
             # Allocated once the first file has matched the declared length,

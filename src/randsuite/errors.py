@@ -3,6 +3,11 @@
 Everything raised on purpose derives from :class:`RandsuiteError`, so callers
 can catch one base class.  Most subclasses also derive from ``ValueError``
 because they signal bad input values.
+
+An error is its message and carries no other fields.  The function that read
+a file prefixes the file's name when it re-raises an error met in that file's
+content, as ``type(exc)(f"<file>: {exc}")``, so the one line a caller prints
+names the bad input.
 """
 
 import numbers
@@ -39,23 +44,7 @@ class EmptyInput(RandsuiteError, ValueError):
 
 
 class LengthMismatch(RandsuiteError, ValueError):
-    """A decoded sample does not match the declared bit length.
-
-    Attributes
-    ----------
-    path : str | None
-        Offending file, when known.
-    declared : int | None
-        Expected number of bits.
-    actual : int | None
-        Number of bits actually decoded.
-    """
-
-    def __init__(self, message, *, path=None, declared=None, actual=None):
-        super().__init__(message)
-        self.path = path
-        self.declared = declared
-        self.actual = actual
+    """A decoded sample does not match the declared bit length."""
 
 
 class DuplicateIndex(RandsuiteError, ValueError):
@@ -75,21 +64,7 @@ class EmptySequence(RandsuiteError, ValueError):
 
 
 class SampleTooShort(RandsuiteError, ValueError):
-    """A sequence is shorter than the test's minimum meaningful length.
-
-    Attributes
-    ----------
-    min_length : int
-    actual : int
-    sample_index : int | None
-        Filled in by the suite runner when known.
-    """
-
-    def __init__(self, message, *, min_length, actual, sample_index=None):
-        super().__init__(message)
-        self.min_length = min_length
-        self.actual = actual
-        self.sample_index = sample_index
+    """A sequence is shorter than the test's minimum meaningful length."""
 
 
 class BlockTooLarge(RandsuiteError, ValueError):
@@ -101,18 +76,7 @@ class PatternTooLong(RandsuiteError, ValueError):
 
 
 class TooFewSamples(RandsuiteError, ValueError):
-    """The p-value uniformity check needs more samples.
-
-    Attributes
-    ----------
-    min_count : int
-    actual : int
-    """
-
-    def __init__(self, message, *, min_count, actual):
-        super().__init__(message)
-        self.min_count = min_count
-        self.actual = actual
+    """The p-value uniformity check needs more samples."""
 
 
 class DomainError(RandsuiteError, ValueError):

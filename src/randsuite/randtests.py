@@ -134,7 +134,7 @@ class Batch(NamedTuple):
 
     ``record`` holds the values behind the statistics: per-row arrays
     (``n_obs``, ``phi_m``, ``class_counts``, ...) and constants (``n``,
-    conventions).  The single-sequence functions turn it into
+    conventions).  :func:`run_test` turns it into
     :attr:`TestOutcome.params`.
     """
 
@@ -253,8 +253,7 @@ def _check(test_id: TestId, n: int, params: TestParams) -> None:
     # size is defined below it.
     if n < min_n and (params.enforce_min_length or test_id is TestId.LONGEST_RUN):
         why = " (no block size is defined below that)" if test_id is TestId.LONGEST_RUN else ""
-        raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits{why}, got {n}",
-                             min_length=min_n, actual=n)
+        raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits{why}, got {n}")
     if n == 0:
         raise EmptySequence(f"{test_id.value} needs a non-empty sequence")
     if test_id is TestId.BLOCK_FREQUENCY and params.block_size_m > n:

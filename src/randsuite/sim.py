@@ -25,7 +25,8 @@ import numpy as np
 
 from .bitseq import (MAX_SIZE, BitSequence, SampleSet, parse_timestamp, read_json,
                      save_sample_set, write_json)
-from .errors import DomainError, IndexOutOfRange, ManifestError, check_int, check_real
+from .errors import (DomainError, IndexOutOfRange, ManifestError, RandsuiteError, check_int,
+                     check_real)
 
 __all__ = [
     "Epoch",
@@ -402,7 +403,12 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    return plan_from_dict(read_json(path, "plan"))
+    """Read a plan JSON file; a RandsuiteError it raises starts with ``plan <path>``."""
+    doc = read_json(path, "plan")
+    try:
+        return plan_from_dict(doc)
+    except RandsuiteError as exc:
+        raise type(exc)(f"plan {path}: {exc}") from exc
 
 
 def save_plan(plan: ExperimentPlan, path) -> None:

@@ -124,8 +124,7 @@ def uniformity_check(p_values):
     m = p_values.size
     if m < UNIFORMITY_MIN_SAMPLES:
         raise TooFewSamples(
-            f"uniformity check needs at least {UNIFORMITY_MIN_SAMPLES} samples, got {m}",
-            min_count=UNIFORMITY_MIN_SAMPLES, actual=m)
+            f"uniformity check needs at least {UNIFORMITY_MIN_SAMPLES} samples, got {m}")
     p_values = as_probability(p_values, what="uniformity input")
     bins = np.minimum((p_values * 10).astype(np.int64), 9)
     counts = np.bincount(bins, minlength=10)
@@ -142,7 +141,7 @@ class TestAggregate:
     ``statistics``, ``p_values`` and ``passed`` are read-only arrays with
     one entry per sample, aligned with ``sample_indices``.  Per-sample
     params records exist only on the single-sequence path
-    (:func:`~randsuite.randtests.run_test` and friends).
+    (:func:`~randsuite.randtests.run_test`).
     """
 
     __test__ = False
@@ -187,9 +186,7 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
                             config.params)
     except SampleTooShort as exc:
         # Every sample has the same length, so the first one fails first.
-        raise SampleTooShort(
-            f"sample {indices[0]}: {exc}", min_length=exc.min_length,
-            actual=exc.actual, sample_index=indices[0]) from exc
+        raise type(exc)(f"sample {indices[0]}: {exc}") from exc
 
     per_test: dict[TestId, TestAggregate] = {}
     overall = True

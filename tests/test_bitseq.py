@@ -411,8 +411,7 @@ class TestManifest:
         with pytest.raises(LengthMismatch) as err:
             load_sample_set(manifest)
         assert "sample_1.txt" in str(err.value)
-        assert err.value.declared == 8
-        assert err.value.actual == 7
+        assert "decoded 7 bits but 8 were declared" in str(err.value)
 
     def test_invalid_byte_reports_path_and_offset(self, tmp_path):
         manifest = self._write_fixture(tmp_path, [b"10101010", "0101010\u00e9".encode()],

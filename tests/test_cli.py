@@ -484,6 +484,48 @@ class TestUsageErrors:
         assert "--alpha" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Whatever is wrong with a manifest or a plan, the one error line names its file.
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda doc: doc["entries"][1].update(sample_index=0), id="duplicate-index"),
+        pytest.param(lambda doc: doc["entries"][2].update(encoding="base64"), id="encoding"),
+        pytest.param(lambda doc: doc.update(declared_length=0), id="declared-length-0"),
+        pytest.param(lambda doc: doc["entries"][0].update(path="../sample_00000.bin"),
+                     id="dotdot-path"),
+        pytest.param(lambda doc: doc["entries"][0].update(timestamp="noon"), id="timestamp"),
+        pytest.param(lambda doc: doc.update(source_id="qubit/01"), id="source-id-slash"),
+        pytest.param(lambda doc: doc["entries"][1].update(path=doc["entries"][0]["path"]),
+                     id="duplicate-path"),
+        pytest.param(lambda doc: doc["entries"][0].update(sample_index=1.5),
+                     id="fractional-index"),
+        pytest.param(lambda doc: doc["entries"][0].pop("encoding"), id="no-encoding")])
+    @pytest.mark.parametrize("command", ["entropy", "stability"])
+    def test_bad_manifest_is_named(self, tmp_path, capsys, desk_data, command, mutate):
+        doc = json.loads((desk_data / "qubit-01" / "manifest.json").read_text())
+        mutate(doc)
+        second = tmp_path / "bad.json"
+        second.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command, "--manifest", str(desk_data / "qubit-00" / "manifest.json"),
+                     str(second), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: manifest {second}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda doc: doc.update(qubits=[]), id="no-qubits"),
+        pytest.param(lambda doc: doc.pop("shots_per_sample"), id="no-shots")])
+    def test_bad_plan_is_named(self, tmp_path, capsys, mutate):
+        doc = json.loads(DESK_PLAN.read_text())
+        mutate(doc)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(plan_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: plan {plan_path}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 def test_outputs_get_normal_file_mode(tmp_path):
     old_umask = os.umask(0o022)

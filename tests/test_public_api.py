@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import randsuite
+from randsuite import errors
 
 PACKAGE = Path(randsuite.__file__).parent
 # Every module except the package's own and the command line's, which
@@ -67,3 +68,21 @@ def test_public_names_are_the_union_of_the_lists():
     public = {name for name, value in vars(randsuite).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {public for name in LIBRARY for public in _declared(name)}
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_each_error_is_its_message(name):
+    assert str(getattr(errors, name)("m")) == "m"
+
+
+def test_errors_are_raised_from_their_message_alone():
+    """A loader re-raises ``type(exc)(f"<file>: {exc}")``, which keeps nothing but the message."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)
+                    and node.exc.func.id in errors.__all__
+                    and (node.exc.keywords or len(node.exc.args) > 1)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -359,6 +359,18 @@ class TestPlans:
         rs.save_plan(rs.load_plan(committed), tmp_path / "plan.json")
         assert (tmp_path / "plan.json").read_bytes() == committed.read_bytes()
 
+    # Each committed plan is what its builder writes, byte for byte.
+    @pytest.mark.parametrize("name,build", [
+        ("desk_biased_5q", lambda: rs.biased_demo_plan(5, 100, 8192, master_seed=7,
+                                                       anomaly_qubit=4)),
+        ("unbiased_20q", lambda: rs.unbiased_plan(20)),
+        ("biased_20q_anomalous", lambda: rs.biased_demo_plan(20, master_seed=7,
+                                                             anomaly_qubit=17))])
+    def test_committed_plans_are_their_builders(self, tmp_path, name, build):
+        committed = Path(__file__).resolve().parents[1] / "plans" / f"{name}.json"
+        rs.save_plan(build(), tmp_path / "plan.json")
+        assert (tmp_path / "plan.json").read_bytes() == committed.read_bytes()
+
     def test_naive_start_time_reads_as_utc(self):
         plan = ExperimentPlan(qubit_models=(fair_model(),), start_time=datetime(2019, 1, 1))
         assert plan.start_time == datetime(2019, 1, 1, tzinfo=timezone.utc)
