@@ -461,17 +461,34 @@ def parse_timestamp(value, what: str) -> datetime | None:
     return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
 
 
-def read_json(path, what: str):
-    """Parse the JSON document at ``path``; ``what`` names it in the error message.
+def _built(what, build, doc):
+    """``build(doc)``, with any error it meets in ``doc`` named by ``what``.
+
+    This is how every loader names its input.  A
+    :class:`~randsuite.errors.RandsuiteError` keeps its type and gets the prefix
+    ``<what>: ``.  A KeyError, TypeError or ValueError (a missing field, a value
+    of the wrong kind) becomes a ManifestError ``<what> is malformed: ...``.
+    """
+    try:
+        return build(doc)
+    except RandsuiteError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{what} is malformed: {exc}") from exc
+
+
+def read_json(path, what: str, build):
+    """``build`` of the JSON document at ``path``, its errors named ``<what> <path>``.
 
     Text that is not UTF-8 (or UTF-16/32) or not JSON raises
-    :class:`~randsuite.errors.ManifestError`.
+    :class:`~randsuite.errors.ManifestError`; see :func:`_built` for the rest.
     """
     path = Path(path)
     try:
-        return json.loads(path.read_bytes())
+        doc = json.loads(path.read_bytes())
     except ValueError as exc:
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
+    return _built(f"{what} {path}", build, doc)
 
 
 def write_json(path, doc) -> None:
@@ -482,23 +499,24 @@ def write_json(path, doc) -> None:
 def load_manifest(path) -> Manifest:
     """Read a manifest JSON file; entry paths resolve against its directory.
 
-    A :class:`~randsuite.errors.RandsuiteError` it raises starts with ``manifest <path>``.
+    A :class:`~randsuite.errors.RandsuiteError` it raises starts with ``manifest <path>``,
+    and a manifest that lists no sample file is a ManifestError.
     """
     path = Path(path)
-    doc = read_json(path, "manifest")
-    try:
+
+    def build(doc):
         entries = tuple(
             ManifestEntry(path=e["path"], encoding=e["encoding"],
                           sample_index=e["sample_index"],
                           timestamp=parse_timestamp(e.get("timestamp"), "timestamp"))
             for e in doc["entries"]
         )
-        return Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
-                        entries=entries, base_dir=path.parent)
-    except RandsuiteError as exc:
-        raise type(exc)(f"manifest {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"manifest {path} is malformed: {exc}") from exc
+        manifest = Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
+                            entries=entries, base_dir=path.parent)
+        if not entries:
+            raise ManifestError("entries lists no sample file")
+        return manifest
+    return read_json(path, "manifest", build)
 
 
 def atomic_write(path, text: str) -> None:
@@ -540,11 +558,14 @@ def save_sample_set(sample_set: SampleSet, directory, encoding: str = "packed-ms
     """Write each row to ``directory/sample_<index>.<ext>``, then ``manifest.json``; return it.
 
     The inverse of ``load_sample_set(load_manifest(path))`` when the set's
-    timestamps are aware or None.  The manifest is checked before any file is
-    written, and it is the commit point: the old one is removed first and the
-    new one written last, so a write that stops part-way leaves no manifest.
+    timestamps are aware or None.  An empty set raises EmptySet, and the
+    manifest is checked, before the directory is touched.  The manifest is the
+    commit point: the old one is removed first and the new one written last,
+    so a write that stops part-way leaves no manifest.
     """
     extension = _format(encoding)[0]
+    if not len(sample_set):
+        raise EmptySet("cannot save an empty sample set: a manifest lists at least one file")
     n = sample_set.declared_length
     manifest = Manifest(n, sample_set.source_id, [
         ManifestEntry(f"sample_{index:05d}.{extension}", encoding, index, timestamp)
@@ -574,10 +595,8 @@ def load_sample_set(manifest: Manifest) -> SampleSet:
     packed = np.empty((0, -(-n // 8)), dtype=np.uint8)
     for i, entry in enumerate(entries):
         file_path = manifest.base_dir / entry.path
-        try:
-            row = parse_bits(file_path.read_bytes(), entry.encoding, length=n).packed
-        except RandsuiteError as exc:
-            raise type(exc)(f"{file_path}: {exc}") from exc
+        row = _built(file_path, lambda raw: parse_bits(raw, entry.encoding, length=n),
+                     file_path.read_bytes()).packed
         if not i:
             # Allocated once the first file has matched the declared length,
             # so a length that no file could match fails as that file's

@@ -4,10 +4,10 @@ Everything raised on purpose derives from :class:`RandsuiteError`, so callers
 can catch one base class.  Most subclasses also derive from ``ValueError``
 because they signal bad input values.
 
-An error is its message and carries no other fields.  The function that read
-a file prefixes the file's name when it re-raises an error met in that file's
-content, as ``type(exc)(f"<file>: {exc}")``, so the one line a caller prints
-names the bad input.
+An error is its message and carries no other fields.  The rule that names the
+bad input lives in one place, ``bitseq._built``: every loader builds what it
+read through it, so an error met in a file's content is re-raised as
+``type(exc)(f"<file>: {exc}")`` and the one line a caller prints names the file.
 """
 
 import numbers

@@ -277,7 +277,7 @@ def _check(test_id: TestId, n: int, params: TestParams) -> None:
 # Each test is a pair of functions.  ``count`` maps one chunk of rows to
 # per-row values (mostly integer counts); ``finish`` maps those values for
 # all rows to (statistic, p-value, record) arrays, so the special functions
-# run once per sample set.  The test's public function documents it.
+# run once per sample set.  ``run_test``'s docstring documents each test.
 
 def _frequency_count(rows: _Rows, params: TestParams) -> dict:
     return {"ones": rows.ones}
@@ -350,26 +350,6 @@ def _longest_run_config(n: int):
     return next(c for c in _LONGEST_RUN_CONFIG if n >= c[0])
 
 
-def longest_run_statistic(class_counts, block_size: int):
-    """Chi-squared statistic from longest-run class counts.
-
-    ``class_counts`` must hold K+1 counts summing to the reference block
-    count N for ``block_size``; exposed separately so the classification and
-    the statistic can be validated independently.  One set of counts gives
-    a float; a 2-D stack of them (one set per row) gives an array.
-    """
-    for _, m, k, n_blocks, _, pis in _LONGEST_RUN_CONFIG:
-        if m == block_size:
-            counts = np.asarray(class_counts, dtype=np.float64)
-            if counts.shape[-1] != k + 1:
-                raise DomainError(f"expected {k + 1} class counts for M={m}, "
-                                  f"got {counts.shape[-1]}")
-            expected = n_blocks * np.asarray(pis)
-            chi2 = (((counts - expected) ** 2) / expected).sum(axis=-1)
-            return float(chi2) if chi2.ndim == 0 else chi2
-    raise DomainError(f"unsupported block size {block_size}; use 8, 128 or 10000")
-
-
 def _longest_run_count(rows: _Rows, params: TestParams) -> dict:
     _, m, k, num_blocks, v0_edge, _ = _longest_run_config(rows.n)
     # After the step for `length`, bit i of a block is set iff bits
@@ -399,9 +379,10 @@ def _longest_run_count(rows: _Rows, params: TestParams) -> dict:
 
 
 def _longest_run_finish(values: dict, n: int, params: TestParams):
-    _, m, k, num_blocks, _, _ = _longest_run_config(n)
+    _, m, k, num_blocks, _, pis = _longest_run_config(n)
     counts = values["class_counts"]
-    chi2 = longest_run_statistic(counts, m)
+    expected = num_blocks * np.asarray(pis)
+    chi2 = (((counts - expected) ** 2) / expected).sum(axis=-1)
     return chi2, upper_igamc(k / 2.0, chi2 / 2.0), {
         "n": n, "block_size_m": m, "num_classes_k": k, "num_blocks": num_blocks,
         "class_counts": counts, "discarded_bits": n - num_blocks * m}

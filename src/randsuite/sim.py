@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitseq import (MAX_SIZE, BitSequence, SampleSet, parse_timestamp, read_json,
+from .bitseq import (MAX_SIZE, BitSequence, SampleSet, _built, parse_timestamp, read_json,
                      save_sample_set, write_json)
-from .errors import (DomainError, IndexOutOfRange, ManifestError, RandsuiteError, check_int,
-                     check_real)
+from .errors import DomainError, IndexOutOfRange, check_int, check_real
 
 __all__ = [
     "Epoch",
@@ -378,37 +377,35 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
     }
 
 
+def _plan(doc) -> ExperimentPlan:
+    models = tuple(
+        QubitNoiseModel(
+            qubit_id=q["qubit_id"],
+            epochs=tuple(Epoch(e["start_sample"], e["p1_state"], e.get("eps01", 0.0),
+                               e.get("eps10", 0.0)) for e in q["epochs"]),
+            anomaly=(Anomaly(q["anomaly"]["start_sample"], q["anomaly"]["stop_sample"],
+                             q["anomaly"]["p1_override"]) if "anomaly" in q else None),
+        )
+        for q in doc["qubits"]
+    )
+    return ExperimentPlan(
+        qubit_models=models,
+        samples_per_qubit=doc["samples_per_qubit"],
+        shots_per_sample=doc["shots_per_sample"],
+        master_seed=doc["master_seed"],
+        start_time=parse_timestamp(doc.get("start_time"), "start_time") or DEFAULT_START_TIME,
+        sample_interval_s=doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S),
+    )
+
+
 def plan_from_dict(doc: dict) -> ExperimentPlan:
-    try:
-        models = tuple(
-            QubitNoiseModel(
-                qubit_id=q["qubit_id"],
-                epochs=tuple(Epoch(e["start_sample"], e["p1_state"], e.get("eps01", 0.0),
-                                   e.get("eps10", 0.0)) for e in q["epochs"]),
-                anomaly=(Anomaly(q["anomaly"]["start_sample"], q["anomaly"]["stop_sample"],
-                                 q["anomaly"]["p1_override"]) if "anomaly" in q else None),
-            )
-            for q in doc["qubits"]
-        )
-        return ExperimentPlan(
-            qubit_models=models,
-            samples_per_qubit=doc["samples_per_qubit"],
-            shots_per_sample=doc["shots_per_sample"],
-            master_seed=doc["master_seed"],
-            start_time=parse_timestamp(doc.get("start_time"), "start_time") or DEFAULT_START_TIME,
-            sample_interval_s=doc.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL_S),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"plan document is malformed: {exc}") from exc
+    """The plan ``doc`` describes; a RandsuiteError it raises starts with ``plan document``."""
+    return _built("plan document", _plan, doc)
 
 
 def load_plan(path) -> ExperimentPlan:
     """Read a plan JSON file; a RandsuiteError it raises starts with ``plan <path>``."""
-    doc = read_json(path, "plan")
-    try:
-        return plan_from_dict(doc)
-    except RandsuiteError as exc:
-        raise type(exc)(f"plan {path}: {exc}") from exc
+    return read_json(path, "plan", _plan)
 
 
 def save_plan(plan: ExperimentPlan, path) -> None:

@@ -19,7 +19,7 @@ from randsuite import (
     TestId,
     TestParams,
 )
-from randsuite.randtests import _cusum_pvalue, longest_run_statistic
+from randsuite.randtests import _cusum_pvalue, _longest_run_finish
 
 import reference
 
@@ -71,8 +71,10 @@ def test_c03_runs_golden():
 
 
 def test_c04_longest_run_golden():
-    chi2 = longest_run_statistic((6, 10, 10, 7, 7, 9), 128)
-    p = rs.upper_igamc(5 / 2, chi2 / 2)
+    # The published class counts of 6272 bits (M = 128, N = 49 blocks).
+    [chi2], [p], _ = _longest_run_finish({"class_counts": np.array([[6, 10, 10, 7, 7, 9]])},
+                                         6272, TestParams())
+    chi2, p = float(chi2), float(p)
     check("C4", "longest-run golden", [
         ("chi2", abs(chi2 - 3.994459) <= 1e-6, f"chi2={chi2!r}"),
         ("p", abs(p - 0.550214) <= 1e-6, f"p={p!r}"),

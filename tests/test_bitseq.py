@@ -470,6 +470,17 @@ class TestManifest:
         with pytest.raises(ManifestError, match="leaves the manifest directory"):
             load_manifest(path)
 
+    # A Manifest may list no entry, but a manifest file that lists none is named.
+    @pytest.mark.parametrize("entries", [[], {}])
+    def test_a_manifest_file_lists_at_least_one_sample(self, tmp_path, entries):
+        assert Manifest(declared_length=8, source_id="src", entries=()).entries == ()
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"declared_length": 8, "source_id": "src",
+                                    "entries": entries}))
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"manifest {path}: entries lists no sample file"
+
     def test_entry_paths_may_name_subdirectories(self, tmp_path):
         (tmp_path / "sub").mkdir()
         (tmp_path / "sub" / "a.txt").write_bytes(b"10101010")
@@ -557,6 +568,11 @@ class TestSaveSampleSet:
         bad = SampleSet._from_rows(packed, (0,), (None,), "a/b", 16)
         with pytest.raises(ManifestError, match="source_id"):
             rs.save_sample_set(bad, tmp_path / "q")
+        assert not (tmp_path / "q").exists()
+
+    def test_rejects_an_empty_set_before_writing(self, tmp_path):
+        with pytest.raises(EmptySet, match="cannot save an empty sample set"):
+            rs.save_sample_set(SampleSet([], declared_length=8), tmp_path / "q")
         assert not (tmp_path / "q").exists()
 
     def test_write_experiment_builds_no_bit_sequence(self, tmp_path, monkeypatch):

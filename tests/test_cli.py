@@ -524,6 +524,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: plan {plan_path}") and err.count("\n") == 1
+        assert "plan document" not in err
         assert not (tmp_path / "out").exists()
 
 

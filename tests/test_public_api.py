@@ -86,3 +86,22 @@ def test_errors_are_raised_from_their_message_alone():
                     and (node.exc.keywords or len(node.exc.args) > 1)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+
+def _renaming_raises(name):
+    """The top-level definition around each ``raise type(exc)(...)`` in module ``name``."""
+    return [top.name for top in _tree(name).body for node in ast.walk(top)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and ast.unparse(node.exc.func).startswith("type(")]
+
+
+def test_one_function_names_the_bad_input():
+    """``bitseq._built`` alone re-raises an error prefixed with its input's name, and
+    ``run_suite`` with its ``sample <i>:`` prefix; no loader keeps a rule of its own."""
+    sites = {name: _renaming_raises(name) for name in LIBRARY + ["cli"]}
+    assert {name: tops for name, tops in sites.items() if tops} == {
+        "bitseq": ["_built"], "suite": ["run_suite"]}
+    handlers = [ast.unparse(node.type) for node in ast.walk(_tree("sim"))
+                if isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["OverflowError"]

@@ -17,7 +17,7 @@ from randsuite.errors import (
     PatternTooLong,
     SampleTooShort,
 )
-from randsuite.randtests import _cusum_pvalue, longest_run_statistic
+from randsuite.randtests import _cusum_pvalue, _longest_run_finish
 
 import reference
 
@@ -139,13 +139,11 @@ class TestLongestRun:
         assert reference.longest_runs(blocks).tolist() == [3, 2, 0, 2]
 
     def test_worked_example_statistic(self):
-        chi2 = longest_run_statistic((6, 10, 10, 7, 7, 9), 128)
+        [chi2], [p], record = _longest_run_finish(
+            {"class_counts": np.array([[6, 10, 10, 7, 7, 9]])}, 6272, TestParams())
+        assert (record["block_size_m"], record["num_classes_k"]) == (128, 5)
         assert chi2 == pytest.approx(3.994459, abs=1e-6)
-        assert rs.upper_igamc(5 / 2, chi2 / 2) == pytest.approx(0.550214, abs=1e-6)
-        with pytest.raises(DomainError, match="expected 6 class counts"):
-            longest_run_statistic((6, 10, 10, 7, 7), 128)
-        with pytest.raises(DomainError, match="unsupported block size"):
-            longest_run_statistic((6, 10, 10, 7, 7, 9), 64)
+        assert p == pytest.approx(0.550214, abs=1e-6)
 
     def test_classification_m8(self, bits):
         # sixteen blocks of "11000000": every longest run is 2 -> class v1
@@ -158,7 +156,10 @@ class TestLongestRun:
         out = run_test(TestId.LONGEST_RUN, bits("0" * 6272))
         assert out.params["block_size_m"] == 128
         assert out.params["class_counts"] == [49, 0, 0, 0, 0, 0]
-        expected_chi2 = longest_run_statistic((49, 0, 0, 0, 0, 0), 128)
+        # SP 800-22 2.4.4 (4) at M = 128: chi2 = sum (v_i - N pi_i)^2 / (N pi_i), N = 49.
+        pis = (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)
+        expected_chi2 = sum((v - 49 * pi) ** 2 / (49 * pi)
+                            for v, pi in zip((49, 0, 0, 0, 0, 0), pis))
         assert out.statistic == pytest.approx(expected_chi2, rel=1e-12)
         assert out.statistic == pytest.approx(368.376, abs=1e-3)
         assert not out.passed

@@ -1,8 +1,10 @@
 """Noise model semantics and determinism of the sample generator."""
 
 import hashlib
+import json
 import math
 import os
+import re
 import stat
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -21,8 +23,11 @@ from randsuite import (
     generate_sample,
     min_entropy,
 )
-from randsuite.errors import DomainError, IndexOutOfRange, ManifestError
+from randsuite.errors import DomainError, IndexOutOfRange, ManifestError, RandsuiteError
 from randsuite.sim import _draw_rows, _philox_keys, plan_from_dict, plan_to_dict
+
+
+DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json"
 
 
 def fair_model(qubit_id=0):
@@ -401,6 +406,40 @@ class TestPlans:
         for bad in (2.5, True):
             with pytest.raises(DomainError, match="master_seed must be an integer"):
                 rs.with_seed(plan, bad)
+
+    # A plan file's error names the file once, and a constructor's error keeps its type.
+    @pytest.mark.parametrize("mutate,error,after_name", [
+        pytest.param(lambda doc: doc.update(qubits=[]), DomainError,
+                     ": a plan needs at least one qubit model", id="no-qubits"),
+        pytest.param(lambda doc: doc.update(samples_per_qubit=0), DomainError,
+                     ": samples_per_qubit must be >= 1, got 0", id="no-samples"),
+        pytest.param(lambda doc: doc["qubits"][1].update(qubit_id=doc["qubits"][0]["qubit_id"]),
+                     DomainError, ": duplicate qubit_id in plan", id="duplicate-qubit-id"),
+        pytest.param(lambda doc: doc.pop("shots_per_sample"), ManifestError,
+                     " is malformed: 'shots_per_sample'", id="no-shots")])
+    def test_plan_file_errors(self, tmp_path, mutate, error, after_name):
+        doc = json.loads(DESK_PLAN.read_text())
+        mutate(doc)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RandsuiteError) as exc:
+            rs.load_plan(path)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"plan {path}{after_name}"
+
+    def test_truncated_plan_file_is_not_json(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(DESK_PLAN.read_text()[:100])
+        with pytest.raises(ManifestError, match=f"^plan {re.escape(str(path))} is not valid JSON: "):
+            rs.load_plan(path)
+
+    def test_plan_document_errors_keep_their_type(self):
+        doc = json.loads(DESK_PLAN.read_text())
+        doc["qubits"] = []
+        with pytest.raises(DomainError) as exc:
+            plan_from_dict(doc)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "plan document: a plan needs at least one qubit model"
 
     def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
         epochs = (Epoch(np.int64(0), np.float32(0.5), np.float64(0.01)),
