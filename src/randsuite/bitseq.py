@@ -18,7 +18,7 @@ goes through :mod:`binascii` both ways.
 
 Every input format lives here: :func:`save_sample_set` writes a source's sample
 files and manifest and :func:`load_sample_set` reads them back, :func:`read_json`
-and :func:`write_json` read and write manifests and plans, and
+reads manifests and plans and :func:`write_json` writes them from ``_document``, and
 :func:`parse_timestamp` reads each of their times, a trailing ``Z`` or no offset as UTC.
 """
 
@@ -28,7 +28,7 @@ import binascii
 import json
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePath
 
@@ -451,13 +451,17 @@ def parse_timestamp(value, what: str) -> datetime | None:
     """The ISO 8601 string ``value`` as an aware datetime, ``None`` as ``None``.
 
     A trailing ``Z`` and a time with no UTC offset both read as UTC.  A
-    value that is no string raises TypeError, naming it as ``what``.
+    value that is no string raises TypeError, and one that is no ISO 8601
+    time ValueError, each naming it as ``what``.
     """
     if value is None:
         return None
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, got {value!r}")
-    ts = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith("Z") else value)
+    try:
+        ts = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith("Z") else value)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
     return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
 
 
@@ -475,6 +479,14 @@ def _built(what, build, doc):
         raise type(exc)(f"{what}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{what} is malformed: {exc}") from exc
+
+
+def _built_list(doc, key: str, build) -> tuple:
+    """``build`` of each item of the JSON list ``doc[key]``, item i named ``<key>[i]``."""
+    items = doc[key]
+    if not isinstance(items, list):
+        raise ManifestError(f"{key} must be a JSON list, got {items!r}")
+    return tuple(_built(f"{key}[{i}]", build, item) for i, item in enumerate(items))
 
 
 def read_json(path, what: str, build):
@@ -496,6 +508,29 @@ def write_json(path, doc) -> None:
     atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# The key a record field is written under, or None for a field left out.
+_DOC_KEYS = {"qubit_models": "qubits", "base_dir": None}
+
+
+def _document(record) -> dict:
+    """The JSON document of a dataclass record: a key per field that is not None, named by
+    ``_DOC_KEYS``.  A nested record becomes its document, a tuple of records a list of them,
+    and a datetime its ``isoformat()``."""
+    doc = {}
+    for field in fields(record):
+        key = _DOC_KEYS.get(field.name, field.name)
+        value = getattr(record, field.name)
+        if isinstance(value, tuple):
+            value = [_document(item) for item in value]
+        elif is_dataclass(value):
+            value = _document(value)
+        elif isinstance(value, datetime):
+            value = value.isoformat()
+        if key is not None and value is not None:
+            doc[key] = value
+    return doc
+
+
 def load_manifest(path) -> Manifest:
     """Read a manifest JSON file; entry paths resolve against its directory.
 
@@ -504,13 +539,13 @@ def load_manifest(path) -> Manifest:
     """
     path = Path(path)
 
+    def entry(e):
+        return ManifestEntry(path=e["path"], encoding=e["encoding"],
+                             sample_index=e["sample_index"],
+                             timestamp=parse_timestamp(e.get("timestamp"), "timestamp"))
+
     def build(doc):
-        entries = tuple(
-            ManifestEntry(path=e["path"], encoding=e["encoding"],
-                          sample_index=e["sample_index"],
-                          timestamp=parse_timestamp(e.get("timestamp"), "timestamp"))
-            for e in doc["entries"]
-        )
+        entries = _built_list(doc, "entries", entry)
         manifest = Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
                             entries=entries, base_dir=path.parent)
         if not entries:
@@ -542,16 +577,7 @@ def atomic_write(path, text: str) -> None:
 
 def save_manifest(manifest: Manifest, path) -> None:
     """Write a manifest as JSON (paths are stored as given, not resolved)."""
-    doc = {
-        "declared_length": manifest.declared_length,
-        "source_id": manifest.source_id,
-        "entries": [
-            {"path": e.path, "encoding": e.encoding, "sample_index": e.sample_index,
-             **({"timestamp": e.timestamp.isoformat()} if e.timestamp else {})}
-            for e in manifest.entries
-        ],
-    }
-    write_json(path, doc)
+    write_json(path, _document(manifest))
 
 
 def save_sample_set(sample_set: SampleSet, directory, encoding: str = "packed-msb") -> Path:

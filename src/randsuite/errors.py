@@ -6,8 +6,8 @@ because they signal bad input values.
 
 An error is its message and carries no other fields.  The rule that names the
 bad input lives in one place, ``bitseq._built``: every loader builds what it
-read through it, so an error met in a file's content is re-raised as
-``type(exc)(f"<file>: {exc}")`` and the one line a caller prints names the file.
+read, and each list item again as ``<key>[i]``, through it, so an error met in a
+file is re-raised as ``type(exc)(f"<file>: {exc}")`` and names the file and field.
 """
 
 import numbers

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitseq import (MAX_SIZE, BitSequence, SampleSet, _built, parse_timestamp, read_json,
-                     save_sample_set, write_json)
+from .bitseq import (MAX_SIZE, BitSequence, SampleSet, _built, _built_list, _document,
+                     parse_timestamp, read_json, save_sample_set, write_json)
 from .errors import DomainError, IndexOutOfRange, check_int, check_real
 
 __all__ = [
@@ -353,43 +353,26 @@ def biased_demo_plan(num_qubits: int = 20,
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "master_seed": plan.master_seed,
-        "samples_per_qubit": plan.samples_per_qubit,
-        "shots_per_sample": plan.shots_per_sample,
-        "start_time": plan.start_time.isoformat(),
-        "sample_interval_s": plan.sample_interval_s,
-        "qubits": [
-            {
-                "qubit_id": m.qubit_id,
-                "epochs": [
-                    {"start_sample": e.start_sample, "p1_state": e.p1_state,
-                     "eps01": e.eps01, "eps10": e.eps10}
-                    for e in m.epochs
-                ],
-                **({"anomaly": {"start_sample": m.anomaly.start_sample,
-                                "stop_sample": m.anomaly.stop_sample,
-                                "p1_override": m.anomaly.p1_override}}
-                   if m.anomaly else {}),
-            }
-            for m in plan.qubit_models
-        ],
-    }
+    return _document(plan)
+
+
+def _epoch(e) -> Epoch:
+    return Epoch(e["start_sample"], e["p1_state"], e.get("eps01", 0.0), e.get("eps10", 0.0))
+
+
+def _anomaly(a) -> Anomaly:
+    return Anomaly(a["start_sample"], a["stop_sample"], a["p1_override"])
+
+
+def _qubit(q) -> QubitNoiseModel:
+    return QubitNoiseModel(
+        qubit_id=q["qubit_id"], epochs=_built_list(q, "epochs", _epoch),
+        anomaly=_built("anomaly", _anomaly, q["anomaly"]) if "anomaly" in q else None)
 
 
 def _plan(doc) -> ExperimentPlan:
-    models = tuple(
-        QubitNoiseModel(
-            qubit_id=q["qubit_id"],
-            epochs=tuple(Epoch(e["start_sample"], e["p1_state"], e.get("eps01", 0.0),
-                               e.get("eps10", 0.0)) for e in q["epochs"]),
-            anomaly=(Anomaly(q["anomaly"]["start_sample"], q["anomaly"]["stop_sample"],
-                             q["anomaly"]["p1_override"]) if "anomaly" in q else None),
-        )
-        for q in doc["qubits"]
-    )
     return ExperimentPlan(
-        qubit_models=models,
+        qubit_models=_built_list(doc, "qubits", _qubit),
         samples_per_qubit=doc["samples_per_qubit"],
         shots_per_sample=doc["shots_per_sample"],
         master_seed=doc["master_seed"],

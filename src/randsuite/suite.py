@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitseq import SampleSet, atomic_write, write_json
+from .bitseq import SampleSet, _document, atomic_write, write_json
 from .errors import DomainError, EmptySet, SampleTooShort, TooFewSamples, check_int, check_real
 from .randtests import (
     ALL_TESTS,
@@ -219,10 +219,7 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
 
 def _config_to_dict(config: SuiteConfig) -> dict:
     return {
-        "alpha": config.params.alpha,
-        "block_size_m": config.params.block_size_m,
-        "pattern_len_m": config.params.pattern_len_m,
-        "enforce_min_length": config.params.enforce_min_length,
+        **_document(config.params),
         "tests": [t.value for t in config.tests],
         "band_coefficient": config.band_coefficient,
         "uniformity_alpha": UNIFORMITY_ALPHA,
@@ -241,14 +238,7 @@ def report_to_dict(report: SuiteReport) -> dict:
         entry = {
             "pass_proportion": agg.pass_proportion,
             "proportion_ok": agg.proportion_ok,
-            "band": {
-                "center": agg.band.center,
-                "halfwidth": agg.band.halfwidth,
-                "lower": agg.band.lower,
-                "upper": agg.band.upper,
-                "coefficient": agg.band.coefficient,
-                "sample_count": agg.band.sample_count,
-            },
+            "band": {**_document(agg.band), "lower": agg.band.lower, "upper": agg.band.upper},
         }
         if agg.uniformity_ok is not None:
             entry["uniformity"] = {

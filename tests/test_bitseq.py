@@ -5,7 +5,8 @@ import json
 import os
 import re
 import stat
-from datetime import datetime, timezone
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -375,7 +376,32 @@ class TestSampleSetAndConcat:
         assert concat_chronological(s).n == 4_743_168
 
 
+# Aware times with whole-minute offsets.
+TIMES = st.datetimes(timezones=st.builds(lambda minutes: timezone(timedelta(minutes=minutes)),
+                                         st.integers(-1439, 1439)))
+
+
+@st.composite
+def manifests(draw):
+    """Manifests of 1-3 entries in any encoding, each with or without a timestamp."""
+    indices = draw(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=3, unique=True))
+    entries = tuple(
+        ManifestEntry(f"sample_{i}" + draw(st.text(max_size=6).filter(lambda s: "/" not in s)),
+                      draw(st.sampled_from(rs.ENCODINGS)), index, draw(st.none() | TIMES))
+        for i, index in enumerate(indices))
+    source_id = draw(st.text(max_size=8).filter(lambda s: not {"/", "\0"} & set(s)))
+    return Manifest(draw(st.integers(1, 2 ** 63 - 1)), source_id, entries)
+
+
 class TestManifest:
+    # Every field the writer puts in a manifest, the hand-written reader takes back.
+    @given(manifest=manifests())
+    @settings(max_examples=60, deadline=None)
+    def test_any_manifest_round_trips(self, tmp_path_factory, manifest):
+        path = tmp_path_factory.getbasetemp() / "round_trip" / "manifest.json"
+        save_manifest(manifest, path)
+        assert load_manifest(path) == replace(manifest, base_dir=path.parent)
+
     def _write_fixture(self, tmp_path, contents, declared_length=8, encoding="ascii01"):
         entries = []
         for i, payload in enumerate(contents):
@@ -471,15 +497,18 @@ class TestManifest:
             load_manifest(path)
 
     # A Manifest may list no entry, but a manifest file that lists none is named.
-    @pytest.mark.parametrize("entries", [[], {}])
-    def test_a_manifest_file_lists_at_least_one_sample(self, tmp_path, entries):
+    @pytest.mark.parametrize("entries, message", [
+        ([], "entries lists no sample file"),
+        ({}, "entries must be a JSON list, got {}"),
+    ])
+    def test_a_manifest_file_lists_at_least_one_sample(self, tmp_path, entries, message):
         assert Manifest(declared_length=8, source_id="src", entries=()).entries == ()
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"declared_length": 8, "source_id": "src",
                                     "entries": entries}))
         with pytest.raises(ManifestError) as err:
             load_manifest(path)
-        assert str(err.value) == f"manifest {path}: entries lists no sample file"
+        assert str(err.value) == f"manifest {path}: {message}"
 
     def test_entry_paths_may_name_subdirectories(self, tmp_path):
         (tmp_path / "sub").mkdir()

@@ -5,7 +5,9 @@ of ``VALUES``, or deleted.  Each mutated manifest is the second ``--manifest``
 of ``entropy`` and ``stability``; each mutated plan goes through ``simulate``.
 Whatever the document, ``main`` returns 0, 1 or 2 and raises nothing.  On
 exit 2, stderr holds one ``error:`` line that names the file at fault, and
-``--out`` does not exist.
+``--out`` does not exist.  A line that calls the document malformed, or says a
+value must be a JSON list, also names the changed field: the last key of its
+path that is no list index.
 """
 
 import copy
@@ -33,7 +35,8 @@ def field_paths(doc, prefix=()):
 
 
 def mutants(doc):
-    """``(label, document)`` for each field path of ``doc`` and each value in VALUES."""
+    """``(label, field, document)`` for each field path of ``doc`` and each value in
+    VALUES; ``field`` is the path's last key that is no list index."""
     for path in field_paths(doc):
         for value in VALUES:
             mutant = copy.deepcopy(doc)
@@ -44,12 +47,13 @@ def mutants(doc):
             else:
                 target[last] = value
             shown = "<deleted>" if value is DELETE else repr(value)
-            yield f"{'.'.join(map(str, path))}={shown}", mutant
+            field = [key for key in path if isinstance(key, str)][-1]
+            yield f"{'.'.join(map(str, path))}={shown}", field, mutant
 
 
-def violation(capsys, argv, out, names):
+def violation(capsys, argv, out, names, field):
     """What, if anything, running ``argv`` breaks of the contract; ``names`` are the
-    accepted starts of an exit-2 error line."""
+    accepted starts of an exit-2 error line, and ``field`` is the changed field."""
     try:
         code = main(argv)
     except Exception as exc:  # the contract: nothing leaves main
@@ -66,6 +70,8 @@ def violation(capsys, argv, out, names):
         return f"names no input: {err!r}"
     if "plan document" in err:
         return f"names the plan twice: {err!r}"
+    if ("is malformed" in err or "must be a JSON list" in err) and field not in err:
+        return f"names no field {field!r}: {err!r}"
     if out.exists():
         return f"wrote {out}"
     return None
@@ -85,11 +91,11 @@ def test_every_bad_manifest_is_named(tmp_path, capsys, manifests, command):
     mutated = second.with_name("mutated.json")  # beside the sample files its entries name
     missing = f"error: [Errno 2] No such file or directory: '{second.parent / 'x'}'"
     found = []
-    for i, (label, mutant) in enumerate(mutants(doc)):
+    for i, (label, field, mutant) in enumerate(mutants(doc)):
         mutated.write_text(json.dumps(mutant))
         out = tmp_path / f"out-{i}"
         argv = [command, "--manifest", str(first), str(mutated), "--out", str(out)]
-        broken = violation(capsys, argv, out, (f"error: manifest {mutated}", missing))
+        broken = violation(capsys, argv, out, (f"error: manifest {mutated}", missing), field)
         if broken:
             found.append(f"{label}: {broken}")
     assert found == []
@@ -102,11 +108,11 @@ def test_every_bad_plan_is_named(tmp_path, capsys):
                                             shots_per_sample=64, master_seed=5))
     plan = tmp_path / "plan.json"
     found = []
-    for i, (label, mutant) in enumerate(mutants(doc)):
+    for i, (label, field, mutant) in enumerate(mutants(doc)):
         plan.write_text(json.dumps(mutant))
         out = tmp_path / f"out-{i}"
         broken = violation(capsys, ["simulate", "--plan", str(plan), "--out", str(out)],
-                           out, (f"error: plan {plan}",))
+                           out, (f"error: plan {plan}",), field)
         if broken:
             found.append(f"{label}: {broken}")
     assert found == []

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randsuite as rs
 from randsuite import (
@@ -32,6 +33,39 @@ DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk_biased_5q.json
 
 def fair_model(qubit_id=0):
     return QubitNoiseModel(qubit_id=qubit_id, epochs=(Epoch(0, 0.5),))
+
+
+UNIT = st.floats(0, 1)
+# Aware times with whole-minute offsets, early enough for any plan's last sample.
+TIMES = st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1), timezones=st.builds(
+    lambda minutes: timezone(timedelta(minutes=minutes)), st.integers(-1439, 1439)))
+
+
+@st.composite
+def noise_models(draw, qubit_id):
+    starts = [0, *sorted(draw(st.lists(st.integers(1, 10 ** 6), max_size=2, unique=True)))]
+    epochs = tuple(Epoch(start, draw(UNIT), draw(UNIT), draw(UNIT)) for start in starts)
+    anomaly = None
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 10 ** 6))
+        anomaly = Anomaly(start, start + draw(st.integers(1, 10 ** 6)), draw(UNIT))
+    return QubitNoiseModel(qubit_id, epochs, anomaly)
+
+
+@st.composite
+def plans(draw):
+    """Plans of 1-3 qubits with 1-3 epochs each, with or without an anomaly, a
+    start_time or a sample_interval_s."""
+    ids = draw(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=3, unique=True))
+    options = {}
+    if draw(st.booleans()):
+        options["start_time"] = draw(TIMES)
+    if draw(st.booleans()):
+        options["sample_interval_s"] = draw(st.floats(0, 1e6))
+    return ExperimentPlan(tuple(draw(noise_models(q)) for q in ids),
+                          samples_per_qubit=draw(st.integers(1, 1000)),
+                          shots_per_sample=draw(st.integers(1, 10 ** 6)),
+                          master_seed=draw(st.integers(0, 2 ** 64 - 1)), **options)
 
 
 class TestEffectiveBias:
@@ -357,6 +391,13 @@ class TestPlans:
         path = tmp_path / "plan.json"
         rs.save_plan(plan, path)
         assert rs.load_plan(path) == plan
+
+    # Every field the writer puts in a plan document, the hand-written reader takes back.
+    @given(plan=plans())
+    @settings(max_examples=60, deadline=None)
+    def test_any_plan_round_trips(self, plan):
+        assert plan_from_dict(plan_to_dict(plan)) == plan
+        assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
 
     @pytest.mark.parametrize("name", ["biased_20q_anomalous", "desk_biased_5q", "unbiased_20q"])
     def test_committed_plans_round_trip(self, tmp_path, name):
