@@ -38,6 +38,7 @@ from .errors import (
     DomainError,
     DuplicateIndex,
     EmptyInput,
+    EmptySequence,
     EmptySet,
     InvalidCharacter,
     LengthMismatch,
@@ -89,7 +90,8 @@ class BitSequence:
     Parameters
     ----------
     bits : array_like
-        Values in {0, 1} (bools accepted), in stream order.
+        At least one value in {0, 1} (bools accepted), in stream order; none
+        raises :class:`~randsuite.errors.EmptySequence`.
     source_id : str
         Opaque source label, e.g. ``"qubit-17"``.
     sample_index : int
@@ -108,7 +110,9 @@ class BitSequence:
         arr = np.asarray(bits)
         if arr.ndim != 1:
             raise DomainError(f"bits must be one-dimensional, got shape {arr.shape}")
-        if arr.size == 0 or arr.dtype == np.bool_:
+        if arr.size == 0:
+            raise EmptySequence("a BitSequence needs at least one bit")
+        if arr.dtype == np.bool_:
             arr = arr.astype(np.uint8)
         elif arr.dtype.kind in "iu":
             if not ((arr == 0) | (arr == 1)).all():
@@ -286,21 +290,20 @@ class SampleSet:
     ``packed`` is one read-only ``(m, ceil(n/8))`` uint8 matrix: row i is
     sample ``sample_indices[i]``, taken at ``timestamps[i]``, in ascending
     index order.  Only an integer indexes a set; an item is a BitSequence
-    view of its row, with the set's ``source_id``.
+    view of its row, with the set's ``source_id``.  A set holds at least one
+    sample (none raises :class:`~randsuite.errors.EmptySet`), and its
+    ``declared_length`` is the first sample's length.
     """
 
     __slots__ = ("packed", "sample_indices", "timestamps", "source_id", "declared_length")
 
-    def __init__(self, samples, *, source_id: str | None = None,
-                 declared_length: int | None = None):
+    def __init__(self, samples, *, source_id: str | None = None):
         samples = sorted(samples, key=lambda s: s.sample_index)
+        if not samples:
+            raise EmptySet("a SampleSet needs at least one sample")
         if source_id is None:
-            source_id = samples[0].source_id if samples else ""
-        if declared_length is None:
-            if not samples:
-                raise EmptySet("declared_length is required for an empty sample set")
-            declared_length = samples[0].n
-        declared_length = check_int("declared_length", declared_length, 1, MAX_SIZE)
+            source_id = samples[0].source_id
+        declared_length = samples[0].n
         seen = set()
         for s in samples:
             if s.n != declared_length:
@@ -350,8 +353,6 @@ class SampleSet:
 
 def concat_chronological(sample_set: SampleSet) -> BitSequence:
     """Join all samples, in sample_index order, into one long sequence (a view if 8 | n)."""
-    if len(sample_set) == 0:
-        raise EmptySet("cannot concatenate an empty sample set")
     packed, n = sample_set.packed, sample_set.declared_length
     if n % 8:
         packed = np.packbits(np.unpackbits(packed, axis=1, count=n))
@@ -420,7 +421,7 @@ class Manifest:
     ``base_dir`` anchors the entry paths; :func:`load_manifest` sets it to
     the manifest file's directory.  A ``source_id`` that contains ``/`` or
     NUL raises :class:`~randsuite.errors.ManifestError`, since output file
-    names are built from it.
+    names are built from it, and so do ``entries`` that list no sample file.
     """
 
     declared_length: int
@@ -445,6 +446,8 @@ class Manifest:
             if e.sample_index in indices:
                 raise DuplicateIndex(f"duplicate sample_index {e.sample_index}")
             indices.add(e.sample_index)
+        if not self.entries:
+            raise ManifestError("entries lists no sample file")
 
 
 def parse_timestamp(value, what: str) -> datetime | None:
@@ -534,8 +537,7 @@ def _document(record) -> dict:
 def load_manifest(path) -> Manifest:
     """Read a manifest JSON file; entry paths resolve against its directory.
 
-    A :class:`~randsuite.errors.RandsuiteError` it raises starts with ``manifest <path>``,
-    and a manifest that lists no sample file is a ManifestError.
+    A :class:`~randsuite.errors.RandsuiteError` it raises starts with ``manifest <path>``.
     """
     path = Path(path)
 
@@ -545,12 +547,8 @@ def load_manifest(path) -> Manifest:
                              timestamp=parse_timestamp(e.get("timestamp"), "timestamp"))
 
     def build(doc):
-        entries = _built_list(doc, "entries", entry)
-        manifest = Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
-                            entries=entries, base_dir=path.parent)
-        if not entries:
-            raise ManifestError("entries lists no sample file")
-        return manifest
+        return Manifest(declared_length=doc["declared_length"], source_id=doc["source_id"],
+                        entries=_built_list(doc, "entries", entry), base_dir=path.parent)
     return read_json(path, "manifest", build)
 
 
@@ -584,14 +582,12 @@ def save_sample_set(sample_set: SampleSet, directory, encoding: str = "packed-ms
     """Write each row to ``directory/sample_<index>.<ext>``, then ``manifest.json``; return it.
 
     The inverse of ``load_sample_set(load_manifest(path))`` when the set's
-    timestamps are aware or None.  An empty set raises EmptySet, and the
-    manifest is checked, before the directory is touched.  The manifest is the
-    commit point: the old one is removed first and the new one written last,
-    so a write that stops part-way leaves no manifest.
+    timestamps are aware or None.  The manifest is checked before the
+    directory is touched.  The manifest is the commit point: the old one is
+    removed first and the new one written last, so a write that stops
+    part-way leaves no manifest.
     """
     extension = _format(encoding)[0]
-    if not len(sample_set):
-        raise EmptySet("cannot save an empty sample set: a manifest lists at least one file")
     n = sample_set.declared_length
     manifest = Manifest(n, sample_set.source_id, [
         ManifestEntry(f"sample_{index:05d}.{extension}", encoding, index, timestamp)
@@ -618,7 +614,6 @@ def load_sample_set(manifest: Manifest) -> SampleSet:
     """
     entries = sorted(manifest.entries, key=lambda e: e.sample_index)
     n = manifest.declared_length
-    packed = np.empty((0, -(-n // 8)), dtype=np.uint8)
     for i, entry in enumerate(entries):
         file_path = manifest.base_dir / entry.path
         row = _built(file_path, lambda raw: parse_bits(raw, entry.encoding, length=n),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import BitSequence, SampleSet, atomic_write, ones_before, write_json
-from .errors import EmptySequence, EmptySet, check_int, check_real
+from .errors import check_int, check_real
 from .randtests import TestParams
 from .special import erfc_inv
 
@@ -52,15 +52,11 @@ def _shannon_entropy(p1: float) -> float:
 
 def min_entropy(seq: BitSequence) -> float:
     """-log2(max(p1, p0)) of the empirical bit distribution, in [0, 1]."""
-    if seq.n == 0:
-        raise EmptySequence("min_entropy needs at least one bit")
     return _min_entropy(seq.count_ones() / seq.n)
 
 
 def shannon_entropy(seq: BitSequence) -> float:
     """Empirical Shannon entropy in bits, with 0*log(0) := 0."""
-    if seq.n == 0:
-        raise EmptySequence("shannon_entropy needs at least one bit")
     return _shannon_entropy(seq.count_ones() / seq.n)
 
 
@@ -80,8 +76,6 @@ class EntropySeries:
 
 def entropy_series(sample_set: SampleSet) -> EntropySeries:
     """One (min-entropy, Shannon-entropy) point per sample, in order."""
-    if len(sample_set) == 0:
-        raise EmptySet("cannot compute an entropy series for an empty sample set")
     n = sample_set.declared_length
     ones = np.bitwise_count(sample_set.packed).sum(axis=1, dtype=np.int64).tolist()
     p1 = [k / n for k in ones]
@@ -115,8 +109,6 @@ def ones_band(sample_set: SampleSet, alpha: float) -> dict:
     Keys ``n``, ``proportion_of_ones``, ``band_lower``, ``band_upper`` and
     ``inside``, which is membership in the open band.
     """
-    if len(sample_set) == 0:
-        raise EmptySet("cannot compute the ones band of an empty sample set")
     n = sample_set.total_bits()
     lower, upper = proportion_band_for_length(n, alpha)
     proportion = int(np.bitwise_count(sample_set.packed).sum(dtype=np.int64)) / n
@@ -149,8 +141,6 @@ def deviation_series(seq: BitSequence, stride: int = 8192) -> DeviationSeries:
     Points are emitted at i = stride, 2*stride, ..., and always at i = n,
     so the terminal value equals n * (proportion_of_ones - 1/2) exactly.
     """
-    if seq.n == 0:
-        raise EmptySequence("deviation_series needs at least one bit")
     check_int("stride", stride, 1)
     idx = np.arange(stride, seq.n + 1, stride, dtype=np.int64)
     if idx.size == 0 or idx[-1] != seq.n:

@@ -56,11 +56,11 @@ class ManifestError(RandsuiteError, ValueError):
 
 
 class EmptySet(RandsuiteError, ValueError):
-    """An operation that needs at least one sample got an empty sample set."""
+    """A SampleSet was built from no samples; its constructor is the one place this is raised."""
 
 
 class EmptySequence(RandsuiteError, ValueError):
-    """An operation that needs at least one bit got an empty sequence."""
+    """A BitSequence was built from no bits; its constructor is the one place this is raised."""
 
 
 class SampleTooShort(RandsuiteError, ValueError):

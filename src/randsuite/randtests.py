@@ -32,7 +32,6 @@ from .bitseq import BitSequence, ones_before
 from .errors import (
     BlockTooLarge,
     DomainError,
-    EmptySequence,
     PatternTooLong,
     SampleTooShort,
     check_int,
@@ -254,8 +253,6 @@ def _check(test_id: TestId, n: int, params: TestParams) -> None:
     if n < min_n and (params.enforce_min_length or test_id is TestId.LONGEST_RUN):
         why = " (no block size is defined below that)" if test_id is TestId.LONGEST_RUN else ""
         raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits{why}, got {n}")
-    if n == 0:
-        raise EmptySequence(f"{test_id.value} needs a non-empty sequence")
     if test_id is TestId.BLOCK_FREQUENCY and params.block_size_m > n:
         raise BlockTooLarge(f"block size {params.block_size_m} exceeds sequence length {n}")
     if test_id is TestId.APPROX_ENTROPY:
@@ -766,9 +763,8 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
               params: TestParams = TestParams()) -> dict[TestId, Batch]:
     """Run the selected tests over each n-bit row of a packed ``(rows, ceil(n/8))`` matrix.
 
-    ``packed`` must be a uint8 ndarray of at least one row of ceil(n/8)
-    bytes, with zero padding bits, as a SampleSet's matrix is; anything else
-    raises DomainError.  It is taken in
+    ``packed`` is a uint8 ndarray of at least one row of ceil(n/8) bytes,
+    with zero padding bits, as a SampleSet's matrix is.  It is taken in
     chunks of about ``_CHUNK_BITS`` bits, which the kernels read packed;
     only the spectral test unpacks a chunk to bits.  The chunks share one
     workspace, and the p-values are computed once over all rows.  Entry i
@@ -776,11 +772,14 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
 
     Raises
     ------
-    SampleTooShort, EmptySequence, BlockTooLarge, PatternTooLong
+    DomainError
+        An ``n`` that is no integer of at least 1, or a ``packed`` of any
+        other type, shape or padding.
+    SampleTooShort, BlockTooLarge, PatternTooLong
         For the first test, in selection order, that cannot run on n-bit
         samples; raised before any test runs.
     """
-    n = check_int("n", n, 0)
+    n = check_int("n", n, 1)
     if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
         what = getattr(packed, "dtype", type(packed).__name__)
         raise DomainError(f"packed must be a uint8 ndarray, got {what}")

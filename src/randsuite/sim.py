@@ -367,7 +367,7 @@ def _anomaly(a) -> Anomaly:
 def _qubit(q) -> QubitNoiseModel:
     return QubitNoiseModel(
         qubit_id=q["qubit_id"], epochs=_built_list(q, "epochs", _epoch),
-        anomaly=_built("anomaly", _anomaly, q["anomaly"]) if "anomaly" in q else None)
+        anomaly=None if q.get("anomaly") is None else _built("anomaly", _anomaly, q["anomaly"]))
 
 
 def _plan(doc) -> ExperimentPlan:

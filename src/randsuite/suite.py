@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitseq import SampleSet, _document, atomic_write, write_json
-from .errors import DomainError, EmptySet, SampleTooShort, TooFewSamples, check_int, check_real
+from .errors import DomainError, SampleTooShort, TooFewSamples, check_int, check_real
 from .randtests import (
     ALL_TESTS,
     MIN_LENGTH,
@@ -178,8 +178,6 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
     in sample_index order.  With fewer than 55 samples the uniformity step
     is skipped and the verdict rests on the proportion step alone.
     """
-    if len(sample_set) == 0:
-        raise EmptySet("cannot run the suite on an empty sample set")
     m, indices = len(sample_set), sample_set.sample_indices
     try:
         batches = run_batch(sample_set.packed, sample_set.declared_length, config.tests,

@@ -17,7 +17,6 @@ from randsuite import (
     Manifest,
     ManifestEntry,
     QubitNoiseModel,
-    SampleSet,
     SuiteConfig,
     TestParams,
 )
@@ -100,6 +99,7 @@ FLAG = ("no", 1, None)
 TEXT = (5, None, b"a", ["a"])
 TIME = ("2019-01-01", 5, None)
 _START = datetime(2020, 1, 1, tzinfo=timezone.utc)
+_ENTRIES = (ManifestEntry("a.txt", "hex", 0),)
 
 # (argument, wrong values, a right value, call with the value, the error expected)
 ARGUMENTS = [
@@ -169,13 +169,10 @@ ARGUMENTS = [
     # None declares no length.
     ("parse_bits.length", COUNT[:-1] + (0, -1), 2,
      lambda v: rs.parse_bits("01", "ascii01", length=v), DomainError),
-    # None asks SampleSet for its first sample's length.
-    ("SampleSet.declared_length", COUNT[:-1], 8, lambda v: SampleSet([], declared_length=v),
-     DomainError),
     ("Manifest.declared_length", COUNT, 8,
-     lambda v: Manifest(declared_length=v, source_id="s", entries=()), ManifestError),
+     lambda v: Manifest(declared_length=v, source_id="s", entries=_ENTRIES), ManifestError),
     ("Manifest.source_id", TEXT, "qubit-03",
-     lambda v: Manifest(declared_length=8, source_id=v, entries=()), ManifestError),
+     lambda v: Manifest(declared_length=8, source_id=v, entries=_ENTRIES), ManifestError),
     ("ManifestEntry.path", TEXT, "b.txt",
      lambda v: ManifestEntry(v, "hex", 0), ManifestError),
     ("ManifestEntry.encoding", TEXT, "ascii01",

@@ -30,6 +30,7 @@ from randsuite.errors import (
     DomainError,
     DuplicateIndex,
     EmptyInput,
+    EmptySequence,
     EmptySet,
     InvalidCharacter,
     LengthMismatch,
@@ -228,7 +229,12 @@ class TestBitSequence:
         with pytest.raises(DomainError, match="sample_index must be >= 0, got -1"):
             BitSequence([0, 1], sample_index=-1)
 
-    @pytest.mark.parametrize("n,shown", [(0, ""), (3, "100"), (16, "1001001001001001"),
+    @pytest.mark.parametrize("bits", [[], np.zeros(0, bool), np.zeros(0, np.uint8)])
+    def test_rejects_no_bits(self, bits):
+        with pytest.raises(EmptySequence, match="^a BitSequence needs at least one bit$"):
+            BitSequence(bits)
+
+    @pytest.mark.parametrize("n,shown", [(3, "100"), (16, "1001001001001001"),
                                          (17, "1001001001001001...")])
     def test_repr_shows_the_first_16_bits(self, n, shown):
         seq = BitSequence(np.arange(n) % 3 == 0, source_id="qubit-00", sample_index=2)
@@ -270,20 +276,10 @@ class TestSampleSetAndConcat:
         joined = concat_chronological(SampleSet([seq]))
         assert joined == seq
 
-    def test_empty_set_needs_a_declared_length(self):
-        with pytest.raises(EmptySet, match="declared_length is required"):
-            SampleSet([])
-
-    # The bound a Manifest puts on the same field, with its message.
-    def test_declared_length_is_a_63_bit_value(self):
-        assert SampleSet([], declared_length=2 ** 63 - 1).declared_length == 2 ** 63 - 1
-        with pytest.raises(DomainError, match=f"declared_length must be a 63-bit value, "
-                                              f"got {10 ** 20}"):
-            SampleSet([], declared_length=10 ** 20)
-
-    def test_concat_empty_set(self):
-        with pytest.raises(EmptySet):
-            concat_chronological(SampleSet([], declared_length=8))
+    @pytest.mark.parametrize("samples", [[], (), iter([])])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(EmptySet, match="^a SampleSet needs at least one sample$"):
+            SampleSet(samples)
 
     def test_concat_boundaries_and_length(self, random_bits):
         members = [
@@ -342,20 +338,6 @@ class TestSampleSetAndConcat:
         s = SampleSet([BitSequence(random_bits(16, seed=i).asarray(), sample_index=i)
                        for i in range(3)])
         assert np.shares_memory(concat_chronological(s).packed, s.packed)
-
-    @pytest.mark.parametrize("length", [0, -5, -8])
-    def test_rejects_declared_length_below_one(self, length):
-        with pytest.raises(DomainError, match="declared_length must be >= 1"):
-            SampleSet([], declared_length=length)
-
-    def test_rejects_samples_without_bits(self):
-        with pytest.raises(DomainError, match="declared_length must be >= 1"):
-            SampleSet([BitSequence([])])
-
-    def test_empty_set_shape(self):
-        s = SampleSet([], declared_length=13)
-        assert s.packed.shape == (0, 2)
-        assert len(s) == 0 and list(s) == []
 
     def test_slice_raises(self, bits):
         s = SampleSet([bits("10", sample_index=0), bits("01", sample_index=1)])
@@ -496,13 +478,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="leaves the manifest directory"):
             load_manifest(path)
 
-    # A Manifest may list no entry, but a manifest file that lists none is named.
+    # A Manifest lists at least one entry, and a manifest file that lists none is named.
     @pytest.mark.parametrize("entries, message", [
         ([], "entries lists no sample file"),
         ({}, "entries must be a JSON list, got {}"),
     ])
     def test_a_manifest_file_lists_at_least_one_sample(self, tmp_path, entries, message):
-        assert Manifest(declared_length=8, source_id="src", entries=()).entries == ()
+        with pytest.raises(ManifestError, match="^entries lists no sample file$"):
+            Manifest(declared_length=8, source_id="src", entries=())
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"declared_length": 8, "source_id": "src",
                                     "entries": entries}))
@@ -597,11 +580,6 @@ class TestSaveSampleSet:
         bad = SampleSet._from_rows(packed, (0,), (None,), "a/b", 16)
         with pytest.raises(ManifestError, match="source_id"):
             rs.save_sample_set(bad, tmp_path / "q")
-        assert not (tmp_path / "q").exists()
-
-    def test_rejects_an_empty_set_before_writing(self, tmp_path):
-        with pytest.raises(EmptySet, match="cannot save an empty sample set"):
-            rs.save_sample_set(SampleSet([], declared_length=8), tmp_path / "q")
         assert not (tmp_path / "q").exists()
 
     def test_write_experiment_builds_no_bit_sequence(self, tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
-"""The command line's contract over a table of bad documents.
+"""The command line's contract over a table of bad documents and sample files.
 
 Every field of a small written manifest and plan is set in turn to each value
 of ``VALUES``, or deleted.  Each mutated manifest is the second ``--manifest``
 of ``entropy`` and ``stability``; each mutated plan goes through ``simulate``.
-Whatever the document, ``main`` returns 0, 1 or 2 and raises nothing.  On
+The second sample file of a written two-sample source, in each encoding, is
+in turn cut short, lengthened, padded with ones, emptied, deleted, given a
+multi-byte UTF-8 character or written in another encoding, and the source
+goes through ``test``, ``entropy`` and ``stability``.
+Whatever the input, ``main`` returns 0, 1 or 2 and raises nothing.  On
 exit 2, stderr holds one ``error:`` line that names the file at fault, and
 ``--out`` does not exist.  A line that calls the document malformed, or says a
 value must be a JSON list, also names the changed field: the last key of its
@@ -51,9 +55,9 @@ def mutants(doc):
             yield f"{'.'.join(map(str, path))}={shown}", field, mutant
 
 
-def violation(capsys, argv, out, names, field):
+def violation(capsys, argv, out, names, field=None):
     """What, if anything, running ``argv`` breaks of the contract; ``names`` are the
-    accepted starts of an exit-2 error line, and ``field`` is the changed field."""
+    accepted starts of an exit-2 error line, and ``field`` is a document's changed field."""
     try:
         code = main(argv)
     except Exception as exc:  # the contract: nothing leaves main
@@ -70,7 +74,7 @@ def violation(capsys, argv, out, names, field):
         return f"names no input: {err!r}"
     if "plan document" in err:
         return f"names the plan twice: {err!r}"
-    if ("is malformed" in err or "must be a JSON list" in err) and field not in err:
+    if field and ("is malformed" in err or "must be a JSON list" in err) and field not in err:
         return f"names no field {field!r}: {err!r}"
     if out.exists():
         return f"wrote {out}"
@@ -113,6 +117,54 @@ def test_every_bad_plan_is_named(tmp_path, capsys):
         out = tmp_path / f"out-{i}"
         broken = violation(capsys, ["simulate", "--plan", str(plan), "--out", str(out)],
                            out, (f"error: plan {plan}",), field)
+        if broken:
+            found.append(f"{label}: {broken}")
+    assert found == []
+
+
+# No multiple of 8 or 4: the last byte of a packed-msb file and the last
+# character of a hex file hold padding bits.
+SAMPLE_LENGTH = 1001
+
+
+def sample_mutants(raw, encoding):
+    """``(label, content)`` for each bad version of the sample file ``raw`` in
+    ``encoding``; a content of None deletes the file."""
+    yield "truncated", raw[:-1]
+    yield "overlong", raw + raw[:1]
+    if encoding == "packed-msb":
+        yield "padded-with-ones", raw[:-1] + bytes([raw[-1] | 1])
+    elif encoding == "hex":
+        yield "padded-with-ones", raw[:-1] + b"%x" % (int(raw[-1:], 16) | 1)
+    yield "empty", b""
+    yield "deleted", None
+    if encoding != "packed-msb":
+        middle = len(raw) // 2
+        yield "multi-byte", raw[:middle] + "\u00e9".encode() + raw[middle:]
+    bits = rs.parse_bits(raw, encoding, length=SAMPLE_LENGTH)
+    for other in rs.ENCODINGS:
+        if other != encoding:
+            yield f"written-as-{other}", rs.serialize_bits(bits, other)
+
+
+@pytest.mark.parametrize("command", ["test", "entropy", "stability"])
+@pytest.mark.parametrize("encoding", ["packed-msb", "hex", "ascii01"])
+def test_every_bad_sample_file_is_named(tmp_path, capsys, encoding, command):
+    plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
+                            shots_per_sample=SAMPLE_LENGTH, master_seed=5)
+    [manifest] = rs.write_experiment(plan, tmp_path / "data", encoding)
+    sample = sorted(manifest.parent.glob("sample_*"))[1]
+    raw = sample.read_bytes()
+    names = (f"error: {sample}: ", f"error: [Errno 2] No such file or directory: '{sample}'")
+    found = []
+    for label, content in sample_mutants(raw, encoding):
+        if content is None:
+            sample.unlink()
+        else:
+            sample.write_bytes(content)
+        out = tmp_path / f"out-{label}"
+        broken = violation(capsys, [command, "--manifest", str(manifest), "--out", str(out)],
+                           out, names)
         if broken:
             found.append(f"{label}: {broken}")
     assert found == []

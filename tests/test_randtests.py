@@ -58,8 +58,10 @@ class TestFrequency:
         run_test(TestId.FREQUENCY, bits("1" * 99), RELAXED)  # allowed when relaxed
 
     def test_empty_sequence_when_relaxed(self):
-        with pytest.raises(EmptySequence, match="frequency needs a non-empty sequence"):
-            run_test(TestId.FREQUENCY, BitSequence([]), RELAXED)
+        with pytest.raises(EmptySequence, match="^a BitSequence needs at least one bit$"):
+            BitSequence([])
+        with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+            rs.run_batch(np.zeros((1, 0), np.uint8), 0, (TestId.FREQUENCY,), RELAXED)
 
 
 class TestBlockFrequency:
@@ -950,3 +952,70 @@ class TestKernelsEqualReference:
                                                    atol=0, err_msg=f"{test_id} {key} m={m}")
                     else:
                         assert np.array_equal(counts[test_id][key], values), (test_id, key)
+
+
+def images(bits):
+    """A stack of rows rotated by 1 and by n/2, complemented and reversed, by name."""
+    n = bits.shape[1]
+    return {"rotated-by-1": np.roll(bits, 1, axis=1),
+            "rotated-by-half": np.roll(bits, n // 2, axis=1),
+            "complemented": 1 - bits, "reversed": bits[:, ::-1]}
+
+
+class TestInvariance:
+    """Exact identities of the tests' definitions: a row and its rotations,
+    complement and reversal give the same integer records.  They hold for
+    any kernel that counts right, so a miscount that the reference shares
+    (a chunking error applied alike to both, say) still breaks them."""
+
+    # Float32 spectra up to 2^14, the four-step one at 2^17.  The longest-run
+    # test reads a fixed number of blocks (49 of 128 bits from 6272 bits on),
+    # so reversal keeps the blocks it reads only where they cover the row:
+    # here, at 6272.
+    LENGTHS = [1001, 6272, 8192, 2 ** 14, 2 ** 17]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_battery_records(self, n):
+        bits = kinds_of_rows(n, 10, np.random.Generator(np.random.PCG64(n)))
+        shown = images(bits)
+        variants = {"row": bits, **shown}
+        batches = R.run_batch(np.packbits(np.concatenate(list(variants.values())), axis=1), n)
+        r = len(bits)
+
+        def values(test_id, key=None):
+            # Absolute values: the partial sum S_n changes sign under complement.
+            batch = batches[test_id]
+            v = np.abs(batch.statistics if key is None else batch.record[key])
+            return {name: v[i * r:(i + 1) * r] for i, name in enumerate(variants)}
+
+        _, run_m, _, run_blocks, _, _ = R._longest_run_config(n)
+        unchanged = {
+            (TestId.DFT, "n_obs"): list(shown),
+            (TestId.FREQUENCY, "partial_sum"): ["complemented", "reversed"],
+            (TestId.RUNS, None): ["complemented", "reversed"],
+            (TestId.CUSUM_FORWARD, None): ["complemented"],
+            (TestId.CUSUM_BACKWARD, None): ["complemented"],
+            (TestId.BLOCK_FREQUENCY, None):
+                ["complemented"] + ["reversed"] * (n % TestParams().block_size_m == 0),
+            (TestId.LONGEST_RUN, "class_counts"): ["reversed"] * (run_blocks * run_m == n),
+        }
+        for (test_id, key), names in unchanged.items():
+            found = values(test_id, key)
+            for name in names:
+                assert np.array_equal(found[name], found["row"]), (test_id, key, name)
+        forward, backward = values(TestId.CUSUM_FORWARD), values(TestId.CUSUM_BACKWARD)
+        assert np.array_equal(forward["reversed"], backward["row"])
+        assert np.array_equal(backward["reversed"], forward["row"])
+
+    @pytest.mark.parametrize("m", [2, R._APEN_BYTE_MAX_M + 1])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_pattern_count_multisets(self, n, m):
+        # The windows wrap around the row, so rotation keeps every count;
+        # complement and reversal map each pattern to another.
+        bits = kinds_of_rows(n, 10, np.random.Generator(np.random.PCG64(n)))
+
+        def multiset(rows):
+            return np.sort(R._pattern_counts(np.packbits(rows, axis=1), n, m), axis=1)
+        expected = multiset(bits)
+        for name, image in images(bits).items():
+            assert np.array_equal(multiset(image), expected), name

@@ -24,6 +24,7 @@ from randsuite import (
     generate_sample,
     min_entropy,
 )
+from randsuite.cli import main
 from randsuite.errors import DomainError, IndexOutOfRange, ManifestError, RandsuiteError
 from randsuite.sim import _draw_rows, _philox_keys, plan_from_dict, plan_to_dict
 
@@ -429,6 +430,17 @@ class TestPlans:
         plan = plan_from_dict(doc)
         assert plan.qubit_models[0].epochs[0] == Epoch(0, 1.0, 0.0)
         assert plan.sample_interval_s == 60.0
+
+    # As a null timestamp or start_time does, a null anomaly reads as none.
+    def test_a_null_anomaly_reads_as_none(self, tmp_path):
+        doc = plan_to_dict(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
+                                            shots_per_sample=64))
+        plan = plan_from_dict(doc)
+        doc["qubits"][0]["anomaly"] = None
+        assert plan_from_dict(doc) == plan
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

@@ -177,8 +177,8 @@ class TestRunSuite:
         assert not report.overall_pass
 
     def test_empty_set_rejected(self):
-        with pytest.raises(EmptySet):
-            run_suite(SampleSet([], declared_length=128))
+        with pytest.raises(EmptySet, match="^a SampleSet needs at least one sample$"):
+            SampleSet([])
 
     def test_sample_too_short_reports_index(self, bits):
         # the lowest sample index is reported, whatever the input order
