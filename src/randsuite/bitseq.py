@@ -307,8 +307,8 @@ class SampleSet:
         seen = set()
         for s in samples:
             if s.n != declared_length:
-                raise LengthMismatch(
-                    f"sample {s.sample_index} has {s.n} bits, declared {declared_length}")
+                raise LengthMismatch(f"sample {s.sample_index} has {s.n} bits, "
+                                     f"sample {samples[0].sample_index} has {declared_length}")
             if s.sample_index in seen:
                 raise DuplicateIndex(f"duplicate sample_index {s.sample_index}")
             seen.add(s.sample_index)
@@ -492,15 +492,26 @@ def _built_list(doc, key: str, build) -> tuple:
     return tuple(_built(f"{key}[{i}]", build, item) for i, item in enumerate(items))
 
 
+def _object(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a repeated key raises ValueError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(path, what: str, build):
     """``build`` of the JSON document at ``path``, its errors named ``<what> <path>``.
 
-    Text that is not UTF-8 (or UTF-16/32) or not JSON raises
-    :class:`~randsuite.errors.ManifestError`; see :func:`_built` for the rest.
+    Text that is not UTF-8 (or UTF-16/32), not JSON, or an object that gives a
+    key twice raises :class:`~randsuite.errors.ManifestError`; see :func:`_built`
+    for the rest.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_bytes())
+        doc = json.loads(path.read_bytes(), object_pairs_hook=_object)
     except ValueError as exc:
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
     return _built(f"{what} {path}", build, doc)

@@ -118,6 +118,7 @@ def ones_band(sample_set: SampleSet, alpha: float) -> dict:
 
 def write_band_json(rows, alpha: float, path) -> None:
     """``band.json``: ``rows`` maps each source id to its :func:`ones_band` row at ``alpha``."""
+    alpha = check_real("alpha", alpha, 0, 1, "()")
     write_json(path, {"alpha": alpha, "sources": dict(rows),
                       "band_convention": "derived by inverting the frequency test: "
                                          "|p - 1/2| <= sqrt(2)*erfc_inv(alpha)/(2*sqrt(n))"})

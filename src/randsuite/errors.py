@@ -4,6 +4,14 @@ Everything raised on purpose derives from :class:`RandsuiteError`, so callers
 can catch one base class.  Most subclasses also derive from ``ValueError``
 because they signal bad input values.
 
+A bad argument to any public function or constructor raises
+:class:`DomainError`.  The other classes name a fault in what was read or
+built: a sample file's text (:class:`InvalidCharacter`, :class:`EmptyInput`,
+:class:`LengthMismatch`), a manifest or plan (:class:`ManifestError`), samples
+that share an index or differ in length (:class:`DuplicateIndex`,
+:class:`LengthMismatch`), and an object built from nothing (:class:`EmptySet`,
+:class:`EmptySequence`).
+
 An error is its message and carries no other fields.  The rule that names the
 bad input lives in one place, ``bitseq._built``: every loader builds what it
 read, and each list item again as ``<key>[i]``, through it, so an error met in a
@@ -21,13 +29,7 @@ __all__ = [
     "ManifestError",
     "EmptySet",
     "EmptySequence",
-    "SampleTooShort",
-    "BlockTooLarge",
-    "PatternTooLong",
-    "TooFewSamples",
     "DomainError",
-    "NonFiniteInput",
-    "IndexOutOfRange",
 ]
 
 
@@ -63,32 +65,9 @@ class EmptySequence(RandsuiteError, ValueError):
     """A BitSequence was built from no bits; its constructor is the one place this is raised."""
 
 
-class SampleTooShort(RandsuiteError, ValueError):
-    """A sequence is shorter than the test's minimum meaningful length."""
-
-
-class BlockTooLarge(RandsuiteError, ValueError):
-    """Block size exceeds the sequence length."""
-
-
-class PatternTooLong(RandsuiteError, ValueError):
-    """Pattern length is too large for the sequence length."""
-
-
-class TooFewSamples(RandsuiteError, ValueError):
-    """The p-value uniformity check needs more samples."""
-
-
 class DomainError(RandsuiteError, ValueError):
-    """An argument is outside a function's mathematical domain."""
-
-
-class NonFiniteInput(RandsuiteError, ValueError):
-    """NaN or infinity where a finite real is required."""
-
-
-class IndexOutOfRange(DomainError):
-    """A sample index falls outside the range a noise model covers."""
+    """An argument is outside its function's domain: a count, level or length
+    that it cannot use, or a NaN or infinity where it needs a finite value."""
 
 
 def check_int(name: str, value, low: int, high: int | None = None, *,

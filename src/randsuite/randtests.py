@@ -29,14 +29,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .bitseq import BitSequence, ones_before
-from .errors import (
-    BlockTooLarge,
-    DomainError,
-    PatternTooLong,
-    SampleTooShort,
-    check_int,
-    check_real,
-)
+from .errors import DomainError, check_int, check_real
 from .special import _scipy_fft, as_probability, erfc, normal_cdf, upper_igamc
 
 __all__ = [
@@ -252,23 +245,23 @@ def _check(test_id: TestId, n: int, params: TestParams) -> None:
     # size is defined below it.
     if n < min_n and (params.enforce_min_length or test_id is TestId.LONGEST_RUN):
         why = " (no block size is defined below that)" if test_id is TestId.LONGEST_RUN else ""
-        raise SampleTooShort(f"{test_id.value} needs at least {min_n} bits{why}, got {n}")
+        raise DomainError(f"{test_id.value} needs at least {min_n} bits{why}, got {n}")
     if test_id is TestId.BLOCK_FREQUENCY and params.block_size_m > n:
-        raise BlockTooLarge(f"block size {params.block_size_m} exceeds sequence length {n}")
+        raise DomainError(f"block size {params.block_size_m} exceeds sequence length {n}")
     if test_id is TestId.APPROX_ENTROPY:
         m = params.pattern_len_m
         if m + 1 > n or m > 24:
-            raise PatternTooLong(f"pattern length {m} is not usable at n={n}")
+            raise DomainError(f"pattern length {m} is not usable at n={n}")
         if params.enforce_min_length and m >= int(math.log2(n)) - 1:
-            raise PatternTooLong(
+            raise DomainError(
                 f"pattern length {m} is too long for meaningful results at n={n} "
                 f"(need m < floor(log2(n)) - 1)")
         # The counts take 2^(m+1) values per row.  Past both n and 2^16 a
         # pattern expects less than one window, and the memory grows with
         # 2^m instead of n.  Under the enforced minimum length it never binds.
         if 2 ** (m + 1) > max(n, 2 ** 16):
-            raise PatternTooLong(f"pattern length {m} is too long at n={n}: its "
-                                 f"2^(m+1) = {2 ** (m + 1)} patterns exceed max(n, 2^16)")
+            raise DomainError(f"pattern length {m} is too long at n={n}: its "
+                              f"2^(m+1) = {2 ** (m + 1)} patterns exceed max(n, 2^16)")
 
 
 # Each test is a pair of functions.  ``count`` maps one chunk of rows to
@@ -774,10 +767,9 @@ def run_batch(packed: np.ndarray, n: int, tests=ALL_TESTS,
     ------
     DomainError
         An ``n`` that is no integer of at least 1, or a ``packed`` of any
-        other type, shape or padding.
-    SampleTooShort, BlockTooLarge, PatternTooLong
-        For the first test, in selection order, that cannot run on n-bit
-        samples; raised before any test runs.
+        other type, shape or padding; or, before any test runs, the first
+        test in selection order that cannot run on n-bit samples under
+        ``params``.
     """
     n = check_int("n", n, 1)
     if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
@@ -827,7 +819,7 @@ def run_test(test_id: TestId, seq: BitSequence,
     * ``runs``: the number of maximal runs of identical bits; the p-value is
       0 by definition unless the proportion of ones is within 2/sqrt(n) of 1/2;
     * ``longest_run``: the longest run of ones within blocks of 8, 128 or
-      10000 bits, chosen by n; below 128 bits it raises SampleTooShort even
+      10000 bits, chosen by n; below 128 bits it raises DomainError even
       with ``enforce_min_length`` off;
     * ``dft``: the count of the first floor(n/2) Fourier moduli under the
       95 % peak-height threshold, against its expectation;

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bitseq import (MAX_SIZE, BitSequence, SampleSet, _built, _built_list, _document,
                      parse_timestamp, read_json, save_sample_set, write_json)
-from .errors import DomainError, IndexOutOfRange, check_int, check_real
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "Epoch",
@@ -130,7 +130,7 @@ class QubitNoiseModel:
 
 def effective_bias(model: QubitNoiseModel, sample_index: int) -> float:
     """Probability of reading 1 at ``sample_index`` under ``model``."""
-    check_int("sample_index", sample_index, 0, error=IndexOutOfRange)
+    check_int("sample_index", sample_index, 0)
     epoch = model.epochs[bisect_right(model.epochs, sample_index,
                                       key=lambda e: e.start_sample) - 1]
     if model.anomaly is not None and model.anomaly.covers(sample_index):

@@ -7,9 +7,12 @@ in the tail).  All p-value producers in this package go through
 clamping them.
 
 :func:`erfc`, :func:`upper_igamc`, :func:`normal_cdf` and
-:func:`as_probability` take a float or an array: a float comes back as
-a float, an array as an array of the broadcast shape, with the same checks
-applied to every element.
+:func:`as_probability` take a real number or an array of them: a number
+comes back as a float, an array as an array of the broadcast shape, with the
+same checks applied to every element.  A bool, a string, None or any array
+whose dtype is not integer or float raises ``DomainError``, and so does a NaN
+or an infinity where the function needs a finite value.  :func:`erfc_inv`
+takes one real number, checked by ``errors.check_real``.
 
 The package reaches SciPy only through this module's two accessors, on first
 use: a ``scipy.special`` ufunc at the first call that needs it,
@@ -39,7 +42,6 @@ no p-value, load no SciPy.  A missing SciPy surfaces as an ``ImportError``
 at the first call that needs it.
 """
 
-import math
 import sys
 from functools import cache, partial
 from importlib import import_module
@@ -48,7 +50,7 @@ from types import ModuleType
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteInput
+from .errors import DomainError, check_real
 
 __all__ = [
     "erfc",
@@ -137,6 +139,24 @@ def _scipy_fft():
         return rfft
 
 
+def _real(value, what: str, finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array if it is a real number or an array of integer
+    or float dtype (and, with ``finite``, holds no NaN or infinity), else
+    DomainError naming ``what``."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        if array.ndim:
+            raise DomainError(f"{what} requires real numbers, got an array of {array.dtype}")
+        # A single value numpy holds as an object (a Python int beyond 64 bits,
+        # say) is a real number if check_real says so.
+        array = np.asarray(float(check_real(f"{what} argument", value, -np.inf, np.inf)))
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise DomainError(f"{what} requires a finite argument, "
+                          f"got {_first(array, ~np.isfinite(array))!r}")
+    return array
+
+
 def _first(values: np.ndarray, where: np.ndarray) -> float:
     """The first element of ``values`` flagged by ``where``, as a float."""
     return float(np.broadcast_to(values, where.shape)[where].flat[0])
@@ -149,27 +169,18 @@ def _result(values: np.ndarray):
 
 def erfc(z):
     """Complementary error function (2/sqrt(pi)) * integral of exp(-u^2) from z."""
-    z = np.asarray(z, dtype=np.float64)
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise NonFiniteInput(f"erfc requires a finite argument, got {_first(z, ~finite)!r}")
-    return _result(_scipy_ufunc("erfc")(z))
+    return _result(_scipy_ufunc("erfc")(_real(z, "erfc")))
 
 
 def erfc_inv(p: float) -> float:
     """Inverse of :func:`erfc` on (0, 2)."""
-    p = float(p)
-    if not math.isfinite(p):
-        raise NonFiniteInput(f"erfc_inv requires a finite argument, got {p!r}")
-    if not 0.0 < p < 2.0:
-        raise DomainError(f"erfc_inv is defined on (0, 2), got {p!r}")
-    return float(_scipy_ufunc("erfcinv")(p))
+    return float(_scipy_ufunc("erfcinv")(check_real("erfc_inv argument", p, 0, 2, "()")))
 
 
 def upper_igamc(a, x):
     """Regularized upper incomplete gamma Q(a, x), the integral of
     t^(a-1) e^(-t) from x to infinity over Gamma(a), for a > 0 and x >= 0."""
-    a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    a, x = _real(a, "upper_igamc", finite=False), _real(x, "upper_igamc", finite=False)
     bad = np.isnan(a) | np.isnan(x) | np.isinf(a)
     if bad.any():
         raise DomainError("upper_igamc requires finite a and non-NaN x, got "
@@ -183,12 +194,7 @@ def upper_igamc(a, x):
 
 def normal_cdf(x):
     """Standard normal CDF, accurate in both tails."""
-    x = np.asarray(x, dtype=np.float64)
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise NonFiniteInput(
-            f"normal_cdf requires a finite argument, got {_first(x, ~finite)!r}")
-    return _result(_scipy_ufunc("ndtr")(x))
+    return _result(_scipy_ufunc("ndtr")(_real(x, "normal_cdf")))
 
 
 def as_probability(value, *, what: str = "p-value"):
@@ -198,7 +204,7 @@ def as_probability(value, *, what: str = "p-value"):
     anything farther outside raises, because a p-value outside [0, 1] means
     a formula was implemented wrong, and clamping would hide that.
     """
-    value = np.asarray(value, dtype=np.float64)
+    value = _real(value, what, finite=False)
     if np.isnan(value).any():
         raise DomainError(f"{what} is NaN")
     if (value < -_P_SLACK).any():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitseq import SampleSet, _document, atomic_write, write_json
-from .errors import DomainError, SampleTooShort, TooFewSamples, check_int, check_real
+from .errors import DomainError, check_int, check_real
 from .randtests import (
     ALL_TESTS,
     MIN_LENGTH,
@@ -113,6 +113,8 @@ def uniformity_check(p_values):
     """Ten-bin chi-squared uniformity check over a test's p-values.
 
     Bins are [k/10, (k+1)/10) for k = 0..9 with 1.0 landing in the top bin.
+    Fewer than 55 p-values, or any that is no real number in [0, 1], raise
+    DomainError.
 
     Returns
     -------
@@ -120,12 +122,11 @@ def uniformity_check(p_values):
         ``ok`` is ``p >= UNIFORMITY_ALPHA``, the level NIST SP 800-22 Rev. 1a
         fixes in section 4.2.2.
     """
-    p_values = np.fromiter(p_values, dtype=np.float64)
-    m = p_values.size
-    if m < UNIFORMITY_MIN_SAMPLES:
-        raise TooFewSamples(
-            f"uniformity check needs at least {UNIFORMITY_MIN_SAMPLES} samples, got {m}")
     p_values = as_probability(p_values, what="uniformity input")
+    m = np.size(p_values)
+    if m < UNIFORMITY_MIN_SAMPLES:
+        raise DomainError(
+            f"uniformity check needs at least {UNIFORMITY_MIN_SAMPLES} samples, got {m}")
     bins = np.minimum((p_values * 10).astype(np.int64), 9)
     counts = np.bincount(bins, minlength=10)
     expected = m / 10.0
@@ -176,15 +177,12 @@ def run_suite(sample_set: SampleSet, config: SuiteConfig = SuiteConfig()) -> Sui
 
     The result is independent of sample order: a SampleSet holds its samples
     in sample_index order.  With fewer than 55 samples the uniformity step
-    is skipped and the verdict rests on the proportion step alone.
+    is skipped and the verdict rests on the proportion step alone.  Samples
+    too short for a selected test raise DomainError before any test runs.
     """
     m, indices = len(sample_set), sample_set.sample_indices
-    try:
-        batches = run_batch(sample_set.packed, sample_set.declared_length, config.tests,
-                            config.params)
-    except SampleTooShort as exc:
-        # Every sample has the same length, so the first one fails first.
-        raise type(exc)(f"sample {indices[0]}: {exc}") from exc
+    batches = run_batch(sample_set.packed, sample_set.declared_length, config.tests,
+                        config.params)
 
     per_test: dict[TestId, TestAggregate] = {}
     overall = True

@@ -22,7 +22,6 @@ from randsuite import (
 )
 from randsuite.errors import (
     DomainError,
-    IndexOutOfRange,
     ManifestError,
     RandsuiteError,
     check_int,
@@ -92,6 +91,7 @@ def _seq():
 
 
 _MODEL = QubitNoiseModel(0, (Epoch(0, 0.5),))
+_SET = rs.SampleSet([_seq()])
 
 COUNT = (True, "3", 2.5, 2.0, None)
 REAL = (True, "0.5", None, math.nan, math.inf, -math.inf)
@@ -181,7 +181,26 @@ ARGUMENTS = [
      lambda v: ManifestEntry("a.txt", "hex", v), ManifestError),
     ("ManifestEntry.timestamp", TIME[:-1], _START,
      lambda v: ManifestEntry("a.txt", "hex", 0, v), ManifestError),
+    ("erfc.z", REAL, 0.5, rs.erfc, DomainError),
+    ("erfc_inv.p", REAL, 0.5, rs.erfc_inv, DomainError),
+    ("normal_cdf.x", REAL, 0.5, rs.normal_cdf, DomainError),
+    ("upper_igamc.a", REAL, 2.0, lambda v: rs.upper_igamc(v, 1.0), DomainError),
+    # Q(a, inf) = 0.
+    ("upper_igamc.x", REAL[:-2] + (-math.inf,), 1.0, lambda v: rs.upper_igamc(2.0, v),
+     DomainError),
+    ("as_probability.value", REAL, 0.5, rs.as_probability, DomainError),
+    ("uniformity_check.p_values", REAL, 0.5, lambda v: rs.uniformity_check([v] * 60),
+     DomainError),
+    ("ones_band.alpha", REAL, 0.05, lambda v: rs.ones_band(_SET, v), DomainError),
+    ("write_band_json.alpha", REAL, 0.05,
+     lambda v: rs.write_band_json({}, v, "band.json"), DomainError),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _in_a_fresh_directory(tmp_path, monkeypatch):
+    """A call that writes a file writes it here."""
+    monkeypatch.chdir(tmp_path)
 
 
 @pytest.mark.parametrize("call,value,error", [
@@ -204,7 +223,7 @@ def test_a_fractional_block_size_gives_no_p_value():
 
 
 def test_a_negative_sample_index_is_out_of_the_models_range():
-    with pytest.raises(IndexOutOfRange, match="sample_index must be >= 0, got -1"):
+    with pytest.raises(DomainError, match="sample_index must be >= 0, got -1"):
         rs.effective_bias(_MODEL, -1)
 
 

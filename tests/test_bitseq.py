@@ -302,7 +302,7 @@ class TestSampleSetAndConcat:
         assert list(concat_chronological(s).asarray()) == [0, 0, 0, 1, 1, 1]
 
     def test_rejects_mixed_lengths(self, bits):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="^sample 1 has 3 bits, sample 0 has 2$"):
             SampleSet([bits("10", sample_index=0), bits("011", sample_index=1)])
 
     def test_rejects_duplicate_indices(self, bits):

@@ -107,11 +107,12 @@ class TestCmdTest:
                      str(tmp_path / "out"), "--tests", "frequency,bogus"])
         assert code == 2
 
-    def test_too_short_sample_exit_two(self, tmp_path):
+    def test_too_short_sample_exit_two(self, tmp_path, capsys):
         manifest = write_single_sequence_manifest(tmp_path, "short", "10" * 20)
         code = main(["test", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out"), "--tests", "frequency"])
         assert code == 2
+        assert capsys.readouterr().err == "error: frequency needs at least 100 bits, got 40\n"
 
     def test_module_run_passes_the_exit_code_to_the_shell(self, tmp_path):
         # `python -m randsuite.cli` ends in sys.exit(main()).

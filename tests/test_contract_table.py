@@ -6,10 +6,14 @@ of ``entropy`` and ``stability``; each mutated plan goes through ``simulate``.
 The second sample file of a written two-sample source, in each encoding, is
 in turn cut short, lengthened, padded with ones, emptied, deleted, given a
 multi-byte UTF-8 character or written in another encoding, and the source
-goes through ``test``, ``entropy`` and ``stability``.
+goes through ``test``, ``entropy`` and ``stability``.  A written manifest
+(through the same three commands) and a written plan (through ``simulate``)
+are in turn cut short, given a byte that is no UTF-8, emptied, given NUL
+bytes, written as UTF-16, which is read, or given a key twice.
 Whatever the input, ``main`` returns 0, 1 or 2 and raises nothing.  On
 exit 2, stderr holds one ``error:`` line that names the file at fault, and
-``--out`` does not exist.  A line that calls the document malformed, or says a
+``--out`` does not exist; on exit 0 or 1, a second run into a fresh ``--out``
+writes the same bytes.  A line that calls the document malformed, or says a
 value must be a JSON list, also names the changed field: the last key of its
 path that is no list index.
 """
@@ -168,3 +172,70 @@ def test_every_bad_sample_file_is_named(tmp_path, capsys, encoding, command):
         if broken:
             found.append(f"{label}: {broken}")
     assert found == []
+
+
+
+def file_mutants(raw, key, value):
+    """``(label, content)`` for each version of the JSON file ``raw``: all but the
+    ``utf-16`` one are bad, and the last gives the top-level ``key`` first as ``value``."""
+    for label, end in (("1-byte", 1), ("third", len(raw) // 3), ("half", len(raw) // 2),
+                       ("len-2", len(raw) - 2)):
+        yield f"truncated-at-{label}", raw[:end]
+    yield "leading-0xff", b"\xff" + raw
+    yield "latin-1-in-a-string", raw.replace(b'"', b'"\xe9', 1)
+    yield "empty", b""
+    yield "nul-bytes", raw[:len(raw) // 2] + b"\0\0" + raw[len(raw) // 2:]
+    yield "utf-16", raw.decode().encode("utf-16")
+    yield "repeated-key", b'{"%s": %d, ' % (key.encode(), value) + raw[1:]
+
+
+def tree(out):
+    """Every file under ``out`` by its relative path, with its bytes."""
+    return {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+            if path.is_file()}
+
+
+def file_violations(capsys, tmp_path, what, target, key, value, commands):
+    """What each version of the ``what`` file ``target`` breaks of the contract, given
+    to each command of ``commands`` as ``--<what>``.  A bad version must exit 2, a
+    repeated key named; the UTF-16 one must be read, and a second run must write
+    the same bytes."""
+    found = []
+    for label, content in file_mutants(target.read_bytes(), key, value):
+        target.write_bytes(content)
+        for command in commands:
+            def argv(out):
+                return [command, f"--{what}", str(target), "--out", str(out)]
+            out = tmp_path / f"out-{label}-{command}"
+            name = f"error: {what} {target}"
+            if label == "repeated-key":
+                name += f" is not valid JSON: duplicate key {key!r}"
+            broken = violation(capsys, argv(out), out, (name,))
+            if broken is None and out.exists() != (label == "utf-16"):
+                broken = "was read" if out.exists() else "was not read"
+            elif broken is None and out.exists():
+                again = out.with_name(out.name + "-again")
+                main(argv(again))
+                capsys.readouterr()
+                if tree(again) != tree(out):
+                    broken = "a second run wrote other bytes"
+            if broken:
+                found.append(f"{label} through {command}: {broken}")
+    return found
+
+
+def test_every_bad_manifest_file_is_named(tmp_path, capsys):
+    plan = rs.unbiased_plan(num_qubits=1, samples_per_qubit=2,
+                            shots_per_sample=SAMPLE_LENGTH, master_seed=5)
+    [manifest] = rs.write_experiment(plan, tmp_path / "data")
+    assert file_violations(capsys, tmp_path, "manifest", manifest, "declared_length", 5,
+                           ("test", "entropy", "stability")) == []
+
+
+def test_every_bad_plan_file_is_named(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    rs.save_plan(rs.unbiased_plan(num_qubits=1, samples_per_qubit=2, shots_per_sample=64,
+                                  master_seed=5), plan)
+    assert file_violations(capsys, tmp_path, "plan", plan, "master_seed", -1,
+                           ("simulate",)) == []
+

@@ -97,11 +97,10 @@ def _renaming_raises(name):
 
 
 def test_one_function_names_the_bad_input():
-    """``bitseq._built`` alone re-raises an error prefixed with its input's name, and
-    ``run_suite`` with its ``sample <i>:`` prefix; no loader keeps a rule of its own."""
+    """``bitseq._built`` alone re-raises an error prefixed with its input's name; no
+    loader keeps a rule of its own."""
     sites = {name: _renaming_raises(name) for name in LIBRARY + ["cli"]}
-    assert {name: tops for name, tops in sites.items() if tops} == {
-        "bitseq": ["_built"], "suite": ["run_suite"]}
+    assert {name: tops for name, tops in sites.items() if tops} == {"bitseq": ["_built"]}
     handlers = [ast.unparse(node.type) for node in ast.walk(_tree("sim"))
                 if isinstance(node, ast.ExceptHandler)]
     assert handlers == ["OverflowError"]

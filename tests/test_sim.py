@@ -25,7 +25,7 @@ from randsuite import (
     min_entropy,
 )
 from randsuite.cli import main
-from randsuite.errors import DomainError, IndexOutOfRange, ManifestError, RandsuiteError
+from randsuite.errors import DomainError, ManifestError, RandsuiteError
 from randsuite.sim import _draw_rows, _philox_keys, plan_from_dict, plan_to_dict
 
 
@@ -103,7 +103,7 @@ class TestEffectiveBias:
         assert effective_bias(model, 0) == pytest.approx(0.296, abs=1e-15)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DomainError, match="^sample_index must be >= 0, got -1$"):
             effective_bias(fair_model(), -1)
 
     def test_model_validation(self):
@@ -225,7 +225,7 @@ class TestGenerateSample:
         for bad in (1.5, True, "1"):
             with pytest.raises(DomainError, match="sample_index must be an integer"):
                 generate_sample(fair_model(), bad, 64, master_seed=1)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DomainError, match="^sample_index must be >= 0, got -1$"):
             generate_sample(fair_model(), -1, 64, master_seed=1)
 
 
